@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
@@ -21,10 +22,9 @@ import numpy as np
 from .coeffs import write_gap_curve
 from .config import CampaignConfig, config_digest
 from .datasets import (
+    GENERATORS,
     CisslSplit,
     Dataset2D,
-    gen_four_spins,
-    gen_two_moons,
     imbalance_counts,
     make_cissl_split,
     write_split_csv,
@@ -42,8 +42,6 @@ from .report import (
 from .training import RunResult, train, write_history_csv
 
 WORKERS_ENV = "SKEWLAB_WORKERS"
-
-_GENERATORS = {"twomoons": gen_two_moons, "fourspins": gen_four_spins}
 
 
 @dataclass(frozen=True)
@@ -97,7 +95,7 @@ def prepare_split(config: CampaignConfig, dataset_index: int,
     """
     ds = config.datasets[dataset_index]
     pool_seed, split_seed = np.random.SeedSequence([seed, dataset_index]).generate_state(2)
-    pool = _GENERATORS[ds.kind](ds.n_pool_per_class, ds.data_noise, int(pool_seed))
+    pool = GENERATORS[ds.kind](ds.n_pool_per_class, ds.data_noise, int(pool_seed))
     labeled_counts = imbalance_counts(ds.labeled_max, ds.rho_l, pool.n_classes)
     split = make_cissl_split(pool, labeled_counts, ds.unlabeled_type, ds.rho_l,
                              ds.unlabeled_max, ds.val_per_class, int(split_seed))
@@ -107,7 +105,7 @@ def prepare_split(config: CampaignConfig, dataset_index: int,
 def execute_run(config: CampaignConfig, spec: RunSpec) -> RunRecord:
     algo = config.algorithms[spec.algorithm_index]
     pool, split = prepare_split(config, spec.dataset_index, spec.seed)
-    result = train(split, algo.spec, config.train_config(spec.seed, algo.w_max))
+    result = train(split, algo, config.train_config(spec.seed, algo.w_max))
     student_grid = ema_grid = None
     if config.report.grids:
         bbox = default_bbox(pool.points)
@@ -134,10 +132,13 @@ def _execute_payload(payload: tuple[CampaignConfig, RunSpec]):
         return spec.run_id, None, traceback.format_exc()
 
 
-def _resolve_workers(workers: int | None) -> int:
-    if workers is None:
-        workers = int(os.environ.get(WORKERS_ENV, "1"))
-    return max(1, workers)
+def resolve_workers(workers: int | None) -> int:
+    """workers if given, else SKEWLAB_WORKERS, else 1; must be a positive integer."""
+    source, value = (("workers", workers) if workers is not None
+                     else (WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")))
+    if not re.fullmatch(r"\s*[0-9]+\s*", str(value)) or int(value) < 1:
+        raise ValueError(f"{source} must be a positive integer, got {value!r}")
+    return int(value)
 
 
 def run_campaign(config: CampaignConfig, *, workers: int | None = None,
@@ -148,10 +149,10 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
     Run failures are isolated: the campaign finishes, the failure lands in
     the manifest and the outcome, and only healthy runs feed the tables.
     """
+    n_workers = resolve_workers(workers)
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs = build_runs(config)
-    n_workers = _resolve_workers(workers)
 
     records: dict[str, RunRecord] = {}
     failures: dict[str, str] = {}

@@ -6,8 +6,8 @@ Verbs:
   preset <name> --out <dir>                     write a built-in config file
 
 Exit codes: 0 success, 1 one or more runs failed, 2 invalid config or bad
-arguments.  SKEWLAB_WORKERS overrides the default worker count when
---workers is absent.
+arguments (a worker count that is not a positive integer among them).
+SKEWLAB_WORKERS overrides the default worker count when --workers is absent.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import json
 import sys
 from pathlib import Path
 
-from .campaign import run_campaign
+from .campaign import resolve_workers, run_campaign
 from .config import PRESET_NAMES, ConfigError, load_config, preset_dict
 
 
@@ -76,10 +76,15 @@ def main(argv: list[str] | None = None) -> int:
         print(target)
         return 0
 
+    try:
+        workers = resolve_workers(args.workers)
+    except ValueError as exc:
+        print(exc, file=sys.stderr)
+        return 2
     config = _load(args.config)
     if config is None:
         return 2
-    outcome = run_campaign(config, workers=args.workers, out_dir=args.out)
+    outcome = run_campaign(config, workers=workers, out_dir=args.out)
     n_runs = len(config.datasets) * len(config.algorithms) * len(config.seeds)
     n_failed = len(outcome.failures)
     print(f"{config.name}: {n_runs - n_failed}/{n_runs} runs succeeded; "

@@ -1,21 +1,23 @@
-"""Campaign configuration: JSON schema, validation, and built-in presets.
+"""Campaign configuration: JSON validation, the resolved config, and built-in presets.
 
-A campaign is datasets x algorithms x seeds.  Configs are plain JSON with
-nesting; validation applies defaults, rejects unknown keys at every level,
-and reports all problems at once with field paths.
+A campaign is datasets x algorithms x seeds.  Each setting is declared once,
+on the dataclass field that carries it (see skewlab.schema); validation reads
+those declarations, applies defaults, rejects unknown keys at every level,
+checks that every run can carve its split and draw its batches, and reports
+all problems at once with field paths.
 """
 
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 
-from .losses import REWEIGHT_METHODS, SCL_SHAPES, ReweightSpec, SclShape
+from .datasets import CLASS_COUNTS, UNLABELED_TYPES, imbalance_counts, unlabeled_rho
 from .optim import Schedule
-from .training import ALGORITHM_KINDS, SCL_PRED_SOURCES, AlgorithmSpec, TrainConfig
-
-DATASET_KINDS = ("twomoons", "fourspins")
+from .schema import Settings, dump, fits, read, setting
+from .training import AlgorithmSpec, TrainConfig
 
 DEFAULT_W_MAX = {
     "supervised": 0.0,
@@ -35,118 +37,64 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class DatasetSpec:
-    name: str
-    kind: str
-    labeled_max: int
-    unlabeled_max: int
-    val_per_class: int
-    n_pool_per_class: int
-    data_noise: float = 0.1
-    rho_l: float = 1.0
-    unlabeled_type: str = "same"
+class DatasetSpec(Settings):
+    name: str = setting()  # defaults to kind
+    kind: str = setting(choices=tuple(CLASS_COUNTS), required=True)
+    labeled_max: int = setting(bound=">=1", required=True)
+    unlabeled_max: int = setting(bound=">=1", required=True)
+    val_per_class: int = setting(bound=">=1", required=True)
+    n_pool_per_class: int = setting(bound=">=1")  # defaults to what the split needs
+    data_noise: float = setting(0.1, bound=">=0.0")
+    rho_l: float = setting(1.0, bound=">=1.0")
+    unlabeled_type: str = setting("same", choices=UNLABELED_TYPES)
+
+
+@dataclass(frozen=True, kw_only=True)
+class AlgorithmConfig(AlgorithmSpec):
+    """A regime spec with its run name (default: kind) and consistency weight
+    (default: DEFAULT_W_MAX of its kind, bounded like Schedule.w_max)."""
+
+    name: str = setting()
+    w_max: float = field(metadata=Schedule.__dataclass_fields__["w_max"].metadata | {"key": None})
+
+    @property
+    def spec(self) -> AlgorithmSpec:
+        """The regime spec that train() takes; an AlgorithmConfig is one."""
+        return self
 
 
 @dataclass(frozen=True)
-class AlgorithmConfig:
-    name: str
-    spec: AlgorithmSpec
-    w_max: float
+class GapCurveSpec(Settings):
+    delta: float = setting(0.9, bound="[0,1)")
+    gamma: float = setting(0.95, bound="(0,1]")
+    max_lag: int = setting(500, bound=">=1")
 
 
 @dataclass(frozen=True)
-class GapCurveSpec:
-    delta: float = 0.9
-    gamma: float = 0.95
-    max_lag: int = 500
+class ReportSpec(Settings):
+    grids: bool = setting(False)
+    grid_resolution: tuple[int, int] = setting((200, 200))
+    dump_datasets: bool = setting(False)
 
 
 @dataclass(frozen=True)
-class ReportSpec:
-    grids: bool = False
-    grid_resolution: tuple[int, int] = (200, 200)
-    dump_datasets: bool = False
-
-
-@dataclass(frozen=True)
-class CampaignConfig:
-    name: str
-    output_dir: str
-    seeds: tuple[int, ...]
-    datasets: tuple[DatasetSpec, ...]
-    algorithms: tuple[AlgorithmConfig, ...]
-    total_iters: int
-    rampup_iters: int
-    base_lr: float
-    lr_decay: tuple[tuple[int, float], ...]
-    labeled_batch: int
-    unlabeled_batch: int
-    perturb_std: float
-    momentum: float
-    weight_decay: float
-    hidden_width: int
-    hidden_layers: int
-    eval_every: int
-    sample_with_replacement: bool
-    report: ReportSpec = ReportSpec()
-    gap_curve: GapCurveSpec | None = None
-
-    def schedule_for(self, w_max: float) -> Schedule:
-        return Schedule(total_iters=self.total_iters, rampup_iters=self.rampup_iters,
-                        w_max=w_max, base_lr=self.base_lr, lr_decay_points=self.lr_decay)
+class CampaignConfig(Settings):
+    name: str = setting(required=True)
+    output_dir: str = setting()  # defaults to "<name>-out"
+    seeds: tuple[int, ...] = setting(required=True)
+    schedule: Schedule = setting()  # w_max is set per algorithm
+    training: TrainConfig = setting()  # its schedule is the one above, its seed 0
+    datasets: tuple[DatasetSpec, ...] = setting(())
+    algorithms: tuple[AlgorithmConfig, ...] = setting(())
+    report: ReportSpec = setting(ReportSpec())
+    gap_curve: GapCurveSpec | None = setting(None)
 
     def train_config(self, seed: int, w_max: float) -> TrainConfig:
-        return TrainConfig(schedule=self.schedule_for(w_max),
-                           labeled_batch=self.labeled_batch,
-                           unlabeled_batch=self.unlabeled_batch,
-                           perturb_std=self.perturb_std,
-                           momentum=self.momentum,
-                           weight_decay=self.weight_decay,
-                           hidden_width=self.hidden_width,
-                           hidden_layers=self.hidden_layers,
-                           eval_every=self.eval_every,
-                           sample_with_replacement=self.sample_with_replacement,
-                           seed=seed)
+        return replace(self.training, schedule=replace(self.schedule, w_max=w_max), seed=seed)
 
     def to_dict(self) -> dict:
         """Fully resolved config as plain JSON data; hashing canonicalizes this."""
-        return {
-            "name": self.name,
-            "output_dir": self.output_dir,
-            "seeds": list(self.seeds),
-            "datasets": [{
-                "name": d.name, "kind": d.kind, "n_pool_per_class": d.n_pool_per_class,
-                "data_noise": d.data_noise, "labeled_max": d.labeled_max, "rho_l": d.rho_l,
-                "unlabeled_type": d.unlabeled_type, "unlabeled_max": d.unlabeled_max,
-                "val_per_class": d.val_per_class,
-            } for d in self.datasets],
-            "algorithms": [{
-                "name": a.name, "kind": a.spec.kind, "w_max": a.w_max,
-                "ema_gamma": a.spec.ema_gamma, "pl_threshold": a.spec.pl_threshold,
-                "scl": {"shape": a.spec.scl.kind, "beta": a.spec.scl.beta},
-                "scl_pred_source": a.spec.scl_pred_source,
-                "reweight": {"method": a.spec.reweight.method,
-                             "focal_gamma": a.spec.reweight.focal_gamma,
-                             "cb_beta": a.spec.reweight.cb_beta},
-            } for a in self.algorithms],
-            "schedule": {"total_iters": self.total_iters, "rampup_iters": self.rampup_iters,
-                         "base_lr": self.base_lr,
-                         "lr_decay": [list(p) for p in self.lr_decay]},
-            "training": {"labeled_batch": self.labeled_batch,
-                         "unlabeled_batch": self.unlabeled_batch,
-                         "perturb_std": self.perturb_std, "momentum": self.momentum,
-                         "weight_decay": self.weight_decay,
-                         "hidden_width": self.hidden_width,
-                         "hidden_layers": self.hidden_layers,
-                         "eval_every": self.eval_every,
-                         "sample_with_replacement": self.sample_with_replacement},
-            "report": {"grids": self.report.grids,
-                       "grid_resolution": list(self.report.grid_resolution),
-                       "dump_datasets": self.report.dump_datasets},
-            "gap_curve": None if self.gap_curve is None else {
-                "delta": self.gap_curve.delta, "gamma": self.gap_curve.gamma,
-                "max_lag": self.gap_curve.max_lag},
-        }
+        return dump(self)
 
 
 def config_digest(config: CampaignConfig) -> str:
@@ -154,173 +102,93 @@ def config_digest(config: CampaignConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-class _Validator:
-    def __init__(self) -> None:
-        self.errors: list[str] = []
-
-    def fail(self, path: str, message: str) -> None:
-        self.errors.append(f"{path}: {message}")
-
-    def unknown_keys(self, obj: dict, path: str, allowed: set[str]) -> None:
-        for key in obj:
-            if key not in allowed:
-                self.fail(f"{path}.{key}" if path else key, "unknown key")
-
-    def expect_dict(self, value, path: str) -> dict | None:
-        if not isinstance(value, dict):
-            self.fail(path, "must be an object")
-            return None
+def _block(raw: dict, key: str, errors: list[str]) -> dict:
+    value = raw.get(key, {})
+    if isinstance(value, dict):
         return value
-
-    def str_field(self, obj: dict, path: str, key: str, *, default=None,
-                  required=False, choices=None) -> str | None:
-        full = f"{path}.{key}" if path else key
-        if key not in obj:
-            if required:
-                self.fail(full, "required key is missing")
-            return default
-        value = obj[key]
-        if not isinstance(value, str):
-            self.fail(full, "must be a string")
-            return default
-        if choices is not None and value not in choices:
-            self.fail(full, f"must be one of {sorted(choices)}, got {value!r}")
-            return default
-        return value
-
-    def bool_field(self, obj: dict, path: str, key: str, *, default=False) -> bool:
-        full = f"{path}.{key}" if path else key
-        if key not in obj:
-            return default
-        value = obj[key]
-        if not isinstance(value, bool):
-            self.fail(full, "must be a boolean")
-            return default
-        return value
-
-    def int_field(self, obj: dict, path: str, key: str, *, default=None,
-                  required=False, minimum=None) -> int | None:
-        full = f"{path}.{key}" if path else key
-        if key not in obj:
-            if required:
-                self.fail(full, "required key is missing")
-            return default
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, int):
-            self.fail(full, "must be an integer")
-            return default
-        if minimum is not None and value < minimum:
-            self.fail(full, f"must be at least {minimum}")
-            return default
-        return value
-
-    def real_field(self, obj: dict, path: str, key: str, *, default=None,
-                   required=False, minimum=None, exclusive_minimum=None,
-                   maximum=None, exclusive_maximum=None,
-                   interval_note: str | None = None) -> float | None:
-        full = f"{path}.{key}" if path else key
-        if key not in obj:
-            if required:
-                self.fail(full, "required key is missing")
-            return default
-        value = obj[key]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            self.fail(full, "must be a real number")
-            return default
-        value = float(value)
-        bad = ((minimum is not None and value < minimum)
-               or (exclusive_minimum is not None and value <= exclusive_minimum)
-               or (maximum is not None and value > maximum)
-               or (exclusive_maximum is not None and value >= exclusive_maximum))
-        if bad:
-            if interval_note is not None:
-                self.fail(full, f"must lie in {interval_note}")
-            elif minimum is not None:
-                self.fail(full, f"must be at least {minimum}")
-            else:
-                self.fail(full, "out of range")
-            return default
-        return value
+    errors.append(f"{key}: must be an object")
+    return {}
 
 
-def _validate_dataset(v: _Validator, obj: dict, path: str) -> DatasetSpec | None:
-    allowed = {"name", "kind", "n_pool_per_class", "data_noise", "labeled_max",
-               "rho_l", "unlabeled_type", "unlabeled_max", "val_per_class"}
-    v.unknown_keys(obj, path, allowed)
-    kind = v.str_field(obj, path, "kind", required=True, choices=set(DATASET_KINDS))
-    name = v.str_field(obj, path, "name", default=kind)
-    labeled_max = v.int_field(obj, path, "labeled_max", required=True, minimum=1)
-    unlabeled_max = v.int_field(obj, path, "unlabeled_max", required=True, minimum=1)
-    val_per_class = v.int_field(obj, path, "val_per_class", required=True, minimum=0)
-    data_noise = v.real_field(obj, path, "data_noise", default=0.1, minimum=0.0)
-    rho_l = v.real_field(obj, path, "rho_l", default=1.0, minimum=1.0)
-    unlabeled_type = v.str_field(obj, path, "unlabeled_type", default="same",
-                                 choices={"uniform", "half", "same"})
-    if None in (kind, labeled_max, unlabeled_max, val_per_class):
-        return None
-    default_pool = labeled_max + unlabeled_max + val_per_class
-    pool = v.int_field(obj, path, "n_pool_per_class", default=default_pool, minimum=1)
-    if pool is None or name is None or data_noise is None or rho_l is None or unlabeled_type is None:
-        return None
-    return DatasetSpec(name=name, kind=kind, labeled_max=labeled_max,
-                       unlabeled_max=unlabeled_max, val_per_class=val_per_class,
-                       n_pool_per_class=pool, data_noise=data_noise, rho_l=rho_l,
-                       unlabeled_type=unlabeled_type)
+def _entries(raw: dict, key: str, cls, derive, errors: list[str]) -> tuple:
+    """The list under key, each object read as cls; derive fills dependent defaults."""
+    if key not in raw:
+        return ()
+    if not isinstance(raw[key], list):
+        errors.append(f"{key}: must be a list")
+        return ()
+    built = []
+    for i, entry in enumerate(raw[key]):
+        if not isinstance(entry, dict):
+            errors.append(f"{key}[{i}]: must be an object")
+        elif (values := read(cls, entry, f"{key}[{i}]", errors)) is not None:
+            values.setdefault("name", values["kind"])
+            derive(values, f"{key}[{i}]", errors)
+            built.append(cls(**values))
+    if len({entry.name for entry in built}) != len(built):
+        errors.append(f"{key}: names must be unique")
+    return tuple(built)
 
 
-def _validate_algorithm(v: _Validator, obj: dict, path: str) -> AlgorithmConfig | None:
-    allowed = {"name", "kind", "w_max", "ema_gamma", "pl_threshold", "scl",
-               "scl_pred_source", "reweight"}
-    v.unknown_keys(obj, path, allowed)
-    kind = v.str_field(obj, path, "kind", required=True, choices=set(ALGORITHM_KINDS))
-    name = v.str_field(obj, path, "name", default=kind)
-    default_w = DEFAULT_W_MAX.get(kind or "", 0.0)
-    w_max = v.real_field(obj, path, "w_max", default=default_w, minimum=0.0)
-    ema_gamma = v.real_field(obj, path, "ema_gamma", default=0.95,
-                             exclusive_minimum=0.0, maximum=1.0, interval_note="(0,1]")
-    pl_threshold = v.real_field(obj, path, "pl_threshold", default=0.95,
-                                exclusive_minimum=0.0, maximum=1.0, interval_note="(0,1]")
-    pred_source = v.str_field(obj, path, "scl_pred_source", default="student",
-                              choices=set(SCL_PRED_SOURCES))
+def _derive_dataset(values: dict, path: str, errors: list[str]) -> None:
+    need = values["labeled_max"] + values["unlabeled_max"] + values["val_per_class"]
+    if values.setdefault("n_pool_per_class", need) < need:
+        errors.append(f"{path}.n_pool_per_class: must be at least {need} "
+                      "(labeled_max + unlabeled_max + val_per_class)")
 
-    scl_shape = SclShape()
-    if "scl" in obj:
-        sub = v.expect_dict(obj["scl"], f"{path}.scl")
-        if sub is not None:
-            v.unknown_keys(sub, f"{path}.scl", {"shape", "beta"})
-            shape = v.str_field(sub, f"{path}.scl", "shape", default="exponential",
-                                choices=set(SCL_SHAPES))
-            beta = v.real_field(sub, f"{path}.scl", "beta", default=0.5,
-                                exclusive_minimum=0.0, maximum=1.0, interval_note="(0,1]")
-            if shape is not None and beta is not None:
-                scl_shape = SclShape(kind=shape, beta=beta)
 
-    reweight = ReweightSpec()
-    if "reweight" in obj:
-        sub = v.expect_dict(obj["reweight"], f"{path}.reweight")
-        if sub is not None:
-            v.unknown_keys(sub, f"{path}.reweight", {"method", "focal_gamma", "cb_beta"})
-            method = v.str_field(sub, f"{path}.reweight", "method", default="ce",
-                                 choices=set(REWEIGHT_METHODS))
-            focal_gamma = v.real_field(sub, f"{path}.reweight", "focal_gamma",
-                                       default=2.0, minimum=0.0)
-            cb_beta = v.real_field(sub, f"{path}.reweight", "cb_beta", default=0.999,
-                                   minimum=0.0, exclusive_maximum=1.0, interval_note="[0,1)")
-            if method is not None and focal_gamma is not None and cb_beta is not None:
-                reweight = ReweightSpec(method=method, focal_gamma=focal_gamma, cb_beta=cb_beta)
+def _derive_algorithm(values: dict, path: str, errors: list[str]) -> None:
+    values.setdefault("w_max", DEFAULT_W_MAX[values["kind"]])
 
-    if kind is None or name is None or w_max is None or ema_gamma is None \
-            or pl_threshold is None or pred_source is None:
-        return None
-    spec = AlgorithmSpec(kind=kind, reweight=reweight, ema_gamma=ema_gamma,
-                         pl_threshold=pl_threshold, scl=scl_shape,
-                         scl_pred_source=pred_source)
-    return AlgorithmConfig(name=name, spec=spec, w_max=w_max)
+
+def _seeds(raw: dict, errors: list[str]) -> tuple[int, ...]:
+    entry = raw.get("seeds")
+    if "seeds" in raw and (not isinstance(entry, list) or not entry):
+        errors.append("seeds: must be a nonempty list of integers")
+        return ()
+    seeds = []
+    for i, value in enumerate(entry or ()):
+        if not fits(int, value):
+            errors.append(f"seeds[{i}]: must be an integer")
+        elif value < 0:
+            errors.append(f"seeds[{i}]: must be nonnegative")
+        else:
+            seeds.append(value)
+    if len(set(seeds)) != len(seeds):
+        errors.append("seeds: must not repeat")
+    return tuple(seeds)
+
+
+def _lr_decay(entry, errors: list[str]) -> tuple[tuple[int, float], ...]:
+    if not isinstance(entry, list):
+        errors.append("schedule.lr_decay: must be a list of [iteration, factor] pairs")
+        return ()
+    pairs, last = [], -1
+    for i, pair in enumerate(entry):
+        if (not isinstance(pair, list) or len(pair) != 2 or not fits(int, pair[0])
+                or not fits(float, pair[1]) or pair[1] <= 0.0):
+            errors.append(f"schedule.lr_decay[{i}]: must be [iteration >= 0, positive factor]")
+            continue
+        if pair[0] <= last:
+            errors.append("schedule.lr_decay: iterations must be strictly increasing")
+        last = pair[0]
+        pairs.append((pair[0], float(pair[1])))
+    return tuple(pairs)
+
+
+def _check_batches(training: dict, datasets: tuple[DatasetSpec, ...], errors: list[str]) -> None:
+    """Without replacement, a batch cannot exceed the partition it is drawn from."""
+    for d in datasets if not training["sample_with_replacement"] else ():
+        rho_u, n_classes = unlabeled_rho(d.unlabeled_type, d.rho_l), CLASS_COUNTS[d.kind]
+        for part, counts in (("labeled", imbalance_counts(d.labeled_max, d.rho_l, n_classes)),
+                             ("unlabeled", imbalance_counts(d.unlabeled_max, rho_u, n_classes))):
+            if training[f"{part}_batch"] > counts.sum():
+                errors.append(f"training.{part}_batch: exceeds the {counts.sum()} {part} points of "
+                              f"dataset {d.name!r}; sampling is without replacement")
 
 
 def validate_config(text: str) -> CampaignConfig:
     """Parse and validate raw config text; raises ConfigError listing every problem."""
-    v = _Validator()
     try:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -328,156 +196,46 @@ def validate_config(text: str) -> CampaignConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["config top level must be an object"])
 
-    allowed = {"name", "output_dir", "seeds", "datasets", "algorithms", "schedule",
-               "training", "report", "gap_curve"}
-    v.unknown_keys(raw, "", allowed)
+    errors: list[str] = []
+    top = read(CampaignConfig, raw, "", errors) or {}
+    top["seeds"] = _seeds(raw, errors)
+    top["datasets"] = _entries(raw, "datasets", DatasetSpec, _derive_dataset, errors)
+    top["algorithms"] = _entries(raw, "algorithms", AlgorithmConfig, _derive_algorithm, errors)
 
-    name = v.str_field(raw, "", "name", required=True)
-    output_dir = v.str_field(raw, "", "output_dir",
-                             default=f"{name}-out" if name else "campaign-out")
+    sched_obj = _block(raw, "schedule", errors)
+    schedule = read(Schedule, sched_obj, "schedule", errors)
+    schedule.setdefault("rampup_iters", round(0.4 * schedule["total_iters"]))
+    if "lr_decay" in sched_obj:
+        schedule["lr_decay_points"] = _lr_decay(sched_obj["lr_decay"], errors)
+    training = read(TrainConfig, _block(raw, "training", errors), "training", errors)
+    _check_batches(training, top["datasets"], errors)
 
-    seeds: tuple[int, ...] = ()
-    if "seeds" not in raw:
-        v.fail("seeds", "required key is missing")
-    elif not isinstance(raw["seeds"], list) or not raw["seeds"]:
-        v.fail("seeds", "must be a nonempty list of integers")
-    else:
-        collected = []
-        for i, value in enumerate(raw["seeds"]):
-            if isinstance(value, bool) or not isinstance(value, int):
-                v.fail(f"seeds[{i}]", "must be an integer")
-            elif value < 0:
-                v.fail(f"seeds[{i}]", "must be nonnegative")
-            else:
-                collected.append(value)
-        if len(set(collected)) != len(collected):
-            v.fail("seeds", "must not repeat")
-        seeds = tuple(collected)
-
-    datasets: list[DatasetSpec] = []
-    if "datasets" in raw:
-        if not isinstance(raw["datasets"], list):
-            v.fail("datasets", "must be a list")
-        else:
-            for i, entry in enumerate(raw["datasets"]):
-                sub = v.expect_dict(entry, f"datasets[{i}]")
-                if sub is not None:
-                    spec = _validate_dataset(v, sub, f"datasets[{i}]")
-                    if spec is not None:
-                        datasets.append(spec)
-    names = [d.name for d in datasets]
-    if len(set(names)) != len(names):
-        v.fail("datasets", "names must be unique")
-
-    algorithms: list[AlgorithmConfig] = []
-    if "algorithms" in raw:
-        if not isinstance(raw["algorithms"], list):
-            v.fail("algorithms", "must be a list")
-        else:
-            for i, entry in enumerate(raw["algorithms"]):
-                sub = v.expect_dict(entry, f"algorithms[{i}]")
-                if sub is not None:
-                    algo = _validate_algorithm(v, sub, f"algorithms[{i}]")
-                    if algo is not None:
-                        algorithms.append(algo)
-    names = [a.name for a in algorithms]
-    if len(set(names)) != len(names):
-        v.fail("algorithms", "names must be unique")
-
-    sched_obj = raw.get("schedule", {})
-    sched = v.expect_dict(sched_obj, "schedule") or {}
-    v.unknown_keys(sched, "schedule", {"total_iters", "rampup_iters", "base_lr", "lr_decay"})
-    total_iters = v.int_field(sched, "schedule", "total_iters", default=5000, minimum=1)
-    default_rampup = round(0.4 * total_iters) if total_iters else 2000
-    rampup_iters = v.int_field(sched, "schedule", "rampup_iters",
-                               default=default_rampup, minimum=0)
-    base_lr = v.real_field(sched, "schedule", "base_lr", default=0.1, exclusive_minimum=0.0)
-    lr_decay: list[tuple[int, float]] = [(4000, 0.2)]
-    if "lr_decay" in sched:
-        entry = sched["lr_decay"]
-        lr_decay = []
-        if not isinstance(entry, list):
-            v.fail("schedule.lr_decay", "must be a list of [iteration, factor] pairs")
-        else:
-            last = -1
-            for i, pair in enumerate(entry):
-                if (not isinstance(pair, list) or len(pair) != 2
-                        or isinstance(pair[0], bool) or not isinstance(pair[0], int)
-                        or isinstance(pair[1], bool) or not isinstance(pair[1], (int, float))
-                        or float(pair[1]) <= 0.0):
-                    v.fail(f"schedule.lr_decay[{i}]",
-                           "must be [iteration >= 0, positive factor]")
-                    continue
-                if pair[0] <= last:
-                    v.fail("schedule.lr_decay", "iterations must be strictly increasing")
-                last = pair[0]
-                lr_decay.append((pair[0], float(pair[1])))
-
-    train_obj = raw.get("training", {})
-    tr = v.expect_dict(train_obj, "training") or {}
-    v.unknown_keys(tr, "training", {"labeled_batch", "unlabeled_batch", "perturb_std",
-                                    "momentum", "weight_decay", "hidden_width",
-                                    "hidden_layers", "eval_every", "sample_with_replacement"})
-    labeled_batch = v.int_field(tr, "training", "labeled_batch", default=32, minimum=1)
-    unlabeled_batch = v.int_field(tr, "training", "unlabeled_batch", default=32, minimum=1)
-    perturb_std = v.real_field(tr, "training", "perturb_std", default=0.1, minimum=0.0)
-    momentum = v.real_field(tr, "training", "momentum", default=0.9, minimum=0.0,
-                            exclusive_maximum=1.0, interval_note="[0,1)")
-    weight_decay = v.real_field(tr, "training", "weight_decay", default=0.0, minimum=0.0)
-    hidden_width = v.int_field(tr, "training", "hidden_width", default=64, minimum=1)
-    hidden_layers = v.int_field(tr, "training", "hidden_layers", default=2, minimum=1)
-    eval_every = v.int_field(tr, "training", "eval_every", default=500, minimum=1)
-    with_replacement = v.bool_field(tr, "training", "sample_with_replacement", default=True)
-
-    rep_obj = raw.get("report", {})
-    rep = v.expect_dict(rep_obj, "report") or {}
-    v.unknown_keys(rep, "report", {"grids", "grid_resolution", "dump_datasets"})
-    grids = v.bool_field(rep, "report", "grids", default=False)
-    dump_datasets = v.bool_field(rep, "report", "dump_datasets", default=False)
-    resolution = (200, 200)
-    if "grid_resolution" in rep:
-        entry = rep["grid_resolution"]
+    report = raw.get("report")
+    if isinstance(report, dict) and "grid_resolution" in report:
+        entry = report["grid_resolution"]
         if (not isinstance(entry, list) or len(entry) != 2
-                or any(isinstance(e, bool) or not isinstance(e, int) or e < 2 for e in entry)):
-            v.fail("report.grid_resolution", "must be [nx >= 2, ny >= 2]")
-        else:
-            resolution = (entry[0], entry[1])
+                or any(not fits(int, e) or e < 2 for e in entry)):
+            errors.append("report.grid_resolution: must be [nx >= 2, ny >= 2]")
+        elif "report" in top:
+            top["report"] = replace(top["report"], grid_resolution=tuple(entry))
 
-    gap_curve: GapCurveSpec | None = None
-    if "gap_curve" in raw and raw["gap_curve"] is not None:
-        sub = v.expect_dict(raw["gap_curve"], "gap_curve")
-        if sub is not None:
-            v.unknown_keys(sub, "gap_curve", {"delta", "gamma", "max_lag"})
-            delta = v.real_field(sub, "gap_curve", "delta", default=0.9, minimum=0.0,
-                                 exclusive_maximum=1.0, interval_note="[0,1)")
-            gamma = v.real_field(sub, "gap_curve", "gamma", default=0.95,
-                                 exclusive_minimum=0.0, maximum=1.0, interval_note="(0,1]")
-            max_lag = v.int_field(sub, "gap_curve", "max_lag", default=500, minimum=1)
-            if delta is not None and gamma is not None and max_lag is not None:
-                gap_curve = GapCurveSpec(delta=delta, gamma=gamma, max_lag=max_lag)
+    gap = raw.get("gap_curve")
+    if gap is not None and not isinstance(gap, dict):
+        errors.append("gap_curve: must be an object")
+    elif gap is not None:
+        top["gap_curve"] = GapCurveSpec(**read(GapCurveSpec, gap, "gap_curve", errors))
 
-    if not datasets and not algorithms and gap_curve is None:
-        v.fail("datasets", "at least one dataset is required unless gap_curve is set")
-    if bool(datasets) != bool(algorithms):
-        v.fail("algorithms" if datasets else "datasets",
-               "datasets and algorithms must both be given to run training")
-
-    if v.errors:
-        raise ConfigError(v.errors)
-    assert name is not None and output_dir is not None
-    return CampaignConfig(
-        name=name, output_dir=output_dir, seeds=seeds,
-        datasets=tuple(datasets), algorithms=tuple(algorithms),
-        total_iters=total_iters, rampup_iters=rampup_iters, base_lr=base_lr,
-        lr_decay=tuple(lr_decay),
-        labeled_batch=labeled_batch, unlabeled_batch=unlabeled_batch,
-        perturb_std=perturb_std, momentum=momentum, weight_decay=weight_decay,
-        hidden_width=hidden_width, hidden_layers=hidden_layers, eval_every=eval_every,
-        sample_with_replacement=with_replacement,
-        report=ReportSpec(grids=grids, grid_resolution=resolution,
-                          dump_datasets=dump_datasets),
-        gap_curve=gap_curve,
-    )
+    if not top["datasets"] and not top["algorithms"] and top.get("gap_curve") is None:
+        errors.append("datasets: at least one dataset is required unless gap_curve is set")
+    if bool(top["datasets"]) != bool(top["algorithms"]):
+        errors.append(f"{'algorithms' if top['datasets'] else 'datasets'}: "
+                      "datasets and algorithms must both be given to run training")
+    if errors:
+        raise ConfigError(errors)
+    top.setdefault("output_dir", f"{top['name']}-out" if top["name"] else "campaign-out")
+    top["schedule"] = Schedule(**schedule)
+    top["training"] = TrainConfig(schedule=top["schedule"], **training)
+    return CampaignConfig(**top)
 
 
 def load_config(path: str) -> CampaignConfig:
@@ -485,87 +243,30 @@ def load_config(path: str) -> CampaignConfig:
         return validate_config(fh.read())
 
 
-def _toy_datasets() -> list[dict]:
-    return [
-        {"name": "twomoons", "kind": "twomoons", "data_noise": 0.15,
-         "labeled_max": 10, "rho_l": 5.0, "unlabeled_type": "same",
+# Presets state only what differs from the declared defaults.
+_TOY = {
+    "seeds": [0, 1, 2, 3, 4],
+    "datasets": [
+        {"kind": "twomoons", "data_noise": 0.15, "labeled_max": 10, "rho_l": 5.0,
          "unlabeled_max": 2500, "val_per_class": 3000},
-        {"name": "fourspins", "kind": "fourspins", "data_noise": 0.05,
-         "labeled_max": 5, "rho_l": 5.0, "unlabeled_type": "same",
+        {"kind": "fourspins", "data_noise": 0.05, "labeled_max": 5, "rho_l": 5.0,
          "unlabeled_max": 1250, "val_per_class": 1500},
-    ]
-
-
-def _toy_schedule() -> dict:
-    return {"total_iters": 5000, "rampup_iters": 2000, "base_lr": 0.1,
-            "lr_decay": [[4000, 0.2]]}
-
-
-def _toy_training() -> dict:
-    return {"labeled_batch": 32, "unlabeled_batch": 32, "perturb_std": 0.1,
-            "momentum": 0.9, "eval_every": 500, "hidden_width": 64}
-
-
-def _preset_toy_table1() -> dict:
-    return {
-        "name": "toy-table1",
-        "seeds": [0, 1, 2, 3, 4],
-        "datasets": _toy_datasets(),
-        "algorithms": [
-            {"name": "supervised", "kind": "supervised"},
-            {"name": "pi-model", "kind": "pi-model", "w_max": 20.0},
-            {"name": "mean-teacher", "kind": "mean-teacher", "w_max": 8.0},
-            {"name": "mt-scl", "kind": "mt-scl", "w_max": 8.0,
-             "scl": {"shape": "linear"}},
-        ],
-        "schedule": _toy_schedule(),
-        "training": _toy_training(),
-    }
-
-
-def _preset_toy_figure1_grids() -> dict:
-    preset = _preset_toy_table1()
-    preset["name"] = "toy-figure1-grids"
-    preset["seeds"] = [0]
-    preset["report"] = {"grids": True, "grid_resolution": [200, 200],
-                        "dump_datasets": True}
-    return preset
-
-
-def _preset_ema_gap() -> dict:
-    return {
-        "name": "ema-gap",
-        "seeds": [0],
-        "gap_curve": {"delta": 0.9, "gamma": 0.95, "max_lag": 500},
-    }
-
-
-def _preset_ablation_scl_shapes() -> dict:
-    return {
-        "name": "ablation-scl-shapes",
-        "seeds": [0, 1, 2, 3, 4],
-        "datasets": _toy_datasets(),
-        "algorithms": [
-            {"name": "mean-teacher", "kind": "mean-teacher", "w_max": 8.0},
-            {"name": "mt-scl-exp25", "kind": "mt-scl", "w_max": 8.0,
-             "scl": {"shape": "exponential", "beta": 0.25}},
-            {"name": "mt-scl-exp50", "kind": "mt-scl", "w_max": 8.0,
-             "scl": {"shape": "exponential", "beta": 0.5}},
-            {"name": "mt-scl-exp75", "kind": "mt-scl", "w_max": 8.0,
-             "scl": {"shape": "exponential", "beta": 0.75}},
-            {"name": "mt-scl-linear", "kind": "mt-scl", "w_max": 8.0,
-             "scl": {"shape": "linear"}},
-        ],
-        "schedule": _toy_schedule(),
-        "training": _toy_training(),
-    }
-
+    ],
+    "algorithms": [{"kind": "supervised"}, {"kind": "pi-model"}, {"kind": "mean-teacher"},
+                   {"kind": "mt-scl", "scl": {"shape": "linear"}}],
+}
 
 PRESETS = {
-    "toy-table1": _preset_toy_table1,
-    "toy-figure1-grids": _preset_toy_figure1_grids,
-    "ema-gap": _preset_ema_gap,
-    "ablation-scl-shapes": _preset_ablation_scl_shapes,
+    "toy-table1": _TOY,
+    "toy-figure1-grids": {**_TOY, "seeds": [0], "report": {"grids": True, "dump_datasets": True}},
+    "ema-gap": {"seeds": [0], "gap_curve": {}},
+    "ablation-scl-shapes": {**_TOY, "algorithms": [
+        {"kind": "mean-teacher"},
+        {"name": "mt-scl-exp25", "kind": "mt-scl", "scl": {"beta": 0.25}},
+        {"name": "mt-scl-exp50", "kind": "mt-scl"},
+        {"name": "mt-scl-exp75", "kind": "mt-scl", "scl": {"beta": 0.75}},
+        {"name": "mt-scl-linear", "kind": "mt-scl", "scl": {"shape": "linear"}},
+    ]},
 }
 
 PRESET_NAMES = tuple(PRESETS)
@@ -574,7 +275,7 @@ PRESET_NAMES = tuple(PRESETS)
 def preset_dict(name: str) -> dict:
     if name not in PRESETS:
         raise KeyError(f"unknown preset {name!r}; available: {', '.join(PRESET_NAMES)}")
-    return PRESETS[name]()
+    return {"name": name, **copy.deepcopy(PRESETS[name])}
 
 
 def preset_config(name: str) -> CampaignConfig:

@@ -153,6 +153,10 @@ def gen_four_spins(n_per_class: int, noise_std: float, seed: int) -> Dataset2D:
     return _finish_generation(base, labels, noise_std, rng, 4)
 
 
+GENERATORS = {"twomoons": gen_two_moons, "fourspins": gen_four_spins}
+CLASS_COUNTS = {"twomoons": 2, "fourspins": 4}
+
+
 def imbalance_counts(n_max: int, rho: float, n_classes: int) -> np.ndarray:
     """Per-rank class sizes decaying geometrically from n_max by factor rho.
 
@@ -169,6 +173,11 @@ def imbalance_counts(n_max: int, rho: float, n_classes: int) -> np.ndarray:
     exact = n_max * rho ** (-np.arange(n_classes, dtype=np.float64) / (n_classes - 1))
     counts = np.floor(exact + 0.5).astype(np.int64)
     return np.maximum(counts, 1)
+
+
+def unlabeled_rho(unlabeled_type: str, rho_l: float) -> float:
+    """Imbalance factor of the unlabeled profile for a given unlabeled_type."""
+    return {"uniform": 1.0, "half": max(1.0, rho_l / 2.0), "same": float(rho_l)}[unlabeled_type]
 
 
 def make_cissl_split(pool: Dataset2D, labeled_counts: np.ndarray, unlabeled_type: str,
@@ -198,8 +207,8 @@ def make_cissl_split(pool: Dataset2D, labeled_counts: np.ndarray, unlabeled_type
     if val_per_class < 0:
         raise ValueError("val_per_class must be nonnegative")
 
-    rho_u = {"uniform": 1.0, "half": max(1.0, rho_l / 2.0), "same": float(rho_l)}[unlabeled_type]
-    unlabeled_rank_counts = imbalance_counts(n_unlabeled_max, rho_u, n_classes)
+    unlabeled_rank_counts = imbalance_counts(n_unlabeled_max, unlabeled_rho(unlabeled_type, rho_l),
+                                             n_classes)
 
     rng = np.random.default_rng(seed)
     rank_to_class = rng.permutation(n_classes)

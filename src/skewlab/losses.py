@@ -13,46 +13,31 @@ from dataclasses import dataclass
 
 import numpy as np
 
-PROB_FLOOR = 1e-12
+from .schema import Settings, setting
 
-REWEIGHT_METHODS = ("ce", "in", "focal", "cb")
-SCL_SHAPES = ("exponential", "linear")
+PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
-class ReweightSpec:
+class ReweightSpec(Settings):
     """Choice of supervised reweighting: plain CE, inverse frequency (in),
     focal modulation, or effective-number (cb) weighting."""
 
-    method: str = "ce"
-    focal_gamma: float = 2.0
-    cb_beta: float = 0.999
-
-    def __post_init__(self) -> None:
-        if self.method not in REWEIGHT_METHODS:
-            raise ValueError(f"method must be one of {REWEIGHT_METHODS}, got {self.method!r}")
-        if self.focal_gamma < 0.0:
-            raise ValueError("focal_gamma must be nonnegative")
-        if not 0.0 <= self.cb_beta < 1.0:
-            raise ValueError("cb_beta must lie in [0,1)")
+    method: str = setting("ce", choices=("ce", "in", "focal", "cb"))
+    focal_gamma: float = setting(2.0, bound=">=0.0")
+    cb_beta: float = setting(0.999, bound="[0,1)")
 
 
 @dataclass(frozen=True)
-class SclShape:
+class SclShape(Settings):
     """Frequency-to-suppression map for consistency terms.
 
     exponential: beta ** (1 - n_c / n_max); linear: n_c / n_max.  Both equal 1
     on the most frequent class and shrink toward rarer predicted classes.
     """
 
-    kind: str = "exponential"
-    beta: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.kind not in SCL_SHAPES:
-            raise ValueError(f"kind must be one of {SCL_SHAPES}, got {self.kind!r}")
-        if not 0.0 < self.beta <= 1.0:
-            raise ValueError("beta must lie in (0,1]")
+    kind: str = setting("exponential", choices=("exponential", "linear"), key="shape")
+    beta: float = setting(0.5, bound="(0,1]")
 
 
 def class_weights(spec: ReweightSpec, counts: np.ndarray) -> np.ndarray:

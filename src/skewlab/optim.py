@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .mlp import MlpParams, param_combine, param_zeros_like
+from .schema import Settings, setting
 
 
 @dataclass(frozen=True, eq=False)
@@ -39,25 +40,18 @@ class EmaState:
             raise ValueError("gamma must lie in (0,1]")
 
 
-@dataclass(frozen=True)
-class Schedule:
+@dataclass(frozen=True, kw_only=True)
+class Schedule(Settings):
     """Iteration budget, consistency ramp-up, and the stepwise lr decay."""
 
-    total_iters: int
-    rampup_iters: int
-    w_max: float
-    base_lr: float
-    lr_decay_points: tuple[tuple[int, float], ...] = ()
+    total_iters: int = setting(5000, bound=">=1")
+    rampup_iters: int = setting(bound=">=0")  # configs default it to 0.4 * total_iters
+    w_max: float = setting(0.0, bound=">=0.0", key="")  # configs set it per algorithm
+    base_lr: float = setting(0.1, bound=">0.0")
+    lr_decay_points: tuple[tuple[int, float], ...] = setting(((4000, 0.2),), key="lr_decay")
 
     def __post_init__(self) -> None:
-        if self.total_iters < 1:
-            raise ValueError("total_iters must be positive")
-        if self.rampup_iters < 0:
-            raise ValueError("rampup_iters must be nonnegative")
-        if self.w_max < 0.0:
-            raise ValueError("w_max must be nonnegative")
-        if self.base_lr <= 0.0:
-            raise ValueError("base_lr must be positive")
+        super().__post_init__()
         last = -1
         for point, factor in self.lr_decay_points:
             if point <= last:

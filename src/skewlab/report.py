@@ -2,8 +2,7 @@
 
 Groups: "all" is the unweighted mean over classes, "major" the error of the
 single most frequent class, "minor" the single least frequent; frequency ties
-resolve to the lowest class index.  A halves variant (mean over the more/less
-frequent half of the classes) is available as an option.
+resolve to the lowest class index.
 """
 
 from __future__ import annotations
@@ -40,14 +39,8 @@ class AggregateResult:
     n_runs: int
 
 
-def group_errors(per_class_errors: np.ndarray, counts: np.ndarray, *,
-                 grouping: str = "single") -> GroupErrors:
-    """Collapse per-class errors into all/major/minor summaries.
-
-    grouping "single" takes the one most and least frequent class; "halves"
-    averages over the more and less frequent halves (stable frequency order,
-    ties to the lower class index, the smaller half rounding down).
-    """
+def group_errors(per_class_errors: np.ndarray, counts: np.ndarray) -> GroupErrors:
+    """Collapse per-class errors into all/major/minor summaries."""
     errors = np.asarray(per_class_errors, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.int64)
     if errors.shape != counts.shape or errors.ndim != 1:
@@ -56,17 +49,8 @@ def group_errors(per_class_errors: np.ndarray, counts: np.ndarray, *,
         raise ValueError("need at least two classes")
     if not np.all(np.isfinite(errors)):
         raise ValueError("per-class errors must be finite")
-    if grouping == "single":
-        major = float(errors[int(np.argmax(counts))])
-        minor = float(errors[int(np.argmin(counts))])
-    elif grouping == "halves":
-        order = np.argsort(-counts, kind="stable")
-        half = errors.size // 2
-        major = float(np.mean(errors[order[:half]]))
-        minor = float(np.mean(errors[order[errors.size - half:]]))
-    else:
-        raise ValueError("grouping must be 'single' or 'halves'")
-    return GroupErrors(all=float(np.mean(errors)), major=major, minor=minor)
+    return GroupErrors(all=float(np.mean(errors)), major=float(errors[int(np.argmax(counts))]),
+                       minor=float(errors[int(np.argmin(counts))]))
 
 
 def aggregate_runs(results: list[GroupErrors]) -> AggregateResult:

@@ -34,11 +34,10 @@ from .losses import (
 )
 from .mlp import MlpParams, backward, forward, init_params, param_add, param_scale, softmax
 from .optim import Schedule, ema_update, init_ema, init_sgd_state, lr_at, rampup_weight, sgd_step
+from .schema import Settings, setting
 
-ALGORITHM_KINDS = ("supervised", "pi-model", "mean-teacher", "pseudo-label", "mt-scl")
 CONSISTENCY_KINDS = ("pi-model", "mean-teacher", "mt-scl")
 EMA_KINDS = ("mean-teacher", "mt-scl")
-SCL_PRED_SOURCES = ("student", "target")
 
 
 class TrainingDiverged(RuntimeError):
@@ -55,52 +54,31 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass(frozen=True)
-class AlgorithmSpec:
+class AlgorithmSpec(Settings):
     """Which regime to run plus its regime-specific knobs."""
 
-    kind: str
-    reweight: ReweightSpec = ReweightSpec()
-    ema_gamma: float = 0.95
-    pl_threshold: float = 0.95
-    scl: SclShape = SclShape()
-    scl_pred_source: str = "student"
-
-    def __post_init__(self) -> None:
-        if self.kind not in ALGORITHM_KINDS:
-            raise ValueError(f"kind must be one of {ALGORITHM_KINDS}, got {self.kind!r}")
-        if not 0.0 < self.ema_gamma <= 1.0:
-            raise ValueError("ema_gamma must lie in (0,1]")
-        if not 0.0 < self.pl_threshold <= 1.0:
-            raise ValueError("pl_threshold must lie in (0,1]")
-        if self.scl_pred_source not in SCL_PRED_SOURCES:
-            raise ValueError(f"scl_pred_source must be one of {SCL_PRED_SOURCES}")
+    kind: str = setting(
+        choices=("supervised", "pi-model", "mean-teacher", "pseudo-label", "mt-scl"), required=True)
+    reweight: ReweightSpec = setting(ReweightSpec())
+    ema_gamma: float = setting(0.95, bound="(0,1]")
+    pl_threshold: float = setting(0.95, bound="(0,1]")
+    scl: SclShape = setting(SclShape())
+    scl_pred_source: str = setting("student", choices=("student", "target"))
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(Settings):
     schedule: Schedule
-    labeled_batch: int = 32
-    unlabeled_batch: int = 32
-    perturb_std: float = 0.1
-    momentum: float = 0.9
-    weight_decay: float = 0.0
-    hidden_width: int = 64
-    hidden_layers: int = 2
-    eval_every: int = 500
-    sample_with_replacement: bool = True
+    labeled_batch: int = setting(32, bound=">=1")
+    unlabeled_batch: int = setting(32, bound=">=1")
+    perturb_std: float = setting(0.1, bound=">=0.0")
+    momentum: float = setting(0.9, bound="[0,1)")
+    weight_decay: float = setting(0.0, bound=">=0.0")
+    hidden_width: int = setting(64, bound=">=1")
+    hidden_layers: int = setting(2, bound=">=1")
+    eval_every: int = setting(500, bound=">=1")
+    sample_with_replacement: bool = setting(True)
     seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.labeled_batch < 1 or self.unlabeled_batch < 1:
-            raise ValueError("batch sizes must be positive")
-        if self.perturb_std < 0.0:
-            raise ValueError("perturb_std must be nonnegative")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0,1)")
-        if self.weight_decay < 0.0:
-            raise ValueError("weight_decay must be nonnegative")
-        if self.eval_every < 1:
-            raise ValueError("eval_every must be positive")
 
 
 @dataclass(frozen=True, eq=False)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -38,6 +39,18 @@ def tiny_config_text(**overrides):
     }
     base.update(overrides)
     return json.dumps(base)
+
+
+def with_cramped_dataset(config, *, replace_all=False):
+    """Add (or substitute) a dataset whose pool cannot cover its split.
+
+    Validation rejects such a pool, so the config is built past it: this is
+    how a run that fails at run time reaches the campaign.
+    """
+    cramped = replace(config.datasets[0], name="cramped", n_pool_per_class=50,
+                      data_noise=0.1)
+    datasets = (cramped,) if replace_all else config.datasets + (cramped,)
+    return replace(config, datasets=datasets)
 
 
 @pytest.fixture
@@ -128,6 +141,11 @@ class TestRunCampaign:
         for fa, fb in zip(sorted(serial.files), sorted(pooled.files)):
             assert fa.read_bytes() == fb.read_bytes(), fa.name
 
+    def test_bad_worker_count_is_rejected(self, tiny_config, tmp_path):
+        with pytest.raises(ValueError, match="workers must be a positive integer"):
+            quiet_run(tiny_config, out_dir=tmp_path / "out", workers=0)
+        assert not (tmp_path / "out").exists()
+
     def test_workers_env_fallback(self, tiny_config, tmp_path, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "2")
         outcome = quiet_run(tiny_config, out_dir=tmp_path / "out")
@@ -136,13 +154,8 @@ class TestRunCampaign:
     def test_failures_are_isolated_and_recorded(self, tmp_path):
         # second dataset's pool cannot cover its split: every run on it fails,
         # the healthy dataset still aggregates and is the only one dumped
-        text = tiny_config_text(datasets=[
-            {"name": "moons", "kind": "twomoons", "labeled_max": 8, "rho_l": 4.0,
-             "unlabeled_max": 60, "val_per_class": 30, "data_noise": 0.15},
-            {"name": "cramped", "kind": "twomoons", "labeled_max": 8, "rho_l": 4.0,
-             "unlabeled_max": 60, "val_per_class": 30, "n_pool_per_class": 50},
-        ], report={"dump_datasets": True})
-        config = validate_config(text)
+        config = with_cramped_dataset(
+            validate_config(tiny_config_text(report={"dump_datasets": True})))
         outcome = quiet_run(config, out_dir=tmp_path / "out")
         assert not outcome.ok
         assert len(outcome.failures) == 4
@@ -216,15 +229,34 @@ class TestCli:
         assert "tiny: 4/4 runs succeeded" in out
         assert (out_dir / "manifest.json").exists()
 
-    def test_run_flags_failures(self, tmp_path, capsys):
+    def test_run_flags_failures(self, tmp_path, capsys, monkeypatch):
         path = tmp_path / "c.json"
-        path.write_text(tiny_config_text(datasets=[
-            {"name": "cramped", "kind": "twomoons", "labeled_max": 8, "rho_l": 4.0,
-             "unlabeled_max": 60, "val_per_class": 30, "n_pool_per_class": 50}]))
+        path.write_text(tiny_config_text())
+        cramped = with_cramped_dataset(validate_config(tiny_config_text()), replace_all=True)
+        monkeypatch.setattr("skewlab.cli.load_config", lambda _: cramped)
+        monkeypatch.delenv(WORKERS_ENV, raising=False)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
         assert "0/4 runs succeeded" in captured.out
         assert "failed: cramped__supervised__seed0" in captured.err
+
+    @pytest.mark.parametrize("count", ["0", "-2"])
+    def test_bad_worker_flag_exits_2(self, tmp_path, capsys, count):
+        path = tmp_path / "c.json"
+        path.write_text(tiny_config_text())
+        out_dir = tmp_path / "out"
+        assert main(["run", str(path), "--workers", count, "--out", str(out_dir)]) == 2
+        assert capsys.readouterr().err == f"workers must be a positive integer, got {count}\n"
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("count", ["abc", "0", "1.5", ""])
+    def test_bad_worker_env_exits_2(self, tmp_path, capsys, monkeypatch, count):
+        monkeypatch.setenv(WORKERS_ENV, count)
+        path = tmp_path / "c.json"
+        path.write_text(tiny_config_text())
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"{WORKERS_ENV} must be a positive integer, got {count!r}\n")
 
     def test_preset_writes_valid_config(self, tmp_path, capsys):
         assert main(["preset", "ema-gap", "--out", str(tmp_path)]) == 0

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -127,20 +128,20 @@ class TestValidation:
 class TestDefaults:
     def test_schedule_and_training_defaults(self):
         config = validate_config(minimal())
-        assert config.total_iters == 5000
-        assert config.rampup_iters == 2000
-        assert config.base_lr == 0.1
-        assert config.lr_decay == ((4000, 0.2),)
-        assert config.labeled_batch == config.unlabeled_batch == 32
-        assert config.perturb_std == 0.1
-        assert config.momentum == 0.9
-        assert config.hidden_width == 64 and config.hidden_layers == 2
-        assert config.eval_every == 500
-        assert config.sample_with_replacement is True
+        assert config.schedule.total_iters == 5000
+        assert config.schedule.rampup_iters == 2000
+        assert config.schedule.base_lr == 0.1
+        assert config.schedule.lr_decay_points == ((4000, 0.2),)
+        assert config.training.labeled_batch == config.training.unlabeled_batch == 32
+        assert config.training.perturb_std == 0.1
+        assert config.training.momentum == 0.9
+        assert config.training.hidden_width == 64 and config.training.hidden_layers == 2
+        assert config.training.eval_every == 500
+        assert config.training.sample_with_replacement is True
 
     def test_rampup_default_tracks_total(self):
         config = validate_config(minimal(schedule={"total_iters": 1000}))
-        assert config.rampup_iters == 400
+        assert config.schedule.rampup_iters == 400
 
     def test_dataset_pool_default_covers_the_split(self):
         config = validate_config(minimal())
@@ -170,13 +171,13 @@ class TestTrainConfigBridge:
             schedule={"total_iters": 300, "rampup_iters": 100, "base_lr": 0.2,
                       "lr_decay": [[200, 0.5]]},
             training={"labeled_batch": 4, "hidden_width": 8}))
-        sched = config.schedule_for(6.0)
+        tc = config.train_config(seed=3, w_max=6.0)
+        sched = tc.schedule
         assert (sched.total_iters, sched.rampup_iters, sched.w_max) == (300, 100, 6.0)
         assert sched.lr_decay_points == ((200, 0.5),)
-        tc = config.train_config(seed=3, w_max=6.0)
         assert tc.seed == 3
         assert tc.labeled_batch == 4 and tc.hidden_width == 8
-        assert tc.schedule == sched
+        assert sched == replace(config.schedule, w_max=6.0)
 
 
 class TestDigest:

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import copy
 import importlib.util
+import io
 import json
 import sys
 from pathlib import Path
@@ -188,6 +189,84 @@ class TestBadConfigCorpus:
             "datasets: at least one dataset is required unless gap_curve is set"}
 
 
+def errors_of(config: dict) -> set[str]:
+    with pytest.raises(ConfigError) as excinfo:
+        validate_config(json.dumps(config))
+    return set(excinfo.value.errors)
+
+
+# labeled_max 4 at rho_l 2 gives classes of 4 and 2; unlabeled_max 10 gives 10 and 5.
+SMALL = {"name": "small", "seeds": [0],
+         "datasets": [{"kind": "twomoons", "labeled_max": 4, "rho_l": 2.0,
+                       "unlabeled_max": 10, "val_per_class": 5}],
+         "algorithms": [{"kind": "mean-teacher"}],
+         "schedule": {"total_iters": 6, "rampup_iters": 2},
+         "training": {"hidden_width": 4, "eval_every": 3}}
+
+
+WITHOUT_REPLACEMENT = {"sample_with_replacement": False, "labeled_batch": 6,
+                       "unlabeled_batch": 15}
+
+
+def small(**changes) -> dict:
+    config = copy.deepcopy(SMALL)
+    for block, values in changes.items():
+        target = config[block][0] if block == "datasets" else config[block]
+        target.update(values)
+    return config
+
+
+class TestValidConfigsCanRun:
+    """Configs that validate must be able to run; these each failed at run time before."""
+
+    def test_empty_validation_set_is_rejected(self):
+        assert errors_of(small(datasets={"val_per_class": 0})) == {
+            "datasets[0].val_per_class: must be at least 1", NO_DATASETS}
+
+    def test_pool_smaller_than_the_split_is_rejected(self):
+        assert errors_of(small(datasets={"n_pool_per_class": 18})) == {
+            "datasets[0].n_pool_per_class: must be at least 19 "
+            "(labeled_max + unlabeled_max + val_per_class)"}
+
+    @pytest.mark.parametrize("batches,errors", [
+        ({"labeled_batch": 7}, {"training.labeled_batch: exceeds the 6 labeled points of "
+                                "dataset 'twomoons'; sampling is without replacement"}),
+        ({"unlabeled_batch": 16}, {"training.unlabeled_batch: exceeds the 15 unlabeled points "
+                                   "of dataset 'twomoons'; sampling is without replacement"}),
+    ])
+    def test_batch_larger_than_its_partition_without_replacement_is_rejected(
+            self, batches, errors):
+        assert errors_of(small(training={**WITHOUT_REPLACEMENT, **batches})) == errors
+
+    def test_unlabeled_partition_follows_the_unlabeled_profile(self):
+        # uniform: 10 + 10 unlabeled points
+        config = small(datasets={"unlabeled_type": "uniform"},
+                       training={**WITHOUT_REPLACEMENT, "unlabeled_batch": 21})
+        assert errors_of(config) == {
+            "training.unlabeled_batch: exceeds the 20 unlabeled points of dataset 'twomoons'; "
+            "sampling is without replacement"}
+
+    @pytest.mark.parametrize("path,value,expected", [
+        ("datasets.0.data_noise", float("nan"), "datasets[0].data_noise: must be a real number"),
+        ("schedule.base_lr", float("inf"), "schedule.base_lr: must be a real number"),
+        ("algorithms.0.w_max", 10**400, "algorithms[0].w_max: must be a real number"),
+        ("schedule.lr_decay", [[10, float("nan")]],
+         "schedule.lr_decay[0]: must be [iteration >= 0, positive factor]"),
+    ], ids=["nan-noise", "infinite-lr", "huge-w_max", "nan-decay-factor"])
+    def test_non_finite_numbers_are_rejected(self, path, value, expected):
+        with pytest.raises(ConfigError) as excinfo:
+            validate_config(mutated(path, value))
+        assert set(excinfo.value.errors) == {expected}
+
+    def test_smallest_accepted_config_runs(self, tmp_path):
+        from skewlab.campaign import run_campaign
+        config = validate_config(json.dumps(small(
+            datasets={"val_per_class": 1, "n_pool_per_class": 15},
+            training=WITHOUT_REPLACEMENT)))
+        outcome = run_campaign(config, out_dir=tmp_path, workers=1, log=io.StringIO())
+        assert outcome.ok, outcome.failures
+
+
 def _finite(lo, hi, **kwargs):
     return st.floats(lo, hi, allow_nan=False, allow_infinity=False, **kwargs)
 
@@ -203,15 +282,18 @@ def valid_configs(draw):
               "seeds": draw(st.lists(st.integers(0, 2**32), min_size=1, max_size=3,
                                      unique=True))}
     config.update(draw(_optional({"output_dir": st.text(min_size=1, max_size=8)})))
-    with_replacement = draw(st.booleans())
-    batches = st.integers(1, 64) if with_replacement else st.integers(1, 2)
     training = draw(_optional({
-        "labeled_batch": batches, "unlabeled_batch": batches,
+        "labeled_batch": st.integers(1, 64), "unlabeled_batch": st.integers(1, 64),
         "perturb_std": _finite(0.0, 1.0), "momentum": _finite(0.0, 1.0, exclude_max=True),
         "weight_decay": _finite(0.0, 0.1), "hidden_width": st.integers(1, 128),
         "hidden_layers": st.integers(1, 4), "eval_every": st.integers(1, 1000)}))
-    if not with_replacement or draw(st.booleans()):
-        training["sample_with_replacement"] = with_replacement
+    if draw(st.booleans()):
+        training["sample_with_replacement"] = True
+    elif draw(st.booleans()):
+        # every split has at least one labeled and one unlabeled point per class
+        training.update(sample_with_replacement=False,
+                        labeled_batch=draw(st.integers(1, 2)),
+                        unlabeled_batch=draw(st.integers(1, 2)))
     if training or draw(st.booleans()):
         config["training"] = training
     points = draw(st.lists(st.integers(0, 10_000), unique=True, max_size=3))

@@ -45,20 +45,11 @@ class TestGroupErrors:
         assert g.major == 0.1
         assert g.minor == 0.1
 
-    def test_halves_grouping_averages_each_side(self):
-        errors = np.array([0.0, 0.2, 0.4, 1.0])
-        g = group_errors(errors, np.array([8, 6, 4, 2]), grouping="halves")
-        assert g.major == pytest.approx(0.1)
-        assert g.minor == pytest.approx(0.7)
-        assert g.all == pytest.approx(0.4)
-
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):
             group_errors(np.array([0.5]), np.array([3]))
         with pytest.raises(ValueError):
             group_errors(np.array([0.5, np.nan]), np.array([3, 1]))
-        with pytest.raises(ValueError):
-            group_errors(np.array([0.5, 0.1]), np.array([3, 1]), grouping="thirds")
 
 
 class TestAggregateRuns:
