@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from skewlab.campaign import run_campaign
 from skewlab.config import (
     PRESET_NAMES,
     ConfigError,
@@ -259,7 +260,6 @@ class TestValidConfigsCanRun:
         assert set(excinfo.value.errors) == {expected}
 
     def test_smallest_accepted_config_runs(self, tmp_path):
-        from skewlab.campaign import run_campaign
         config = validate_config(json.dumps(small(
             datasets={"val_per_class": 1, "n_pool_per_class": 15},
             training=WITHOUT_REPLACEMENT)))
