@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import consistency_l2
-from .mlp import MlpParams, backward, forward, from_flat, param_sub, softmax
+from .mlp import MlpParams, backward, forward, softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,7 +178,7 @@ def probability_jacobian(params: MlpParams, x: np.ndarray) -> np.ndarray:
             d_probs[i, c] = 1.0
             inner = (d_probs * probs).sum(axis=1, keepdims=True)
             d_logits = probs * (d_probs - inner)
-            rows[i * n_classes + c] = backward(trace, d_logits).to_flat()
+            rows[i * n_classes + c] = backward(trace, d_logits).flat
     return rows
 
 
@@ -198,13 +198,13 @@ def gradient_gap_estimate(params: MlpParams, target_params: MlpParams,
     target_probs = softmax(target_logits)
 
     _, d_target_branch = consistency_l2(student_probs, target_probs)
-    grad_target_branch = backward(trace, d_target_branch).to_flat()
+    grad_target_branch = backward(trace, d_target_branch).flat
     _, d_shared_branch = consistency_l2(student_probs, student_probs)
-    grad_shared_branch = backward(trace, d_shared_branch).to_flat()
+    grad_shared_branch = backward(trace, d_shared_branch).flat
     exact = grad_target_branch - grad_shared_branch
 
     jac = probability_jacobian(params, batch)
-    dtheta = params.to_flat() - target_params.to_flat()
+    dtheta = params.flat - target_params.flat
     linear = jac.T @ (jac @ dtheta) / batch.shape[0]
     residual = float(np.linalg.norm(exact - linear))
     return GapEstimate(exact=exact, linear=linear, residual=residual)

@@ -120,6 +120,8 @@ def spin_arm_points(label: int, theta: np.ndarray) -> np.ndarray:
 
 def _finish_generation(base: np.ndarray, labels: np.ndarray, noise_std: float,
                        rng: np.random.Generator, n_classes: int) -> Dataset2D:
+    if not noise_std >= 0.0:  # also rejects NaN
+        raise ValueError("noise_std must be nonnegative")
     if noise_std > 0.0:
         base = base + rng.normal(0.0, noise_std, base.shape)
     return Dataset2D(base, labels, n_classes)
@@ -129,8 +131,6 @@ def gen_two_moons(n_per_class: int, noise_std: float, seed: int) -> Dataset2D:
     """Balanced two-moons sample: n_per_class points on each arc plus noise."""
     if n_per_class < 1:
         raise ValueError("n_per_class must be positive")
-    if noise_std < 0.0:
-        raise ValueError("noise_std must be nonnegative")
     rng = np.random.default_rng(seed)
     t0 = rng.uniform(0.0, math.pi, n_per_class)
     t1 = rng.uniform(0.0, math.pi, n_per_class)
@@ -143,8 +143,6 @@ def gen_four_spins(n_per_class: int, noise_std: float, seed: int) -> Dataset2D:
     """Balanced four-spins sample: n_per_class points on each arm plus noise."""
     if n_per_class < 1:
         raise ValueError("n_per_class must be positive")
-    if noise_std < 0.0:
-        raise ValueError("noise_std must be nonnegative")
     rng = np.random.default_rng(seed)
     arms = [spin_arm_points(k, rng.uniform(SPIN_THETA_MIN, SPIN_THETA_MAX, n_per_class))
             for k in range(4)]

@@ -2,20 +2,19 @@
 
 Every loss returns (scalar value, gradient with respect to the student's
 pre-softmax logits), so trainers chain straight into the network's backward
-pass.  Probabilities passed in must be valid softmax rows; zero entries are
-floored at PROB_FLOOR inside any logarithm and flagged through warnings.
+pass.  Classification losses take the logits and take their logarithms with a
+log-softmax, so no probability is ever clamped; consistency losses take
+softmax rows.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
+from .mlp import log_softmax, softmax
 from .schema import Settings, setting
-
-PROB_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -73,60 +72,50 @@ def _grad_through_softmax(d_probs: np.ndarray, probs: np.ndarray) -> np.ndarray:
     return probs * (d_probs - inner)
 
 
-def _floor_probs(values: np.ndarray, context: str) -> np.ndarray:
-    if np.any(values < PROB_FLOOR):
-        warnings.warn(f"{context}: probabilities below {PROB_FLOOR} clamped before log",
-                      RuntimeWarning, stacklevel=3)
-        return np.maximum(values, PROB_FLOOR)
-    return values
-
-
-def supervised_loss(probs: np.ndarray, labels: np.ndarray, spec: ReweightSpec,
+def supervised_loss(logits: np.ndarray, labels: np.ndarray, spec: ReweightSpec,
                     counts: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean reweighted classification loss over a labeled batch.
 
-    probs rows must be softmax outputs.  The returned gradient is taken with
-    respect to the pre-softmax logits and already includes the 1/batch factor.
+    Takes the pre-softmax logits.  The returned gradient is taken with respect
+    to them and already includes the 1/batch factor.
     """
-    probs = np.asarray(probs, dtype=np.float64)
+    logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if probs.ndim != 2 or labels.shape != (probs.shape[0],):
-        raise ValueError("probs must be (batch, classes) with one label per row")
-    batch = probs.shape[0]
+    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
+        raise ValueError("logits must be (batch, classes) with one label per row")
+    batch = logits.shape[0]
     if batch == 0:
         raise ValueError("batch must be nonempty")
-    if np.any(labels < 0) or np.any(labels >= probs.shape[1]):
-        raise ValueError("labels must index columns of probs")
+    if np.any(labels < 0) or np.any(labels >= logits.shape[1]):
+        raise ValueError("labels must index columns of logits")
     weights = class_weights(spec, counts)
     sample_w = weights[labels]
     rows = np.arange(batch)
-    p_true = probs[rows, labels]
-    p_safe = _floor_probs(p_true, "supervised_loss")
+    probs = softmax(logits)
+    log_p = log_softmax(logits)[rows, labels]
 
     if spec.method == "focal":
         gamma = spec.focal_gamma
+        p_true = probs[rows, labels]
         one_minus = 1.0 - p_true
-        log_p = np.log(p_safe)
         loss_terms = np.power(one_minus, gamma) * (-log_p)
-        # d loss / d p_true; the limit at p_true -> 1 is 0 for gamma > 0, and
-        # the masked form avoids 0 * inf there.
-        d_p = np.zeros(batch, dtype=np.float64)
+        # -p_true * d loss / d p_true, the factor that turns probs - onehot
+        # into the focal gradient.  It has no 1 / p_true, so it stays finite
+        # where p_true underflows; at p_true == 1 the gradient is 0, and the
+        # masked form avoids 0 * inf there.
+        factor = np.zeros(batch, dtype=np.float64)
         interior = one_minus > 0.0
         om = one_minus[interior]
-        lp = log_p[interior]
-        pt = p_safe[interior]
-        if gamma == 0.0:
-            d_p[interior] = -1.0 / pt
-        else:
-            d_p[interior] = gamma * np.power(om, gamma - 1.0) * lp - np.power(om, gamma) / pt
-        d_probs = np.zeros_like(probs)
-        d_probs[rows, labels] = sample_w * d_p / batch
-        d_logits = _grad_through_softmax(d_probs, probs)
+        factor[interior] = (np.power(om, gamma)
+                            - gamma * np.power(om, gamma - 1.0) * log_p[interior]
+                            * p_true[interior])
+        row_scale = sample_w * factor / batch
     else:
-        loss_terms = -np.log(p_safe)
-        onehot = np.zeros_like(probs)
-        onehot[rows, labels] = 1.0
-        d_logits = (probs - onehot) * (sample_w / batch)[:, None]
+        loss_terms = -log_p
+        row_scale = sample_w / batch
+    onehot = np.zeros_like(probs)
+    onehot[rows, labels] = 1.0
+    d_logits = (probs - onehot) * row_scale[:, None]
 
     loss = float(np.mean(sample_w * loss_terms))
     return loss, d_logits

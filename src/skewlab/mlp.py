@@ -1,14 +1,17 @@
 """Small dense softmax classifier with handwritten forward and backward passes.
 
 The network is input(2) -> tanh hidden layers -> linear output, float64
-throughout.  Parameters are treated as immutable values: every update builds
-new arrays, which keeps trainer states trivially snapshottable.
+throughout.  All parameters live in one flat vector, laid out weight then bias,
+layer by layer; the per-layer weights and biases are views into it.
+Parameters are treated as immutable values: every update builds a new vector,
+which keeps trainer states trivially snapshottable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -16,88 +19,73 @@ import numpy as np
 from .ioutil import fmt
 
 
+def _vector_size(layer_sizes: tuple[int, ...]) -> int:
+    return sum((fan_in + 1) * fan_out
+               for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
 @dataclass(frozen=True, eq=False)
 class MlpParams:
-    """Per-layer weight matrices (fan_in, fan_out) and bias vectors.
+    """Layer sizes (inputs, hidden..., classes) and the flat parameter vector.
 
-    Gradients use the same container: backward returns an MlpParams-shaped
-    object whose arrays hold per-parameter partial derivatives.
+    The constructor takes ownership of ``flat``; ``with_flat`` copies an
+    outside vector.  Gradients use the same container: backward returns an
+    MlpParams whose vector holds per-parameter partial derivatives.
     """
 
-    weights: tuple[np.ndarray, ...]
-    biases: tuple[np.ndarray, ...]
+    layer_sizes: tuple[int, ...]
+    flat: np.ndarray
 
     def __post_init__(self) -> None:
-        if len(self.weights) != len(self.biases):
-            raise ValueError("weights and biases must pair up layer by layer")
-        for w, b in zip(self.weights, self.biases):
-            if w.ndim != 2 or b.shape != (w.shape[1],):
-                raise ValueError("bias length must match weight fan-out")
+        expected = _vector_size(self.layer_sizes)
+        if self.flat.shape != (expected,):
+            raise ValueError(f"expected {expected} values, got shape {self.flat.shape}")
+
+    def __reduce__(self):
+        # Pickle the vector alone; the views are rebuilt on first use.
+        return MlpParams, (self.layer_sizes, self.flat)
+
+    @cached_property
+    def _views(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+        weights = []
+        biases = []
+        pos = 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            weights.append(self.flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
+            pos += fan_in * fan_out
+            biases.append(self.flat[pos:pos + fan_out])
+            pos += fan_out
+        return tuple(weights), tuple(biases)
 
     @property
-    def layer_sizes(self) -> tuple[int, ...]:
-        return (self.weights[0].shape[0],) + tuple(w.shape[1] for w in self.weights)
+    def weights(self) -> tuple[np.ndarray, ...]:
+        """Per-layer (fan_in, fan_out) weight matrices, views into ``flat``."""
+        return self._views[0]
+
+    @property
+    def biases(self) -> tuple[np.ndarray, ...]:
+        """Per-layer bias vectors, views into ``flat``."""
+        return self._views[1]
 
     @property
     def n_params(self) -> int:
-        return sum(w.size + b.size for w, b in zip(self.weights, self.biases))
+        return self.flat.size
 
-    def to_flat(self) -> np.ndarray:
-        """Concatenate all parameters into one float64 vector (w then b per layer)."""
-        parts = []
-        for w, b in zip(self.weights, self.biases):
-            parts.append(w.ravel())
-            parts.append(b)
-        return np.concatenate(parts)
-
-
-def from_flat(template: MlpParams, flat: np.ndarray) -> MlpParams:
-    """Rebuild parameters shaped like ``template`` from a flat vector."""
-    flat = np.asarray(flat, dtype=np.float64)
-    if flat.shape != (template.n_params,):
-        raise ValueError(f"expected {template.n_params} values, got {flat.shape}")
-    weights = []
-    biases = []
-    pos = 0
-    for w, b in zip(template.weights, template.biases):
-        weights.append(flat[pos:pos + w.size].reshape(w.shape).copy())
-        pos += w.size
-        biases.append(flat[pos:pos + b.size].copy())
-        pos += b.size
-    return MlpParams(tuple(weights), tuple(biases))
-
-
-def param_map(fn: Callable[..., np.ndarray], *params: MlpParams) -> MlpParams:
-    weights = tuple(fn(*arrays) for arrays in zip(*(p.weights for p in params)))
-    biases = tuple(fn(*arrays) for arrays in zip(*(p.biases for p in params)))
-    return MlpParams(weights, biases)
-
-
-def param_zeros_like(params: MlpParams) -> MlpParams:
-    return param_map(np.zeros_like, params)
+    def with_flat(self, values: np.ndarray) -> MlpParams:
+        """Parameters of this layout holding a copy of ``values``."""
+        return MlpParams(self.layer_sizes, np.array(values, dtype=np.float64))
 
 
 def param_add(a: MlpParams, b: MlpParams) -> MlpParams:
-    return param_map(np.add, a, b)
-
-
-def param_sub(a: MlpParams, b: MlpParams) -> MlpParams:
-    return param_map(np.subtract, a, b)
+    return MlpParams(a.layer_sizes, a.flat + b.flat)
 
 
 def param_scale(params: MlpParams, factor: float) -> MlpParams:
-    return param_map(lambda arr: arr * factor, params)
-
-
-def param_combine(a: MlpParams, ca: float, b: MlpParams, cb: float) -> MlpParams:
-    """ca * a + cb * b, elementwise over every layer."""
-    return param_map(lambda x, y: ca * x + cb * y, a, b)
+    return MlpParams(params.layer_sizes, params.flat * factor)
 
 
 def params_equal(a: MlpParams, b: MlpParams) -> bool:
-    return (len(a.weights) == len(b.weights)
-            and all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
-            and all(np.array_equal(x, y) for x, y in zip(a.biases, b.biases)))
+    return a.layer_sizes == b.layer_sizes and np.array_equal(a.flat, b.flat)
 
 
 @dataclass(frozen=True, eq=False)
@@ -119,14 +107,12 @@ def init_params(hidden_width: int, n_classes: int, seed: int, *,
     """Fan-in-scaled normal weights (std 1/sqrt(fan_in)), zero biases."""
     if hidden_width < 1 or hidden_layers < 1 or n_classes < 2:
         raise ValueError("hidden_width and hidden_layers must be positive, n_classes >= 2")
-    sizes = [n_inputs] + [hidden_width] * hidden_layers + [n_classes]
+    sizes = (n_inputs,) + (hidden_width,) * hidden_layers + (n_classes,)
+    params = MlpParams(sizes, np.zeros(_vector_size(sizes)))
     rng = np.random.default_rng(seed)
-    weights = []
-    biases = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(rng.normal(0.0, 1.0 / math.sqrt(fan_in), (fan_in, fan_out)))
-        biases.append(np.zeros(fan_out, dtype=np.float64))
-    return MlpParams(tuple(weights), tuple(biases))
+    for w in params.weights:
+        w[...] = rng.normal(0.0, 1.0 / math.sqrt(w.shape[0]), w.shape)
+    return params
 
 
 def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
@@ -158,6 +144,12 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
+def log_softmax(logits: np.ndarray) -> np.ndarray:
+    """Row-wise stable log of the softmax, exact where the softmax underflows."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+
+
 def backward(trace: ForwardTrace, d_logits: np.ndarray) -> MlpParams:
     """Backpropagate a loss gradient taken with respect to the logits.
 
@@ -167,18 +159,17 @@ def backward(trace: ForwardTrace, d_logits: np.ndarray) -> MlpParams:
     d_logits = np.asarray(d_logits, dtype=np.float64)
     if d_logits.shape != trace.logits.shape:
         raise ValueError("d_logits must match the logits shape")
-    n_layers = len(trace.params.weights)
-    grad_w: list[np.ndarray | None] = [None] * n_layers
-    grad_b: list[np.ndarray | None] = [None] * n_layers
+    params = trace.params
+    grad = MlpParams(params.layer_sizes, np.empty(params.n_params))
     layer_inputs = (trace.inputs,) + trace.activations
     delta = d_logits
-    for i in range(n_layers - 1, -1, -1):
-        grad_w[i] = layer_inputs[i].T @ delta
-        grad_b[i] = delta.sum(axis=0)
+    for i in range(len(params.weights) - 1, -1, -1):
+        grad.weights[i][...] = layer_inputs[i].T @ delta
+        grad.biases[i][...] = delta.sum(axis=0)
         if i > 0:
             # tanh'(z) expressed through the stored activation: 1 - tanh(z)^2.
-            delta = (delta @ trace.params.weights[i].T) * (1.0 - trace.activations[i - 1] ** 2)
-    return MlpParams(tuple(grad_w), tuple(grad_b))  # type: ignore[arg-type]
+            delta = (delta @ params.weights[i].T) * (1.0 - trace.activations[i - 1] ** 2)
+    return grad
 
 
 def grad_check(params: MlpParams, loss_fn: Callable[[MlpParams], tuple[float, MlpParams]],
@@ -192,8 +183,7 @@ def grad_check(params: MlpParams, loss_fn: Callable[[MlpParams], tuple[float, Ml
     if eps <= 0.0:
         raise ValueError("eps must be positive")
     _, analytic = loss_fn(params)
-    analytic_flat = analytic.to_flat()
-    flat = params.to_flat()
+    flat = params.flat
     n = flat.size
     if n <= max_coords:
         coords = np.arange(n)
@@ -203,12 +193,12 @@ def grad_check(params: MlpParams, loss_fn: Callable[[MlpParams], tuple[float, Ml
     for idx in coords:
         probe = flat.copy()
         probe[idx] = flat[idx] + eps
-        up, _ = loss_fn(from_flat(params, probe))
+        up, _ = loss_fn(params.with_flat(probe))
         probe[idx] = flat[idx] - eps
-        down, _ = loss_fn(from_flat(params, probe))
+        down, _ = loss_fn(params.with_flat(probe))
         fd = (up - down) / (2.0 * eps)
-        denom = max(abs(analytic_flat[idx]), abs(fd), 1e-8)
-        worst = max(worst, abs(analytic_flat[idx] - fd) / denom)
+        denom = max(abs(analytic.flat[idx]), abs(fd), 1e-8)
+        worst = max(worst, abs(analytic.flat[idx] - fd) / denom)
     return worst
 
 
@@ -217,7 +207,7 @@ def save_params(params: MlpParams, path: str) -> None:
     sizes = ",".join(str(s) for s in params.layer_sizes)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(f"layers={sizes}\n")
-        for value in params.to_flat():
+        for value in params.flat:
             fh.write(fmt(value) + "\n")
 
 
@@ -226,16 +216,9 @@ def load_params(path: str) -> MlpParams:
         header = fh.readline().strip()
         if not header.startswith("layers="):
             raise ValueError(f"{path}: missing layer header")
-        sizes = [int(s) for s in header[len("layers="):].split(",")]
+        sizes = tuple(int(s) for s in header[len("layers="):].split(","))
         values = np.array([float(line) for line in fh if line.strip()], dtype=np.float64)
-    weights = []
-    biases = []
-    pos = 0
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
-        weights.append(values[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
-        pos += fan_in * fan_out
-        biases.append(values[pos:pos + fan_out])
-        pos += fan_out
-    if pos != values.size:
-        raise ValueError(f"{path}: value count does not match the layer header")
-    return MlpParams(tuple(weights), tuple(biases))
+    try:
+        return MlpParams(sizes, values)
+    except ValueError as exc:
+        raise ValueError(f"{path}: value count does not match the layer header ({exc})") from None

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import MlpParams, param_combine, param_zeros_like
+from .mlp import MlpParams
 from .schema import Settings, setting
 
 
@@ -62,17 +62,18 @@ class Schedule(Settings):
 
 
 def init_sgd_state(params: MlpParams, lr: float, momentum: float) -> SgdState:
-    return SgdState(velocity=param_zeros_like(params), lr=lr, momentum=momentum)
+    velocity = MlpParams(params.layer_sizes, np.zeros_like(params.flat))
+    return SgdState(velocity=velocity, lr=lr, momentum=momentum)
 
 
 def sgd_step(params: MlpParams, grad: MlpParams, state: SgdState) -> tuple[MlpParams, SgdState]:
     """v <- momentum * v + lr * grad; params <- params - v."""
-    for g in grad.weights + grad.biases:
-        if not np.all(np.isfinite(g)):
-            raise FloatingPointError("non-finite gradient passed to sgd_step")
-    velocity = param_combine(state.velocity, state.momentum, grad, state.lr)
-    new_params = param_combine(params, 1.0, velocity, -1.0)
-    return new_params, SgdState(velocity=velocity, lr=state.lr, momentum=state.momentum)
+    if not np.all(np.isfinite(grad.flat)):
+        raise FloatingPointError("non-finite gradient passed to sgd_step")
+    velocity = state.momentum * state.velocity.flat + state.lr * grad.flat
+    return (MlpParams(params.layer_sizes, params.flat - velocity),
+            SgdState(velocity=MlpParams(params.layer_sizes, velocity), lr=state.lr,
+                     momentum=state.momentum))
 
 
 def init_ema(params: MlpParams, gamma: float) -> EmaState:
@@ -81,8 +82,8 @@ def init_ema(params: MlpParams, gamma: float) -> EmaState:
 
 def ema_update(state: EmaState, params: MlpParams) -> EmaState:
     """target <- gamma * target + (1 - gamma) * params."""
-    target = param_combine(state.target, state.gamma, params, 1.0 - state.gamma)
-    return EmaState(target=target, gamma=state.gamma)
+    target = state.gamma * state.target.flat + (1.0 - state.gamma) * params.flat
+    return EmaState(target=MlpParams(params.layer_sizes, target), gamma=state.gamma)
 
 
 def rampup_weight(t: int, sched: Schedule) -> float:

@@ -24,15 +24,17 @@ import numpy as np
 
 from .datasets import CisslSplit, Dataset2D
 from .ioutil import fmt, read_csv, write_csv
-from .losses import (
-    PROB_FLOOR,
-    ReweightSpec,
-    SclShape,
-    consistency_l2,
-    scl_consistency,
-    supervised_loss,
+from .losses import ReweightSpec, SclShape, consistency_l2, scl_consistency, supervised_loss
+from .mlp import (
+    MlpParams,
+    backward,
+    forward,
+    init_params,
+    log_softmax,
+    param_add,
+    param_scale,
+    softmax,
 )
-from .mlp import MlpParams, backward, forward, init_params, param_add, param_scale, softmax
 from .optim import Schedule, ema_update, init_ema, init_sgd_state, lr_at, rampup_weight, sgd_step
 from .schema import Settings, setting
 
@@ -144,17 +146,18 @@ def evaluate(params: MlpParams, dataset: Dataset2D) -> np.ndarray:
     return errors
 
 
-def _pseudo_label_loss(probs: np.ndarray, threshold: float) -> tuple[float, np.ndarray | None]:
+def _pseudo_label_loss(logits: np.ndarray, threshold: float) -> tuple[float, np.ndarray | None]:
     """CE of confident samples against their own argmax, averaged over the
     whole batch; samples below the confidence threshold contribute nothing."""
+    probs = softmax(logits)
     batch = probs.shape[0]
     confidence = probs.max(axis=1)
     mask = confidence >= threshold
     if not mask.any():
         return 0.0, None
     hard = probs.argmax(axis=1)
-    safe = np.maximum(confidence[mask], PROB_FLOOR)
-    loss = float(np.sum(-np.log(safe)) / batch)
+    log_confidence = log_softmax(logits)[mask, hard[mask]]
+    loss = float(np.sum(-log_confidence) / batch)
     d_logits = np.zeros_like(probs)
     d_logits[mask] = probs[mask]
     d_logits[mask, hard[mask]] -= 1.0
@@ -163,7 +166,7 @@ def _pseudo_label_loss(probs: np.ndarray, threshold: float) -> tuple[float, np.n
 
 
 def _max_abs_param(params: MlpParams) -> float:
-    return max(float(np.max(np.abs(a))) for a in params.weights + params.biases)
+    return float(np.max(np.abs(params.flat)))
 
 
 def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, *,
@@ -198,7 +201,7 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, *,
         x_lab, y_lab, x_unl = sample_batch(split, config, batch_rng)
 
         logits, trace = forward(params, x_lab)
-        sup_loss, d_sup = supervised_loss(softmax(logits), y_lab, algo.reweight, counts)
+        sup_loss, d_sup = supervised_loss(logits, y_lab, algo.reweight, counts)
         grad = backward(trace, d_sup)
 
         con_loss = 0.0
@@ -220,7 +223,7 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, *,
             grad = param_add(grad, param_scale(backward(s_trace, d_con), w))
         elif algo.kind == "pseudo-label" and w > 0.0 and x_unl.shape[0] > 0:
             u_logits, u_trace = forward(params, x_unl)
-            con_loss, d_con = _pseudo_label_loss(softmax(u_logits), algo.pl_threshold)
+            con_loss, d_con = _pseudo_label_loss(u_logits, algo.pl_threshold)
             if d_con is not None:
                 grad = param_add(grad, param_scale(backward(u_trace, d_con), w))
 

@@ -36,7 +36,7 @@ from skewlab.losses import (
     scl_weight,
     supervised_loss,
 )
-from skewlab.mlp import backward, forward, from_flat, grad_check, init_params, params_equal, softmax
+from skewlab.mlp import backward, forward, grad_check, init_params, params_equal, softmax
 from skewlab.optim import Schedule
 from skewlab.training import AlgorithmSpec, TrainConfig, train
 
@@ -170,7 +170,7 @@ class TestCriterion5GradientChecks:
             def supervised_fn(spec):
                 def fn(p):
                     logits, trace = forward(p, x)
-                    loss, d = supervised_loss(softmax(logits), labels, spec, counts)
+                    loss, d = supervised_loss(logits, labels, spec, counts)
                     return loss, backward(trace, d)
                 return fn
 
@@ -238,7 +238,7 @@ class TestCriterion8FirstOrderGapLaw:
         hs = np.array([1e-2, 1e-3, 1e-4])
         residuals = []
         for h in hs:
-            shifted = from_flat(params, params.to_flat() + h * direction)
+            shifted = params.with_flat(params.flat + h * direction)
             residuals.append(gradient_gap_estimate(params, shifted, batch).residual)
         slope = float(np.polyfit(np.log(hs), np.log(residuals), 1)[0])
         verdict(8, slope >= 1.8,

@@ -18,7 +18,7 @@ from skewlab.coeffs import (
     sgd_coefficients,
     write_gap_curve,
 )
-from skewlab.mlp import from_flat, init_params
+from skewlab.mlp import init_params
 
 GAMMAS = (0.5, 0.95, 0.999)
 DELTAS = (0.0, 0.5, 0.9)
@@ -188,7 +188,7 @@ class TestGradientGapEstimate:
         params, batch = setup
         direction = np.random.default_rng(7).normal(size=params.n_params)
         direction /= np.linalg.norm(direction)
-        shifted = from_flat(params, params.to_flat() + 0.01 * direction)
+        shifted = params.with_flat(params.flat + 0.01 * direction)
         est = gradient_gap_estimate(params, shifted, batch)
         assert np.linalg.norm(est.exact) > 1e-6
         assert est.residual < 0.05 * np.linalg.norm(est.exact)
@@ -200,7 +200,7 @@ class TestGradientGapEstimate:
         hs = np.array([1e-2, 1e-3, 1e-4])
         residuals = []
         for h in hs:
-            shifted = from_flat(params, params.to_flat() + h * direction)
+            shifted = params.with_flat(params.flat + h * direction)
             residuals.append(gradient_gap_estimate(params, shifted, batch).residual)
         slope = np.polyfit(np.log(hs), np.log(residuals), 1)[0]
         assert slope >= 1.8

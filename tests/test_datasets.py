@@ -97,8 +97,10 @@ class TestTwoMoons:
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             gen_two_moons(0, 0.1, 0)
-        with pytest.raises(ValueError):
-            gen_two_moons(10, -0.1, 0)
+        for generator in (gen_two_moons, gen_four_spins):
+            for noise_std in (-0.1, float("nan")):
+                with pytest.raises(ValueError, match="noise_std"):
+                    generator(10, noise_std, 0)
 
 
 class TestFourSpins:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -32,61 +34,67 @@ def rows(*probs):
 
 class TestSupervisedLoss:
     def test_one_hot_correct_is_zero(self):
-        probs = rows([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-        loss, grad = supervised_loss(probs, np.array([0, 1]), ReweightSpec(),
+        # exp(-800) underflows, so these softmax rows are exactly one-hot
+        logits = rows([800.0, 0.0, 0.0], [0.0, 800.0, 0.0])
+        loss, grad = supervised_loss(logits, np.array([0, 1]), ReweightSpec(),
                                      np.array([5, 3, 1]))
         assert loss == 0.0
         assert np.allclose(grad, 0.0, atol=1e-15)
 
     def test_uniform_probabilities_give_log_c(self):
-        probs = np.full((3, 4), 0.25)
-        loss, _ = supervised_loss(probs, np.array([0, 2, 3]), ReweightSpec(),
+        logits = np.zeros((3, 4))
+        loss, _ = supervised_loss(logits, np.array([0, 2, 3]), ReweightSpec(),
                                   np.ones(4, dtype=np.int64))
         assert loss == pytest.approx(LN4, abs=1e-15)
 
     def test_focal_single_sample_at_half_confidence(self):
-        probs = rows([0.5, 0.5])
+        logits = rows([0.0, 0.0])
         spec = ReweightSpec(method="focal", focal_gamma=2.0)
-        loss, _ = supervised_loss(probs, np.array([0]), spec, np.array([1, 1]))
+        loss, _ = supervised_loss(logits, np.array([0]), spec, np.array([1, 1]))
         assert loss == pytest.approx(FOCAL_HALF, abs=1e-15)
 
     def test_focal_gamma_zero_reduces_to_ce(self):
-        probs = softmax(np.random.default_rng(0).normal(size=(6, 3)))
+        logits = np.random.default_rng(0).normal(size=(6, 3))
         labels = np.array([0, 1, 2, 0, 1, 2])
         counts = np.array([7, 2, 1])
-        ce = supervised_loss(probs, labels, ReweightSpec(), counts)
-        focal0 = supervised_loss(probs, labels,
+        ce = supervised_loss(logits, labels, ReweightSpec(), counts)
+        focal0 = supervised_loss(logits, labels,
                                  ReweightSpec(method="focal", focal_gamma=0.0), counts)
         assert focal0[0] == pytest.approx(ce[0], rel=1e-12)
         assert np.allclose(focal0[1], ce[1], atol=1e-12)
 
     def test_in_with_balanced_counts_equals_plain_ce_exactly(self):
-        probs = softmax(np.random.default_rng(1).normal(size=(4, 3)))
+        logits = np.random.default_rng(1).normal(size=(4, 3))
         labels = np.array([2, 0, 1, 1])
         counts = np.array([6, 6, 6])
-        ce_loss, ce_grad = supervised_loss(probs, labels, ReweightSpec(), counts)
-        in_loss, in_grad = supervised_loss(probs, labels, ReweightSpec(method="in"), counts)
+        ce_loss, ce_grad = supervised_loss(logits, labels, ReweightSpec(), counts)
+        in_loss, in_grad = supervised_loss(logits, labels, ReweightSpec(method="in"), counts)
         assert in_loss == ce_loss
         assert np.array_equal(in_grad, ce_grad)
 
     def test_ce_gradient_is_probs_minus_onehot_over_batch(self):
-        probs = softmax(np.random.default_rng(2).normal(size=(3, 4)))
+        logits = np.random.default_rng(2).normal(size=(3, 4))
+        probs = softmax(logits)
         labels = np.array([1, 3, 0])
-        _, grad = supervised_loss(probs, labels, ReweightSpec(), np.ones(4, dtype=np.int64))
+        _, grad = supervised_loss(logits, labels, ReweightSpec(), np.ones(4, dtype=np.int64))
         onehot = np.eye(4)[labels]
         assert np.allclose(grad, (probs - onehot) / 3.0, atol=1e-15)
 
-    def test_zero_probability_clamped_with_warning(self):
-        probs = rows([0.0, 1.0])
-        with pytest.warns(RuntimeWarning):
-            loss, _ = supervised_loss(probs, np.array([0]), ReweightSpec(),
-                                      np.array([1, 1]))
-        assert np.isfinite(loss)
+    def test_large_logit_gap_gives_exact_loss_without_warning(self):
+        # the true class's softmax probability underflows to 0; its log does not
+        logits = rows([0.0, 1000.0])
+        for method in ("ce", "focal"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                loss, grad = supervised_loss(logits, np.array([0]),
+                                             ReweightSpec(method=method), np.array([1, 1]))
+            assert loss == pytest.approx(1000.0, rel=1e-12)
+            assert np.all(np.isfinite(grad))
 
     def test_rejects_bad_labels(self):
-        probs = rows([0.5, 0.5])
+        logits = rows([0.0, 0.0])
         with pytest.raises(ValueError):
-            supervised_loss(probs, np.array([2]), ReweightSpec(), np.array([1, 1]))
+            supervised_loss(logits, np.array([2]), ReweightSpec(), np.array([1, 1]))
 
 
 class TestClassWeights:
@@ -234,7 +242,7 @@ def _fd_supervised(spec, counts, n_classes, seed):
 
     def loss_fn(p):
         logits, trace = forward(p, x)
-        loss, d_logits = supervised_loss(softmax(logits), labels, spec, counts)
+        loss, d_logits = supervised_loss(logits, labels, spec, counts)
         return loss, backward(trace, d_logits)
 
     return grad_check(params, loss_fn)

@@ -2,19 +2,20 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
 from skewlab.losses import ReweightSpec, supervised_loss
 from skewlab.mlp import (
+    MlpParams,
     backward,
     forward,
-    from_flat,
     grad_check,
     init_params,
     load_params,
-    param_map,
-    param_zeros_like,
+    param_scale,
     params_equal,
     save_params,
     softmax,
@@ -51,7 +52,7 @@ class TestInit:
 
 class TestForward:
     def test_zero_params_give_uniform_softmax(self, params, batch):
-        zero = param_zeros_like(params)
+        zero = params.with_flat(np.zeros(params.n_params))
         logits, _ = forward(zero, batch)
         assert np.all(logits == 0.0)
         assert np.allclose(softmax(logits), 0.25, atol=0.0)
@@ -85,7 +86,7 @@ class TestBackward:
     def test_zero_output_gradient_gives_zero_parameter_gradient(self, params, batch):
         _, trace = forward(params, batch)
         grad = backward(trace, np.zeros((5, 4)))
-        assert np.all(grad.to_flat() == 0.0)
+        assert np.all(grad.flat == 0.0)
 
     def test_sum_of_logits_bias_gradient_equals_batch_size(self, params, batch):
         _, trace = forward(params, batch)
@@ -104,7 +105,7 @@ class TestBackward:
 
         def loss_fn(p):
             logits, trace = forward(p, batch)
-            loss, d_logits = supervised_loss(softmax(logits), labels,
+            loss, d_logits = supervised_loss(logits, labels,
                                              ReweightSpec(), np.array([3, 1, 1]))
             return loss, backward(trace, d_logits)
 
@@ -114,7 +115,7 @@ class TestBackward:
 class TestGradCheck:
     def test_quadratic_loss_is_numerically_clean(self, params):
         def loss_fn(p):
-            return 0.5 * float(np.sum(p.to_flat() ** 2)), param_map(lambda a: a.copy(), p)
+            return 0.5 * float(np.sum(p.flat ** 2)), p.with_flat(p.flat)
 
         # central differences are truncation-free on a quadratic, so a large
         # step avoids cancellation in the summed loss entirely
@@ -126,7 +127,7 @@ class TestGradCheck:
 
         def loss_fn(p):
             logits, trace = forward(p, batch)
-            loss, d_logits = supervised_loss(softmax(logits), labels,
+            loss, d_logits = supervised_loss(logits, labels,
                                              ReweightSpec(), np.ones(4, dtype=np.int64))
             return loss, backward(trace, d_logits)
 
@@ -134,20 +135,43 @@ class TestGradCheck:
 
     def test_detects_a_wrong_gradient(self, params):
         def bad_loss_fn(p):
-            return 0.5 * float(np.sum(p.to_flat() ** 2)), param_map(lambda a: 2.0 * a, p)
+            return 0.5 * float(np.sum(p.flat ** 2)), param_scale(p, 2.0)
 
         assert grad_check(params, bad_loss_fn) > 0.1
 
 
 class TestFlatView:
     def test_round_trip(self, params):
-        flat = params.to_flat()
-        assert flat.shape == (params.n_params,)
-        assert params_equal(from_flat(params, flat), params)
+        assert params_equal(params.with_flat(params.flat), params)
+
+    def test_layers_are_views_in_weight_then_bias_order(self, params):
+        assert params.flat.shape == (params.n_params,)
+        assert all(np.shares_memory(a, params.flat) for a in params.weights + params.biases)
+        # 2->8 weights, then the 8 biases of the first layer
+        assert np.array_equal(params.weights[0].ravel(), params.flat[:16])
+        assert np.array_equal(params.biases[0], params.flat[16:24])
+        assert params.weights[1].shape == (8, 8)
+
+    def test_with_flat_copies_the_outside_vector(self, params):
+        values = params.flat + 1.0
+        moved = params.with_flat(values)
+        values[0] = 99.0
+        assert moved.flat[0] == params.flat[0] + 1.0
+        assert moved.layer_sizes == params.layer_sizes
 
     def test_rejects_wrong_length(self, params):
         with pytest.raises(ValueError):
-            from_flat(params, np.zeros(params.n_params + 1))
+            MlpParams(params.layer_sizes, np.zeros(params.n_params + 1))
+        with pytest.raises(ValueError):
+            params.with_flat(np.zeros(params.n_params - 1))
+
+    def test_pickle_keeps_views_and_stores_one_vector(self, params, batch):
+        forward(params, batch)  # builds the per-layer views
+        blob = pickle.dumps(params)
+        restored = pickle.loads(blob)
+        assert params_equal(restored, params)
+        assert np.shares_memory(restored.weights[0], restored.flat)
+        assert len(blob) < len(pickle.dumps(params.flat)) + 200
 
 
 class TestSnapshot:
@@ -157,6 +181,22 @@ class TestSnapshot:
         restored = load_params(path)
         assert restored.layer_sizes == params.layer_sizes
         assert params_equal(restored, params)
+
+    def test_rejects_truncated_snapshot(self, tmp_path, params):
+        path = tmp_path / "params.txt"
+        save_params(params, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]), encoding="utf-8")
+        with pytest.raises(ValueError, match="value count"):
+            load_params(path)
+
+    def test_rejects_missing_header(self, tmp_path, params):
+        path = tmp_path / "params.txt"
+        save_params(params, path)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join(lines[1:]), encoding="utf-8")
+        with pytest.raises(ValueError, match="missing layer header"):
+            load_params(path)
 
     def test_snapshot_is_stable_text(self, tmp_path, params):
         first = tmp_path / "a.txt"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab.mlp import MlpParams, init_params, param_map, param_zeros_like, params_equal
+from skewlab.mlp import MlpParams, init_params, params_equal
 from skewlab.optim import (
     EmaState,
     Schedule,
@@ -24,7 +24,7 @@ RAMP_AT_ZERO = 0.006737946999085467   # exp(-5)
 
 
 def constant_params(template: MlpParams, value: float) -> MlpParams:
-    return param_map(lambda a: np.full_like(a, value), template)
+    return template.with_flat(np.full(template.n_params, value))
 
 
 @pytest.fixture
@@ -34,14 +34,14 @@ def params():
 
 @pytest.fixture
 def grad(params):
-    return param_map(lambda a: np.ones_like(a), params)
+    return constant_params(params, 1.0)
 
 
 class TestSgdStep:
     def test_momentum_free_step_is_lr_times_grad(self, params, grad):
         state = init_sgd_state(params, lr=0.05, momentum=0.0)
         moved, _ = sgd_step(params, grad, state)
-        expected = param_map(lambda p, g: p - 0.05 * g, params, grad)
+        expected = params.with_flat(params.flat - 0.05 * grad.flat)
         assert params_equal(moved, expected)
 
     def test_two_constant_gradient_steps_accumulate_velocity(self, params, grad):
@@ -50,15 +50,13 @@ class TestSgdStep:
         state = init_sgd_state(params, lr=lr, momentum=0.9)
         p1, state = sgd_step(params, grad, state)
         p2, _ = sgd_step(p1, grad, state)
-        displacement = param_map(lambda a, b: a - b, params, p2)
-        for block in displacement.weights + displacement.biases:
-            assert np.allclose(block, 2.9 * lr, atol=1e-15)
+        assert np.allclose(params.flat - p2.flat, 2.9 * lr, atol=1e-15)
 
     def test_zero_gradient_keeps_params_and_velocity(self, params):
         state = init_sgd_state(params, lr=0.1, momentum=0.9)
-        moved, new_state = sgd_step(params, param_zeros_like(params), state)
+        moved, new_state = sgd_step(params, constant_params(params, 0.0), state)
         assert params_equal(moved, params)
-        assert params_equal(new_state.velocity, param_zeros_like(params))
+        assert params_equal(new_state.velocity, constant_params(params, 0.0))
 
     def test_velocity_state_carries_lr_factor(self, params, grad):
         state = init_sgd_state(params, lr=0.25, momentum=0.5)
@@ -66,8 +64,9 @@ class TestSgdStep:
         assert params_equal(new_state.velocity, constant_params(params, 0.25))
 
     def test_non_finite_gradient_is_rejected(self, params, grad):
-        bad = param_map(lambda a: np.where(np.arange(a.size).reshape(a.shape) == 0,
-                                           np.nan, a), grad)
+        values = grad.flat.copy()
+        values[0] = np.nan
+        bad = grad.with_flat(values)
         state = init_sgd_state(params, lr=0.1, momentum=0.0)
         with pytest.raises(FloatingPointError):
             sgd_step(params, bad, state)
@@ -76,34 +75,29 @@ class TestSgdStep:
                                              (0.1, 1.0), (0.1, -0.2)])
     def test_state_validation(self, params, lr, momentum):
         with pytest.raises(ValueError):
-            SgdState(velocity=param_zeros_like(params), lr=lr, momentum=momentum)
+            SgdState(velocity=constant_params(params, 0.0), lr=lr, momentum=momentum)
 
 
 class TestEma:
     def test_gamma_one_never_moves(self, params):
-        state = init_ema(param_zeros_like(params), gamma=1.0)
+        state = init_ema(constant_params(params, 0.0), gamma=1.0)
         state = ema_update(state, params)
-        assert params_equal(state.target, param_zeros_like(params))
+        assert params_equal(state.target, constant_params(params, 0.0))
 
     def test_init_starts_at_student(self, params):
         assert params_equal(init_ema(params, gamma=0.95).target, params)
 
     def test_single_update_mixes_scalar(self, params):
-        state = EmaState(target=param_zeros_like(params), gamma=0.95)
+        state = EmaState(target=constant_params(params, 0.0), gamma=0.95)
         state = ema_update(state, constant_params(params, 1.0))
-        for block in state.target.weights + state.target.biases:
-            assert np.allclose(block, 0.05, atol=1e-16)
+        assert np.allclose(state.target.flat, 0.05, atol=1e-16)
 
     def test_iterated_updates_match_closed_form(self, params):
         gamma, n = 0.9, 37
-        state = EmaState(target=param_zeros_like(params), gamma=gamma)
+        state = EmaState(target=constant_params(params, 0.0), gamma=gamma)
         for _ in range(n):
             state = ema_update(state, params)
-        expected = param_map(lambda a: (1.0 - gamma ** n) * a, params)
-        diff = max(np.abs(a - b).max() for a, b in
-                   zip(state.target.weights + state.target.biases,
-                       expected.weights + expected.biases))
-        assert diff < 1e-10
+        assert np.abs(state.target.flat - (1.0 - gamma ** n) * params.flat).max() < 1e-10
 
     @pytest.mark.parametrize("gamma", [0.0, -0.5, 1.5])
     def test_gamma_validation(self, params, gamma):

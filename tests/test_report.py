@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab.mlp import init_params, param_map
+from skewlab.mlp import init_params, param_scale
 from skewlab.report import (
     AggregateResult,
     GroupErrors,
@@ -80,7 +80,7 @@ class TestBoundaryGrid:
         return init_params(8, 3, seed=20)
 
     def test_zero_parameters_give_uniform_probabilities(self, params):
-        zeroed = param_map(np.zeros_like, params)
+        zeroed = params.with_flat(np.zeros(params.n_params))
         grid = boundary_grid(zeroed, (-1.0, 1.0, -1.0, 1.0), resolution=(5, 4))
         assert grid.max_prob.shape == (4, 5)
         assert np.allclose(grid.max_prob, 1.0 / 3.0, atol=1e-15)
@@ -115,7 +115,7 @@ class TestBoundaryGrid:
         # a near-linear decision function must split the grid into exactly
         # two connected argmax regions
         params = init_params(8, 2, seed=21)
-        tilted = param_map(lambda a: 0.05 * a, params)
+        tilted = param_scale(params, 0.05)
         grid = boundary_grid(tilted, (-2.0, 2.0, -2.0, 2.0), resolution=(40, 40))
         labels = grid.argmax
         seen = np.zeros_like(labels, dtype=bool)

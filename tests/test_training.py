@@ -114,10 +114,10 @@ class TestEmaTracking:
         replay = students[0]  # iteration 0: target starts at init, then mixes
         derived = np.random.SeedSequence(8).generate_state(3)
         replay = init_params(8, 2, int(derived[0]))
-        flat = replay.to_flat()
+        flat = replay.flat
         for p in students:
-            flat = gamma * flat + (1.0 - gamma) * p.to_flat()
-        assert np.abs(flat - result.ema_params.to_flat()).max() < 1e-12
+            flat = gamma * flat + (1.0 - gamma) * p.flat
+        assert np.abs(flat - result.ema_params.flat).max() < 1e-12
 
     def test_supervised_has_no_target(self, split):
         result = train(split, AlgorithmSpec(kind="supervised"),
@@ -193,9 +193,7 @@ class TestEvaluate:
         points = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]])
         data = Dataset2D(points=points, labels=np.array([0, 0, 1]), n_classes=3)
         params = init_params(4, 3, seed=1)
-        zeroed = params.__class__(
-            weights=tuple(np.zeros_like(w) for w in params.weights),
-            biases=tuple(np.zeros_like(b) for b in params.biases))
+        zeroed = params.with_flat(np.zeros(params.n_params))
         errors = evaluate(zeroed, data)
         # all-zero params predict class 0 everywhere (argmax tie -> lowest)
         assert errors[0] == 0.0
