@@ -15,10 +15,11 @@ from skewlab.coeffs import (
     gap_curve,
     gradient_gap_estimate,
     momentum_coefficients,
+    probability_jacobian,
     sgd_coefficients,
     write_gap_curve,
 )
-from skewlab.mlp import init_params
+from skewlab.mlp import backward, forward, init_params, softmax
 
 GAMMAS = (0.5, 0.95, 0.999)
 DELTAS = (0.0, 0.5, 0.9)
@@ -204,3 +205,49 @@ class TestGradientGapEstimate:
             residuals.append(gradient_gap_estimate(params, shifted, batch).residual)
         slope = np.polyfit(np.log(hs), np.log(residuals), 1)[0]
         assert slope >= 1.8
+
+
+def loop_jacobian(params, x):
+    """Reference: one backward pass per output entry (i, c)."""
+    logits, trace = forward(params, x)
+    probs = softmax(logits)
+    batch, n_classes = probs.shape
+    rows = np.empty((batch * n_classes, params.n_params))
+    for i in range(batch):
+        for c in range(n_classes):
+            d_probs = np.zeros_like(probs)
+            d_probs[i, c] = 1.0
+            inner = (d_probs * probs).sum(axis=1, keepdims=True)
+            rows[i * n_classes + c] = backward(trace, probs * (d_probs - inner)).flat
+    return rows
+
+
+class TestProbabilityJacobian:
+    @pytest.fixture(params=[(2, 1), (2, 3), (4, 1), (4, 3)],
+                    ids=["2cls-1layer", "2cls-3layers", "4cls-1layer", "4cls-3layers"])
+    def setup(self, request):
+        n_classes, hidden_layers = request.param
+        params = init_params(5, n_classes, seed=11, hidden_layers=hidden_layers)
+        x = np.random.default_rng(12).normal(size=(7, 2))
+        return params, x
+
+    def test_matches_per_entry_backward(self, setup):
+        params, x = setup
+        reference = loop_jacobian(params, x)
+        jac = probability_jacobian(params, x)
+        assert jac.shape == reference.shape
+        tol = 64 * np.finfo(np.float64).eps * np.abs(reference).max()
+        assert np.abs(jac - reference).max() <= tol
+
+    def test_matches_central_differences(self, setup):
+        params, x = setup
+        jac = probability_jacobian(params, x)
+        h = 1e-6
+        coords = np.random.default_rng(13).choice(params.n_params, size=8, replace=False)
+        for k in coords:
+            step = np.zeros(params.n_params)
+            step[k] = h
+            up = softmax(forward(params.with_flat(params.flat + step), x)[0])
+            down = softmax(forward(params.with_flat(params.flat - step), x)[0])
+            fd = ((up - down) / (2 * h)).ravel()
+            assert np.allclose(jac[:, k], fd, rtol=1e-6, atol=1e-8)
