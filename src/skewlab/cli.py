@@ -50,6 +50,9 @@ def _load(path: Path):
     except FileNotFoundError:
         print(f"config file not found: {path}", file=sys.stderr)
         return None
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read config: {path}: {exc}", file=sys.stderr)
+        return None
     except ConfigError as exc:
         print("config is invalid:", file=sys.stderr)
         for error in exc.errors:

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import consistency_l2
-from .mlp import MlpParams, backward, forward, softmax
+from .mlp import MlpParams, backward, forward, layer_views, softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -165,21 +165,30 @@ class GapEstimate:
 def probability_jacobian(params: MlpParams, x: np.ndarray) -> np.ndarray:
     """Jacobian of the softmax outputs with respect to the flat parameters.
 
-    Row (i * n_classes + c) holds d p[i, c] / d theta.  Built from one
-    backward pass per output entry; fine at this scale.
+    Row (i * n_classes + c) holds d p[i, c] / d theta.  One batched backward
+    pass carries the (batch, n_classes, n_classes) logit gradients of every
+    output entry down the layers; each entry only reaches its own input row,
+    so each layer's gradient for entry (i, c) is the outer product of row i's
+    layer input with that entry's delta, written straight into the output.
     """
     logits, trace = forward(params, x)
     probs = softmax(logits)
     batch, n_classes = probs.shape
-    rows = np.empty((batch * n_classes, params.n_params), dtype=np.float64)
-    for i in range(batch):
-        for c in range(n_classes):
-            d_probs = np.zeros_like(probs)
-            d_probs[i, c] = 1.0
-            inner = (d_probs * probs).sum(axis=1, keepdims=True)
-            d_logits = probs * (d_probs - inner)
-            rows[i * n_classes + c] = backward(trace, d_logits).flat
-    return rows
+    jac = np.empty((batch, n_classes, params.n_params), dtype=np.float64)
+    jac_weights, jac_biases = layer_views(params.layer_sizes, jac)
+    # delta[i, c, k] = d p[i, c] / d logits[i, k] = p[i, k] * ([c == k] - p[i, c])
+    delta = probs[:, None, :] * (np.eye(n_classes) - probs[:, :, None])
+    layer_inputs = (trace.inputs,) + trace.activations
+    for i in range(len(params.weights) - 1, -1, -1):
+        np.multiply(layer_inputs[i][:, None, :, None], delta[:, :, None, :], out=jac_weights[i])
+        jac_biases[i][...] = delta
+        if i > 0:
+            # One matmul over all batch * n_classes entries, then tanh'(z)
+            # through the stored activation: 1 - tanh(z)^2.
+            back = delta.reshape(batch * n_classes, -1) @ params.weights[i].T
+            delta = (back.reshape(batch, n_classes, -1)
+                     * (1.0 - trace.activations[i - 1] ** 2)[:, None, :])
+    return jac.reshape(batch * n_classes, params.n_params)
 
 
 def gradient_gap_estimate(params: MlpParams, target_params: MlpParams,

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ioutil import fmt, write_csv
+from .ioutil import FLOAT, write_text
 
 MOON_LOWER_OFFSET = (0.5, -0.25)
 
@@ -251,9 +251,9 @@ def make_cissl_split(pool: Dataset2D, labeled_counts: np.ndarray, unlabeled_type
 
 def write_split_csv(split: CisslSplit, path: str) -> None:
     """Dump all partitions as rows of x, y, label, partition for plotting."""
-    rows = []
+    parts = ["x,y,label,partition\n"]
     for name, part in (("labeled", split.labeled), ("unlabeled", split.unlabeled),
                        ("validation", split.validation)):
-        for (x, y), label in zip(part.points, part.labels):
-            rows.append((fmt(x), fmt(y), str(int(label)), name))
-    write_csv(path, ("x", "y", "label", "partition"), rows)
+        row = f"{FLOAT},{FLOAT},%d,{name}\n"
+        parts += [row % cells for cells in zip(*part.points.T.tolist(), part.labels.tolist())]
+    write_text(path, "".join(parts))

@@ -1,31 +1,47 @@
-"""Small text-serialization helpers shared by the CSV and snapshot writers."""
+"""Small text-serialization helpers shared by the CSV and snapshot writers.
+
+Every real is written with 17 significant digits, so a float64 round-trips
+exactly.  The format is spelled once, as ``FLOAT_SPEC``: ``fmt`` applies it to
+one value, and bulk writers put ``FLOAT`` (the same spec as a ``%`` field)
+into one template per row and render whole columns taken with ``.tolist()``.
+Both spellings give the same text for every float, nan and inf included.
+"""
 
 from __future__ import annotations
 
 import os
 from typing import Iterable, Sequence
 
+FLOAT_SPEC = ".17g"
+FLOAT = "%" + FLOAT_SPEC
+
 
 def fmt(value: float) -> str:
-    """Format a real with 17 significant digits so float64 round-trips exactly."""
-    return f"{float(value):.17g}"
+    """Format one real with 17 significant digits."""
+    return format(float(value), FLOAT_SPEC)
+
+
+def write_text(path: str | os.PathLike[str], text: str) -> None:
+    """Write text in one call as UTF-8 with unix newlines, whatever the platform."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def write_csv(path: str | os.PathLike[str], header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:
-    """Write rows of already-formatted cells with a unix newline convention.
+    """Write rows of already-formatted cells.
 
     The byte layout must not depend on locale or platform, so this avoids the
     csv module's dialect machinery; no cell produced in this package contains
     a comma or quote.
     """
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(row) + "\n")
+    write_text(path, "".join([",".join(header) + "\n"]
+                             + [",".join(row) + "\n" for row in rows]))
 
 
 def read_csv(path: str | os.PathLike[str]) -> tuple[list[str], list[list[str]]]:
     with open(path, "r", encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh if line.strip() != ""]
+    if not lines:
+        raise ValueError(f"{path}: empty CSV file, no header")
     header = lines[0].split(",")
     return header, [line.split(",") for line in lines[1:]]

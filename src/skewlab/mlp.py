@@ -16,12 +16,32 @@ from typing import Callable
 
 import numpy as np
 
-from .ioutil import fmt
+from .ioutil import FLOAT, write_text
 
 
 def _vector_size(layer_sizes: tuple[int, ...]) -> int:
     return sum((fan_in + 1) * fan_out
                for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
+
+
+def layer_views(layer_sizes: tuple[int, ...], values: np.ndarray
+                ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
+    """Per-layer weight and bias views into ``values``, whose last axis is laid
+    out like a flat parameter vector: weight then bias, layer by layer.
+
+    Leading axes carry through, so a stack of vectors of shape (..., n) gives
+    weights of shape (..., fan_in, fan_out) and biases of shape (..., fan_out).
+    """
+    lead = values.shape[:-1]
+    weights = []
+    biases = []
+    pos = 0
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        weights.append(values[..., pos:pos + fan_in * fan_out].reshape(lead + (fan_in, fan_out)))
+        pos += fan_in * fan_out
+        biases.append(values[..., pos:pos + fan_out])
+        pos += fan_out
+    return tuple(weights), tuple(biases)
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,15 +67,7 @@ class MlpParams:
 
     @cached_property
     def _views(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        weights = []
-        biases = []
-        pos = 0
-        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
-            weights.append(self.flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
-            pos += fan_in * fan_out
-            biases.append(self.flat[pos:pos + fan_out])
-            pos += fan_out
-        return tuple(weights), tuple(biases)
+        return layer_views(self.layer_sizes, self.flat)
 
     @property
     def weights(self) -> tuple[np.ndarray, ...]:
@@ -205,10 +217,8 @@ def grad_check(params: MlpParams, loss_fn: Callable[[MlpParams], tuple[float, Ml
 def save_params(params: MlpParams, path: str) -> None:
     """Write parameters as a text snapshot: a shape header then one value per line."""
     sizes = ",".join(str(s) for s in params.layer_sizes)
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"layers={sizes}\n")
-        for value in params.flat:
-            fh.write(fmt(value) + "\n")
+    line = FLOAT + "\n"
+    write_text(path, "".join([f"layers={sizes}\n"] + [line % v for v in params.flat.tolist()]))
 
 
 def load_params(path: str) -> MlpParams:

@@ -14,7 +14,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .ioutil import fmt, read_csv, write_csv
+from .ioutil import FLOAT, fmt, read_csv, write_csv, write_text
 from .mlp import MlpParams, forward, softmax
 
 GROUP_NAMES = ("all", "major", "minor")
@@ -117,11 +117,13 @@ def boundary_grid(params: MlpParams, bbox: tuple[float, float, float, float],
 
 
 def write_grid_csv(grid: BoundaryGrid, path: str | Path) -> None:
-    rows = []
-    for iy, y in enumerate(grid.ys):
-        for ix, x in enumerate(grid.xs):
-            rows.append((fmt(x), fmt(y), fmt(grid.max_prob[iy, ix]), str(int(grid.argmax[iy, ix]))))
-    write_csv(path, ("x", "y", "max_prob", "argmax"), rows)
+    """One row per node, y outer and x inner: x, y, max_prob, argmax."""
+    x_cells = [fmt(x) for x in grid.xs]
+    parts = ["x,y,max_prob,argmax\n"]
+    for y, probs, labels in zip(grid.ys, grid.max_prob.tolist(), grid.argmax.tolist()):
+        row = f"%s,{fmt(y)},{FLOAT},%d\n"
+        parts += [row % cells for cells in zip(x_cells, probs, labels)]
+    write_text(path, "".join(parts))
 
 
 def _format_cell(mean: float, std: float | None) -> str:

@@ -127,7 +127,7 @@ def sample_batch(split: CisslSplit, config: TrainConfig,
 
 def perturb(x: np.ndarray, noise_std: float, rng: np.random.Generator) -> np.ndarray:
     """Additive isotropic Gaussian input noise; identity when noise_std == 0."""
-    if noise_std < 0.0:
+    if not noise_std >= 0.0:  # also rejects NaN
         raise ValueError("noise_std must be nonnegative")
     if noise_std == 0.0:
         return x

@@ -1,14 +1,20 @@
-"""Text output: the bulk writers against a cell-by-cell rendering through fmt."""
+"""Text output: the float format, reading CSVs back, and the bulk writers
+against a cell-by-cell rendering through fmt and write_csv."""
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skewlab.datasets import CisslSplit, Dataset2D, write_split_csv
-from skewlab.ioutil import fmt, write_csv
+from skewlab.ioutil import FLOAT, fmt, read_csv, write_csv
 from skewlab.mlp import init_params, save_params
-from skewlab.report import BoundaryGrid, write_grid_csv
+from skewlab.report import BoundaryGrid, read_table, write_grid_csv
+from skewlab.training import read_history_csv
 
 # Values whose 17-digit renderings exercise rounding, signed zero, the
 # smallest subnormal and a large exponent.
@@ -19,6 +25,42 @@ def reference_csv(tmp_path, header, rows) -> bytes:
     path = tmp_path / "reference.csv"
     write_csv(path, header, rows)
     return path.read_bytes()
+
+
+class TestFloatFormat:
+    @given(st.floats(allow_nan=True, allow_infinity=True))
+    def test_template_matches_fmt(self, value):
+        assert FLOAT % value == fmt(value)
+
+    @given(st.integers(min_value=0, max_value=2**64 - 1))
+    def test_template_matches_fmt_on_any_bit_pattern(self, bits):
+        value = float(np.array([bits], dtype=np.uint64).view(np.float64)[0])
+        assert FLOAT % value == fmt(value)
+
+    @pytest.mark.parametrize("value", [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324,
+                                       1.7976931348623157e308, 0.1, 1.0 / 3.0])
+    def test_template_matches_fmt_on_edge_values(self, value):
+        assert FLOAT % value == fmt(value)
+        assert FLOAT % np.float64(value) == fmt(np.float64(value))
+
+    @given(st.floats(allow_nan=False, allow_infinity=True))
+    def test_round_trips_exactly(self, value):
+        assert float(FLOAT % value) == value
+
+
+class TestReadCsv:
+    @pytest.mark.parametrize("reader", [read_csv, read_table, read_history_csv])
+    @pytest.mark.parametrize("text", ["", "\n\n"])
+    def test_empty_file_names_the_path(self, tmp_path, reader, text):
+        path = tmp_path / "empty.csv"
+        path.write_text(text)
+        with pytest.raises(ValueError, match="empty.csv: empty CSV file"):
+            reader(path)
+
+    def test_header_only_file_has_no_rows(self, tmp_path):
+        path = tmp_path / "h.csv"
+        write_csv(path, ("a", "b"), [])
+        assert read_csv(path) == (["a", "b"], [])
 
 
 class TestBulkWritersMatchFmt:
