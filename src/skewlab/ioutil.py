@@ -1,10 +1,10 @@
 """Small text-serialization helpers shared by the CSV and snapshot writers.
 
 Every real is written with 17 significant digits, so a float64 round-trips
-exactly.  The format is spelled once, as ``FLOAT_SPEC``: ``fmt`` applies it to
-one value, and bulk writers put ``FLOAT`` (the same spec as a ``%`` field)
-into one template per row and render whole columns taken with ``.tolist()``.
-Both spellings give the same text for every float, nan and inf included.
+exactly.  The format is spelled once, below: ``fmt`` applies it to one
+value, and bulk writers put ``FLOAT`` (the same spec as a ``%`` field) into
+one template per row and render whole columns taken with ``.tolist()``.
+Both give the same text for every float, nan and inf included.
 """
 
 from __future__ import annotations
@@ -12,13 +12,13 @@ from __future__ import annotations
 import os
 from typing import Iterable, Sequence
 
-FLOAT_SPEC = ".17g"
-FLOAT = "%" + FLOAT_SPEC
+_FLOAT_SPEC = ".17g"
+FLOAT = "%" + _FLOAT_SPEC
 
 
 def fmt(value: float) -> str:
     """Format one real with 17 significant digits."""
-    return format(float(value), FLOAT_SPEC)
+    return format(float(value), _FLOAT_SPEC)
 
 
 def write_text(path: str | os.PathLike[str], text: str) -> None:

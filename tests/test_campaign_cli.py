@@ -220,22 +220,19 @@ class TestCli:
         assert main(["validate", str(tmp_path / "nope.json")]) == 2
         assert "not found" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("unreadable", ["directory", "utf-16"])
     @pytest.mark.parametrize("verb", ["validate", "run"])
-    def test_directory_as_config_exits_2(self, tmp_path, capsys, verb):
-        out_dir = tmp_path / "out"
-        assert main([verb, str(tmp_path)] + ["--out", str(out_dir)] * (verb == "run")) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("cannot read config: ") and err.count("\n") == 1
-        assert not out_dir.exists()
-
-    @pytest.mark.parametrize("verb", ["validate", "run"])
-    def test_non_utf8_config_exits_2(self, tmp_path, capsys, verb):
+    def test_unreadable_config_exits_2(self, tmp_path, capsys, verb, unreadable):
         path = tmp_path / "c.json"
-        path.write_bytes(tiny_config_text().encode("utf-16"))
+        if unreadable == "directory":
+            path.mkdir()
+        else:
+            path.write_bytes(tiny_config_text().encode("utf-16"))
         out_dir = tmp_path / "out"
-        assert main([verb, str(path)] + ["--out", str(out_dir)] * (verb == "run")) == 2
+        args = [verb, str(path)] + (["--out", str(out_dir)] if verb == "run" else [])
+        assert main(args) == 2
         err = capsys.readouterr().err
-        assert err.startswith("cannot read config: ") and err.count("\n") == 1
+        assert err.startswith(f"cannot read config: {path}: ") and err.count("\n") == 1
         assert not out_dir.exists()
 
     def test_run_executes_and_reports(self, tmp_path, capsys):

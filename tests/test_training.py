@@ -176,10 +176,10 @@ class TestPerturb:
         assert abs(noisy.mean()) < 0.01
         assert abs(noisy.std() - 0.3) < 0.01
 
-    @pytest.mark.parametrize("noise_std", [-0.1, float("nan")])
-    def test_negative_or_nan_noise_rejected(self, noise_std):
-        with pytest.raises(ValueError, match="noise_std must be nonnegative"):
-            perturb(np.zeros((2, 2)), noise_std, np.random.default_rng(5))
+    def test_negative_noise_rejected(self):
+        for noise_std in (-0.1, float("nan")):
+            with pytest.raises(ValueError, match="noise_std must be nonnegative"):
+                perturb(np.zeros((2, 2)), noise_std, np.random.default_rng(5))
 
 
 class TestEvaluate:
