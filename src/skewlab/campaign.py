@@ -4,6 +4,14 @@ A campaign is the cross product datasets x algorithms x seeds.  Runs are
 independent and may execute across a process pool; every output file except
 the transient log lines is a pure function of the config, so a rerun
 produces byte-identical files.
+
+Outputs stream: the parent process writes each run's files (history,
+parameter snapshots, boundary grids, or the traceback of a failed run) as
+soon as that run's result reaches it, in grid order, and then keeps only the
+run's final grouped errors.  Tables, dataset dumps, the gap curve and the
+manifest come last, so a directory without ``manifest.json`` is an
+incomplete campaign that holds the files of every run finished before it
+stopped.
 """
 
 from __future__ import annotations
@@ -13,7 +21,10 @@ import os
 import re
 import sys
 import traceback
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -29,14 +40,17 @@ from .datasets import (
     make_cissl_split,
     write_split_csv,
 )
+from .ioutil import write_text
 from .mlp import save_params
 from .report import (
     AggregateResult,
     BoundaryGrid,
+    GroupErrors,
     aggregate_runs,
     boundary_grid,
     default_bbox,
     group_errors,
+    write_grid_csv,
     write_report,
 )
 from .training import RunResult, train, write_history_csv
@@ -132,6 +146,34 @@ def _execute_payload(payload: tuple[CampaignConfig, RunSpec]):
         return spec.run_id, None, traceback.format_exc()
 
 
+def _outcomes(config: CampaignConfig, runs: list[RunSpec], n_workers: int):
+    """Yield (run_id, record or None, traceback or None) per run, in grid order.
+
+    Serially each run executes when the next outcome is asked for.  On a pool
+    every run is submitted up front and results are taken in submission
+    order; a run whose worker died (or that was pending when the pool broke)
+    comes back as a failure.  Closing the generator cancels the runs that
+    have not started.
+    """
+    if n_workers == 1 or len(runs) <= 1:
+        for spec in runs:
+            yield _execute_payload((config, spec))
+        return
+    with ProcessPoolExecutor(max_workers=n_workers) as pool:
+        pending = deque(pool.submit(_execute_payload, (config, spec)) for spec in runs)
+        try:
+            for spec in runs:
+                # popped, so a consumed result is not kept alive by its future
+                future = pending.popleft()
+                try:
+                    yield future.result()
+                except BrokenProcessPool:
+                    yield spec.run_id, None, traceback.format_exc()
+        finally:
+            for future in pending:
+                future.cancel()
+
+
 def resolve_workers(workers: int | None) -> int:
     """workers if given, else SKEWLAB_WORKERS, else 1; must be a positive integer."""
     source, value = (("workers", workers) if workers is not None
@@ -144,52 +186,44 @@ def resolve_workers(workers: int | None) -> int:
 def run_campaign(config: CampaignConfig, *, workers: int | None = None,
                  out_dir: str | Path | None = None,
                  log=sys.stderr) -> CampaignOutcome:
-    """Execute every run, then write per-run files, tables, and the manifest.
+    """Execute every run, writing its files as it completes; then the tables,
+    dataset dumps, gap curve and manifest.
 
-    Run failures are isolated: the campaign finishes, the failure lands in
-    the manifest and the outcome, and only healthy runs feed the tables.
+    Results are taken in grid order whatever the worker count, so the log
+    lines and ``CampaignOutcome.files`` are deterministic.  Run failures are
+    isolated: a run that raises, or whose pool worker dies, gets its traceback
+    in ``failures/<run_id>.txt``, a ``"failure"`` entry in the manifest and
+    the outcome, and only healthy runs feed the tables.  All writes happen in
+    this process; workers only compute.
     """
     n_workers = resolve_workers(workers)
     out = Path(out_dir if out_dir is not None else config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     runs = build_runs(config)
 
-    records: dict[str, RunRecord] = {}
+    student_finals: dict[str, GroupErrors] = {}
+    ema_finals: dict[str, GroupErrors] = {}
     failures: dict[str, str] = {}
-    payloads = [(config, spec) for spec in runs]
-    if n_workers > 1 and len(runs) > 1:
-        with ProcessPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(_execute_payload, payloads))
-    else:
-        outcomes = [_execute_payload(p) for p in payloads]
-    for run_id, record, error in outcomes:
-        if error is not None:
-            failures[run_id] = error
-            print(f"[skewlab] FAILED {run_id}\n{error}", file=log)
-        else:
-            records[run_id] = record
+    files: list[Path] = []
+    with closing(_outcomes(config, runs, n_workers)) as outcomes:
+        for run_id, record, error in outcomes:
+            if error is not None:
+                failures[run_id] = error
+                (out / "failures").mkdir(exist_ok=True)
+                failure_path = out / _failure_name(run_id)
+                write_text(failure_path, error)
+                files.append(failure_path)
+                print(f"[skewlab] FAILED {run_id}\n{error}", file=log)
+                continue
+            files.extend(_write_run(record, out))
+            # all the tables need of a run: its final errors, grouped
+            last = record.result.history[-1]
+            student_finals[run_id] = group_errors(last.student_errors, record.labeled_counts)
+            if last.ema_errors is not None:
+                ema_finals[run_id] = group_errors(last.ema_errors, record.labeled_counts)
             print(f"[skewlab] done {run_id} "
                   f"({record.result.wall_seconds:.1f}s)", file=log)
-
-    files: list[Path] = []
-    runs_dir = out / "runs"
-    params_dir = out / "params"
-    for spec in runs:
-        record = records.get(spec.run_id)
-        if record is None:
-            continue
-        runs_dir.mkdir(exist_ok=True)
-        params_dir.mkdir(exist_ok=True)
-        history_path = runs_dir / f"{spec.run_id}.csv"
-        write_history_csv(record.result, history_path)
-        files.append(history_path)
-        model_path = params_dir / f"{spec.run_id}.txt"
-        save_params(record.result.params, model_path)
-        files.append(model_path)
-        if record.result.ema_params is not None:
-            ema_path = params_dir / f"{spec.run_id}_ema.txt"
-            save_params(record.result.ema_params, ema_path)
-            files.append(ema_path)
+            del record  # free its parameters and grids before the next run
 
     if config.report.dump_datasets:
         data_dir = out / "datasets"
@@ -205,20 +239,12 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
                 write_split_csv(split, split_path)
                 files.append(split_path)
 
-    student_table = _aggregate(config, records, use_ema=False)
-    ema_table = _aggregate(config, records, use_ema=True)
-    grids: dict[str, BoundaryGrid] = {}
-    for spec in runs:
-        record = records.get(spec.run_id)
-        if record is None or record.student_grid is None:
-            continue
-        grids[spec.run_id] = record.student_grid
-        if record.ema_grid is not None:
-            grids[f"{spec.run_id}_ema"] = record.ema_grid
-    if student_table or grids:
-        files.extend(write_report(student_table, grids, out))
+    student_table = _aggregate(config, student_finals)
+    ema_table = _aggregate(config, ema_finals)
+    if student_table:
+        files.extend(write_report(student_table, out))
     if ema_table:
-        files.extend(write_report(ema_table, {}, out, table_name="table_ema.csv"))
+        files.extend(write_report(ema_table, out, table_name="table_ema.csv"))
 
     if config.gap_curve is not None:
         gc = config.gap_curve
@@ -231,13 +257,7 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
         "name": config.name,
         "config_sha256": config_digest(config),
         "config": config.to_dict(),
-        "runs": [{
-            "run_id": spec.run_id,
-            "dataset": config.datasets[spec.dataset_index].name,
-            "algorithm": config.algorithms[spec.algorithm_index].name,
-            "seed": spec.seed,
-            "status": "failed" if spec.run_id in failures else "ok",
-        } for spec in runs],
+        "runs": [_manifest_entry(config, spec, spec.run_id in failures) for spec in runs],
     }
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
                              encoding="utf-8")
@@ -247,22 +267,53 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
                            student_table=student_table, ema_table=ema_table)
 
 
-def _aggregate(config: CampaignConfig, records: dict[str, RunRecord],
-               *, use_ema: bool) -> dict[str, dict[str, AggregateResult]]:
-    """dataset -> algorithm -> aggregate of final-iteration validation errors."""
+def _failure_name(run_id: str) -> str:
+    return f"failures/{run_id}.txt"
+
+
+def _write_run(record: RunRecord, out: Path) -> list[Path]:
+    """Write one finished run's history, parameter snapshots and grids."""
+    run_id = record.spec.run_id
+    result = record.result
+    (out / "runs").mkdir(exist_ok=True)
+    (out / "params").mkdir(exist_ok=True)
+    history_path = out / "runs" / f"{run_id}.csv"
+    write_history_csv(result, history_path)
+    written = [history_path]
+    snapshots = [(result.params, run_id), (result.ema_params, f"{run_id}_ema")]
+    for params, name in snapshots:
+        if params is not None:
+            written.append(out / "params" / f"{name}.txt")
+            save_params(params, written[-1])
+    grids = [(record.student_grid, run_id), (record.ema_grid, f"{run_id}_ema")]
+    for grid, name in grids:
+        if grid is not None:
+            written.append(out / f"grid_{name}.csv")
+            write_grid_csv(grid, written[-1])
+    return written
+
+
+def _manifest_entry(config: CampaignConfig, spec: RunSpec, failed: bool) -> dict:
+    entry = {
+        "run_id": spec.run_id,
+        "dataset": config.datasets[spec.dataset_index].name,
+        "algorithm": config.algorithms[spec.algorithm_index].name,
+        "seed": spec.seed,
+        "status": "failed" if failed else "ok",
+    }
+    if failed:
+        entry["failure"] = _failure_name(spec.run_id)
+    return entry
+
+
+def _aggregate(config: CampaignConfig, finals: dict[str, GroupErrors]
+               ) -> dict[str, dict[str, AggregateResult]]:
+    """dataset -> algorithm -> aggregate of the runs' final grouped errors."""
     table: dict[str, dict[str, AggregateResult]] = {}
     for dataset in config.datasets:
         for algo in config.algorithms:
-            per_seed = []
-            for seed in config.seeds:
-                record = records.get(f"{dataset.name}__{algo.name}__seed{seed}")
-                if record is None or not record.result.history:
-                    continue
-                last = record.result.history[-1]
-                errors = last.ema_errors if use_ema else last.student_errors
-                if errors is None:
-                    continue
-                per_seed.append(group_errors(errors, record.labeled_counts))
+            per_seed = [finals[run_id] for seed in config.seeds
+                        if (run_id := f"{dataset.name}__{algo.name}__seed{seed}") in finals]
             if per_seed:
                 table.setdefault(dataset.name, {})[algo.name] = aggregate_runs(per_seed)
     return table

@@ -102,16 +102,12 @@ def params_equal(a: MlpParams, b: MlpParams) -> bool:
 
 @dataclass(frozen=True, eq=False)
 class ForwardTrace:
-    """Everything backward needs: parameters, input, per-layer activations."""
+    """Everything backward needs: parameters, input, hidden activations, logits."""
 
     params: MlpParams
     inputs: np.ndarray
-    pre_activations: tuple[np.ndarray, ...]
     activations: tuple[np.ndarray, ...]
-
-    @property
-    def logits(self) -> np.ndarray:
-        return self.pre_activations[-1]
+    logits: np.ndarray
 
 
 def init_params(hidden_width: int, n_classes: int, seed: int, *,
@@ -136,17 +132,17 @@ def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]
         raise ValueError("input batch must be nonempty")
     if not np.all(np.isfinite(x)):
         raise ValueError("input must be finite")
-    pre = []
     act = []
     h = x
-    last = len(params.weights) - 1
-    for i, (w, b) in enumerate(zip(params.weights, params.biases)):
-        z = h @ w + b
-        pre.append(z)
-        if i < last:
-            h = np.tanh(z)
-            act.append(h)
-    return pre[-1], ForwardTrace(params, x, tuple(pre), tuple(act))
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        # tanh in place over the pre-activation: the same values as
+        # np.tanh(h @ w + b) without keeping a second batch x width array alive
+        z = h @ w
+        z += b
+        h = np.tanh(z, out=z)
+        act.append(h)
+    logits = h @ params.weights[-1] + params.biases[-1]
+    return logits, ForwardTrace(params, x, tuple(act), logits)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:

@@ -142,9 +142,8 @@ def _parse_cell(cell: str) -> tuple[float, float | None]:
 
 
 def write_report(aggregates: Mapping[str, Mapping[str, AggregateResult]],
-                 grids: Mapping[str, BoundaryGrid],
                  destination: str | Path, *, table_name: str = "table.csv") -> list[Path]:
-    """Write the summary table plus any per-run boundary grids.
+    """Write the summary table.
 
     aggregates maps dataset name -> algorithm name -> AggregateResult; the
     table has one row per dataset x group and one column per algorithm, cells
@@ -152,7 +151,6 @@ def write_report(aggregates: Mapping[str, Mapping[str, AggregateResult]],
     """
     destination = Path(destination)
     destination.mkdir(parents=True, exist_ok=True)
-    files: list[Path] = []
 
     algorithms: list[str] = []
     for per_algo in aggregates.values():
@@ -174,13 +172,7 @@ def write_report(aggregates: Mapping[str, Mapping[str, AggregateResult]],
             rows.append(row)
     table_path = destination / table_name
     write_csv(table_path, ["dataset", "group"] + algorithms, rows)
-    files.append(table_path)
-
-    for name, grid in grids.items():
-        grid_path = destination / f"grid_{name}.csv"
-        write_grid_csv(grid, grid_path)
-        files.append(grid_path)
-    return files
+    return [table_path]
 
 
 def read_table(path: str | Path) -> dict[str, dict[str, dict[str, tuple[float, float | None]]]]:

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import multiprocessing
+import os
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from skewlab import campaign
 from skewlab.campaign import (
     WORKERS_ENV,
     build_runs,
@@ -17,6 +21,7 @@ from skewlab.campaign import (
 )
 from skewlab.cli import main
 from skewlab.config import validate_config
+from skewlab.report import read_table
 from skewlab.training import read_history_csv
 
 
@@ -105,6 +110,8 @@ class TestRunCampaign:
         assert manifest["name"] == "tiny"
         assert len(manifest["config_sha256"]) == 64
         assert [r["status"] for r in manifest["runs"]] == ["ok"] * 4
+        assert all("failure" not in r for r in manifest["runs"])
+        assert not (outcome.out_dir / "failures").exists()
         assert manifest["config"]["schedule"]["total_iters"] == 40
 
     def test_reruns_are_byte_identical(self, tiny_config, tmp_path):
@@ -162,9 +169,16 @@ class TestRunCampaign:
         assert all(run_id.startswith("cramped") for run_id in outcome.failures)
         assert all("SplitCapacityError" in tb for tb in outcome.failures.values())
         manifest = json.loads((outcome.out_dir / "manifest.json").read_text())
-        statuses = {r["run_id"]: r["status"] for r in manifest["runs"]}
-        assert statuses["cramped__supervised__seed0"] == "failed"
-        assert statuses["moons__supervised__seed0"] == "ok"
+        entries = {r["run_id"]: r for r in manifest["runs"]}
+        assert entries["cramped__supervised__seed0"]["status"] == "failed"
+        assert entries["moons__supervised__seed0"]["status"] == "ok"
+        assert "failure" not in entries["moons__supervised__seed0"]
+        for run_id, traceback_text in outcome.failures.items():
+            assert entries[run_id]["failure"] == f"failures/{run_id}.txt"
+            failure_file = outcome.out_dir / entries[run_id]["failure"]
+            assert failure_file in outcome.files
+            saved = failure_file.read_text()
+            assert saved == traceback_text and "SplitCapacityError" in saved
         assert "moons" in outcome.student_table
         assert "cramped" not in outcome.student_table
         dumped = sorted(p.name for p in (outcome.out_dir / "datasets").glob("*.csv"))
@@ -198,6 +212,96 @@ class TestRunCampaign:
             str(outcome.out_dir / "runs" / "moons__mean-teacher__seed0.csv"))
         assert header[:5] == ["iteration", "lr", "w", "sup_loss", "con_loss"]
         assert list(matrix[:, 0]) == [20.0, 40.0]
+
+
+def grid_config():
+    return validate_config(tiny_config_text(report={"grids": True, "grid_resolution": [5, 4]}))
+
+
+def run_files(out, run_id, with_ema):
+    """The files one finished run writes into the campaign directory ``out``."""
+    names = [f"runs/{run_id}.csv", f"params/{run_id}.txt", f"grid_{run_id}.csv"]
+    if with_ema:
+        names += [f"params/{run_id}_ema.txt", f"grid_{run_id}_ema.csv"]
+    return [out / name for name in names]
+
+
+class TestStreaming:
+    def test_each_run_is_on_disk_before_the_next_starts(self, tmp_path, monkeypatch):
+        config = grid_config()
+        out = tmp_path / "out"
+        started = []
+        original = campaign.execute_run
+
+        def checked(config, spec):
+            for run_id in started:
+                for path in run_files(out, run_id, "mean-teacher" in run_id):
+                    assert path.is_file(), path
+            started.append(spec.run_id)
+            return original(config, spec)
+
+        monkeypatch.setattr(campaign, "execute_run", checked)
+        outcome = quiet_run(config, out_dir=out, workers=1)
+        assert outcome.ok
+        assert started == [spec.run_id for spec in build_runs(config)]
+
+    def test_interrupted_campaign_keeps_finished_runs(self, tmp_path, monkeypatch):
+        config = grid_config()
+        full = quiet_run(config, out_dir=tmp_path / "full")
+        third = build_runs(config)[2].run_id
+        original = campaign.execute_run
+
+        def interrupted(config, spec):
+            if spec.run_id == third:
+                raise KeyboardInterrupt
+            return original(config, spec)
+
+        monkeypatch.setattr(campaign, "execute_run", interrupted)
+        cut = tmp_path / "cut"
+        with pytest.raises(KeyboardInterrupt):
+            quiet_run(config, out_dir=cut, workers=1)
+        finished = [spec.run_id for spec in build_runs(config)[:2]]
+        expected = {path.relative_to(cut).as_posix() for run_id in finished
+                    for path in run_files(cut, run_id, "mean-teacher" in run_id)}
+        written = {p.relative_to(cut).as_posix() for p in cut.rglob("*") if p.is_file()}
+        assert written == expected
+        for name in expected:
+            assert (cut / name).read_bytes() == (full.out_dir / name).read_bytes(), name
+        assert not (cut / "manifest.json").exists()
+
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched execute_run")
+    def test_dead_worker_fails_its_run_only(self, tmp_path, monkeypatch):
+        config = validate_config(tiny_config_text())
+        runs = [spec.run_id for spec in build_runs(config)]
+        out = tmp_path / "out"
+        original = campaign.execute_run
+
+        def dies_last(config, spec):
+            if spec.run_id != runs[-1]:
+                return original(config, spec)
+            # wait until the parent has written every earlier run, so those
+            # finished before the pool broke
+            deadline = time.monotonic() + 60.0
+            while (time.monotonic() < deadline
+                   and not all((out / "runs" / f"{r}.csv").is_file() for r in runs[:-1])):
+                time.sleep(0.01)
+            os._exit(1)
+
+        monkeypatch.setattr(campaign, "execute_run", dies_last)
+        path = tmp_path / "c.json"
+        path.write_text(tiny_config_text())
+        assert main(["run", str(path), "--workers", "2", "--out", str(out)]) == 1
+        manifest = json.loads((out / "manifest.json").read_text())
+        entries = {r["run_id"]: r for r in manifest["runs"]}
+        assert [entries[r]["status"] for r in runs] == ["ok", "ok", "ok", "failed"]
+        assert entries[runs[-1]]["failure"] == f"failures/{runs[-1]}.txt"
+        assert "BrokenProcessPool" in (out / "failures" / f"{runs[-1]}.txt").read_text()
+        for run_id in runs[:-1]:
+            assert (out / "runs" / f"{run_id}.csv").is_file()
+        table = read_table(out / "table.csv")
+        assert table["moons"]["supervised"]["all"][1] is not None  # both seeds
+        assert table["moons"]["mean-teacher"]["all"][1] is None  # seed 0 only
 
 
 class TestCli:

@@ -63,6 +63,26 @@ class TestForward:
         assert np.array_equal(doubled[-1], logits[2])
         assert np.array_equal(doubled[:5], logits)
 
+    @pytest.mark.parametrize("hidden_layers", [1, 3])
+    def test_matches_out_of_place_reference_bit_for_bit(self, hidden_layers):
+        # random biases too, so the in-place bias add is exercised
+        layout = init_params(16, 3, seed=0, hidden_layers=hidden_layers)
+        rng = np.random.default_rng(hidden_layers)
+        params = layout.with_flat(rng.normal(size=layout.n_params))
+        x = rng.normal(scale=2.0, size=(257, 2))
+        logits, trace = forward(params, x)
+        h = x
+        activations = []
+        for w, b in zip(params.weights[:-1], params.biases[:-1]):
+            h = np.tanh(h @ w + b)
+            activations.append(h)
+        reference = h @ params.weights[-1] + params.biases[-1]
+        assert np.array_equal(logits, reference)
+        assert trace.logits is logits
+        assert len(trace.activations) == hidden_layers
+        for got, want in zip(trace.activations, activations):
+            assert np.array_equal(got, want)
+
     def test_softmax_rows_sum_to_one(self, params):
         x = np.random.default_rng(2).normal(scale=3.0, size=(50, 2))
         logits, _ = forward(params, x)

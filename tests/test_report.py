@@ -16,6 +16,7 @@ from skewlab.report import (
     default_bbox,
     group_errors,
     read_table,
+    write_grid_csv,
     write_report,
 )
 
@@ -153,7 +154,7 @@ class TestReportFiles:
         }
 
     def test_table_layout_and_round_trip(self, aggregates, tmp_path):
-        files = write_report(aggregates, {}, tmp_path)
+        files = write_report(aggregates, tmp_path)
         assert [f.name for f in files] == ["table.csv"]
         table = read_table(files[0])
         assert set(table) == {"twomoons", "fourspins"}
@@ -167,22 +168,21 @@ class TestReportFiles:
     def test_single_run_cells_have_no_spread(self, tmp_path):
         aggs = {"twomoons": {"supervised": AggregateResult(
             mean=GroupErrors(0.1, 0.05, 0.2), std=None, n_runs=1)}}
-        files = write_report(aggs, {}, tmp_path)
+        files = write_report(aggs, tmp_path)
         table = read_table(files[0])
         assert table["twomoons"]["supervised"]["all"] == (0.1, None)
         assert "±" not in files[0].read_text()
 
     def test_custom_table_name(self, aggregates, tmp_path):
-        files = write_report(aggregates, {}, tmp_path, table_name="table_ema.csv")
+        files = write_report(aggregates, tmp_path, table_name="table_ema.csv")
         assert files[0].name == "table_ema.csv"
 
-    def test_grid_files_written_per_run(self, aggregates, tmp_path):
+    def test_grid_files_written_per_run(self, tmp_path):
         params = init_params(4, 2, seed=22)
         grid = boundary_grid(params, (-1.0, 1.0, -1.0, 1.0), resolution=(3, 3))
-        files = write_report(aggregates, {"twomoons__mt__seed0": grid}, tmp_path)
-        names = [f.name for f in files]
-        assert names == ["table.csv", "grid_twomoons__mt__seed0.csv"]
-        lines = files[1].read_text().strip().split("\n")
+        path = tmp_path / "grid_twomoons__mt__seed0.csv"
+        write_grid_csv(grid, path)
+        lines = path.read_text().strip().split("\n")
         assert lines[0] == "x,y,max_prob,argmax"
         assert len(lines) == 1 + 9
         # rows iterate y-outer, x-inner
