@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from skewlab.mlp import init_params, params_equal
 from skewlab.optim import Schedule
 from skewlab.training import (
     AlgorithmSpec,
+    HistoryPoint,
     TrainConfig,
     TrainingDiverged,
     evaluate,
@@ -61,6 +65,88 @@ class TestDeterminism:
         a = train(split, algo, small_config(w_max=0.0, seed=0))
         b = train(split, algo, small_config(w_max=0.0, seed=1))
         assert not params_equal(a.params, b.params)
+
+
+def trajectory_digests(result) -> tuple[str, str | None, str]:
+    """sha256 of the final student vector, of the EMA vector (None without a
+    target) and of every HistoryPoint field in order, as float64 bytes."""
+    def digest(values) -> str:
+        h = hashlib.sha256()
+        for value in values:
+            h.update(np.asarray(value, dtype=np.float64).tobytes())
+        return h.hexdigest()
+
+    history = [np.nan if getattr(point, field.name) is None else getattr(point, field.name)
+               for point in result.history for field in dataclasses.fields(HistoryPoint)]
+    ema = None if result.ema_params is None else digest([result.ema_params.flat])
+    return digest([result.params.flat]), ema, digest(history)
+
+
+class TestPinnedTrajectories:
+    """Each regime's final vectors and history, bit for bit.  The digests were
+    taken with numpy 2.4 and its bundled OpenBLAS on x86-64; a build that
+    rounds matrix products differently moves them, and so does any change to
+    the order of the floating-point operations in a training step."""
+
+    RUNS = {
+        "supervised": (dict(kind="supervised"), dict()),
+        "pi-model": (dict(kind="pi-model"), dict()),
+        "mean-teacher": (dict(kind="mean-teacher"), dict()),
+        "pseudo-label": (dict(kind="pseudo-label"), dict()),
+        "mt-scl": (dict(kind="mt-scl"), dict()),
+        "mean-teacher-decay": (dict(kind="mean-teacher"), dict(weight_decay=1e-3)),
+        "mt-scl-target": (dict(kind="mt-scl", scl_pred_source="target"), dict()),
+        "supervised-no-momentum": (dict(kind="supervised"), dict(momentum=0.0)),
+    }
+    PINS = {
+        "mean-teacher": (
+            "dd9772a85a5097e2a5243a56e6e5f7f0291d1fd976e21a382dfcbc74b4e5da9c",
+            "8708d2d35bc59371354667898299b206fc447a4cff24a9136a8743a30d19287a",
+            "87fc5deb7960b2f78097bc222df13bc4977ce20a8b3d44d742b7c9bcec118097",
+        ),
+        "mean-teacher-decay": (
+            "85146c994f4331fb10143de45307054acb81e61c65119da326f938beceddf6ea",
+            "042bf7d58985a587f4597c94e466adbfcc22b2c8dd324aa25035c5c86a3062ce",
+            "582d29b9e7ae3214003c7770df09d50550cd1e3d193273b68b3b23e311493bb3",
+        ),
+        "mt-scl": (
+            "d74b7d1e62366a0538fa3a99adf1101012d1d09aa5c9b75e57ddbfff32985d24",
+            "441509fe4c7861b0b7db6acc862d495c700e0950eba6afc6eb1250c8c7af2c0e",
+            "715098d80780ee8ed35e39c9bd4e28eff7b188260f1bc3a7b6d4155a613c5b65",
+        ),
+        "mt-scl-target": (
+            "efb22597d560ccebfefc75df9a605b5a2b893f2eef86e9db78a36e2b0e5af532",
+            "00b92e590346e8a9ece9a0a8c6d33cfbf4279a0d7a0016daa1096d0ae32b3a63",
+            "25286ea90f0d4626ddaa56eb46ee0ce0837ee828355c1ef2d42082b4a8462af5",
+        ),
+        "pi-model": (
+            "f04ea87d3bed5e093caa9a18de033cfcb49d5e69b69a8e86699b62f70be545f9",
+            None,
+            "d1e1802208cae3200c09f4780708d996999c371eb9f6b6f6fd190eafdd7b658f",
+        ),
+        "pseudo-label": (
+            "7436fc942593b4c3728f6b075794edba5b8ca40b7a9d28ab86532847c071d247",
+            None,
+            "78f1272bed9cd80be37c5b243a32c99ddde51c05ea9206d73b3a3a4668745731",
+        ),
+        "supervised": (
+            "070214ef3fdef59293d704238d7f1c0d04f9740cdd618d4215d7b9d2460ede53",
+            None,
+            "bf17d6db8861853408105d16ebd4e2350a59a4d470cdff2c236432921abd60a1",
+        ),
+        "supervised-no-momentum": (
+            "ad928da3eb73230697456e21549a2dd14cf473d48ca0e2f6b0e0ce891fdfa541",
+            None,
+            "f011178a7e5b7ab0efedffd5bfa04c31818de0af2ef877e506841d99a6d5abc7",
+        ),
+    }
+
+    @pytest.mark.parametrize("name", sorted(RUNS))
+    def test_digests(self, split, name):
+        algo_fields, config_fields = self.RUNS[name]
+        result = train(split, AlgorithmSpec(**algo_fields),
+                       small_config(w_max=4.0, seed=21, **config_fields))
+        assert trajectory_digests(result) == self.PINS[name]
 
 
 class TestRegimeEquivalences:
