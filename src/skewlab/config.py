@@ -57,11 +57,6 @@ class AlgorithmConfig(AlgorithmSpec):
     name: str = setting()
     w_max: float = field(metadata=Schedule.__dataclass_fields__["w_max"].metadata | {"key": None})
 
-    @property
-    def spec(self) -> AlgorithmSpec:
-        """The regime spec that train() takes; an AlgorithmConfig is one."""
-        return self
-
 
 @dataclass(frozen=True)
 class GapCurveSpec(Settings):

@@ -3,8 +3,9 @@
 The network is input(2) -> tanh hidden layers -> linear output, float64
 throughout.  All parameters live in one flat vector, laid out weight then bias,
 layer by layer; the per-layer weights and biases are views into it.
-Parameters are treated as immutable values: every update builds a new vector,
-which keeps trainer states trivially snapshottable.
+Training owns its parameter vectors for the whole run and updates them in
+place (``skewlab.optim``); the functions here only read parameters and return
+new arrays.
 """
 
 from __future__ import annotations

@@ -1,7 +1,8 @@
 """SGD with classical momentum, EMA parameter tracking, and the run schedule.
 
-Update order per training step is fixed: velocity and parameters move first,
-then the EMA target absorbs the freshly updated parameters.
+Both updates work in place on flat parameter vectors that live for the whole
+run.  Update order per training step is fixed: velocity and parameters move
+first, then the EMA target absorbs the freshly updated parameters.
 """
 
 from __future__ import annotations
@@ -11,33 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import MlpParams
 from .schema import Settings, setting
-
-
-@dataclass(frozen=True, eq=False)
-class SgdState:
-    """Velocity plus the step-size settings used for the next step."""
-
-    velocity: MlpParams
-    lr: float
-    momentum: float
-
-    def __post_init__(self) -> None:
-        if self.lr <= 0.0:
-            raise ValueError("lr must be positive")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError("momentum must lie in [0,1)")
-
-
-@dataclass(frozen=True, eq=False)
-class EmaState:
-    target: MlpParams
-    gamma: float
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.gamma <= 1.0:
-            raise ValueError("gamma must lie in (0,1]")
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -61,29 +36,18 @@ class Schedule(Settings):
             last = point
 
 
-def init_sgd_state(params: MlpParams, lr: float, momentum: float) -> SgdState:
-    velocity = MlpParams(params.layer_sizes, np.zeros_like(params.flat))
-    return SgdState(velocity=velocity, lr=lr, momentum=momentum)
+def sgd_step(params: np.ndarray, grad: np.ndarray, velocity: np.ndarray,
+             lr: float, momentum: float) -> None:
+    """In place: velocity <- momentum * velocity + lr * grad; params <- params - velocity."""
+    velocity *= momentum
+    velocity += lr * grad
+    params -= velocity
 
 
-def sgd_step(params: MlpParams, grad: MlpParams, state: SgdState) -> tuple[MlpParams, SgdState]:
-    """v <- momentum * v + lr * grad; params <- params - v."""
-    if not np.all(np.isfinite(grad.flat)):
-        raise FloatingPointError("non-finite gradient passed to sgd_step")
-    velocity = state.momentum * state.velocity.flat + state.lr * grad.flat
-    return (MlpParams(params.layer_sizes, params.flat - velocity),
-            SgdState(velocity=MlpParams(params.layer_sizes, velocity), lr=state.lr,
-                     momentum=state.momentum))
-
-
-def init_ema(params: MlpParams, gamma: float) -> EmaState:
-    return EmaState(target=params, gamma=gamma)
-
-
-def ema_update(state: EmaState, params: MlpParams) -> EmaState:
-    """target <- gamma * target + (1 - gamma) * params."""
-    target = state.gamma * state.target.flat + (1.0 - state.gamma) * params.flat
-    return EmaState(target=MlpParams(params.layer_sizes, target), gamma=state.gamma)
+def ema_update(target: np.ndarray, params: np.ndarray, gamma: float) -> None:
+    """In place: target <- gamma * target + (1 - gamma) * params."""
+    target *= gamma
+    target += (1.0 - gamma) * params
 
 
 def rampup_weight(t: int, sched: Schedule) -> float:

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .mlp import (
     param_scale,
     softmax,
 )
-from .optim import Schedule, ema_update, init_ema, init_sgd_state, lr_at, rampup_weight, sgd_step
+from .optim import Schedule, ema_update, lr_at, rampup_weight, sgd_step
 from .schema import Settings, setting
 
 CONSISTENCY_KINDS = ("pi-model", "mean-teacher", "mt-scl")
@@ -43,7 +43,7 @@ EMA_KINDS = ("mean-teacher", "mt-scl")
 
 
 class TrainingDiverged(RuntimeError):
-    """Raised when a loss goes non-finite; carries a diagnostic snapshot."""
+    """Raised when a loss or the gradient goes non-finite; carries a diagnostic snapshot."""
 
     def __init__(self, iteration: int, sup_loss: float, con_loss: float, param_scale_: float):
         self.iteration = iteration
@@ -51,7 +51,7 @@ class TrainingDiverged(RuntimeError):
         self.con_loss = con_loss
         self.param_scale = param_scale_
         super().__init__(
-            f"non-finite loss at iteration {iteration}: supervised {sup_loss}, "
+            f"non-finite loss or gradient at iteration {iteration}: supervised {sup_loss}, "
             f"consistency {con_loss}, max |param| {param_scale_:g}")
 
 
@@ -190,8 +190,10 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, *,
                          hidden_layers=config.hidden_layers)
     batch_rng = np.random.default_rng(int(derived[1]))
     noise_rng = np.random.default_rng(int(derived[2]))
-    opt = init_sgd_state(params, sched.base_lr, config.momentum)
-    ema = init_ema(params, algo.ema_gamma) if algo.kind in EMA_KINDS else None
+    # the student, its velocity and the EMA target live for the whole run and
+    # are updated in place
+    velocity = np.zeros_like(params.flat)
+    ema = params.with_flat(params.flat) if algo.kind in EMA_KINDS else None
     counts = split.labeled_counts
 
     history: list[HistoryPoint] = []
@@ -210,8 +212,7 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, *,
             x_target = perturb(x_unl, config.perturb_std, noise_rng)
             s_logits, s_trace = forward(params, x_student)
             s_probs = softmax(s_logits)
-            target_params = ema.target if ema is not None else params
-            t_logits, _ = forward(target_params, x_target)
+            t_logits, _ = forward(ema if ema is not None else params, x_target)
             t_probs = softmax(t_logits)
             if algo.kind == "mt-scl":
                 source = t_probs if algo.scl_pred_source == "target" else s_probs
@@ -229,24 +230,25 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, *,
 
         if config.weight_decay > 0.0:
             grad = param_add(grad, param_scale(params, config.weight_decay))
-        if not (math.isfinite(sup_loss) and math.isfinite(con_loss)):
+        if not (math.isfinite(sup_loss) and math.isfinite(con_loss)
+                and np.all(np.isfinite(grad.flat))):
             raise TrainingDiverged(t, sup_loss, con_loss, _max_abs_param(params))
 
-        opt = replace(opt, lr=lr)
-        params, opt = sgd_step(params, grad, opt)
+        sgd_step(params.flat, grad.flat, velocity, lr, config.momentum)
         if ema is not None:
-            ema = ema_update(ema, params)
+            ema_update(ema.flat, params.flat, algo.ema_gamma)
         if step_callback is not None:
-            step_callback(t, params, ema.target if ema is not None else None)
+            step_callback(t, params.with_flat(params.flat),
+                          ema.with_flat(ema.flat) if ema is not None else None)
 
         if (t + 1) % config.eval_every == 0 or t + 1 == sched.total_iters:
             student_errors = evaluate(params, split.validation)
-            ema_errors = evaluate(ema.target, split.validation) if ema is not None else None
+            ema_errors = evaluate(ema, split.validation) if ema is not None else None
             history.append(HistoryPoint(t + 1, lr, w, sup_loss, con_loss,
                                         student_errors, ema_errors))
 
     return RunResult(params=params,
-                     ema_params=ema.target if ema is not None else None,
+                     ema_params=ema,
                      history=tuple(history),
                      wall_seconds=time.perf_counter() - started)
 

@@ -214,7 +214,7 @@ class TestPresets:
         assert (moons.labeled_max, moons.unlabeled_max, moons.val_per_class) == (10, 2500, 3000)
         assert (spins.labeled_max, spins.unlabeled_max, spins.val_per_class) == (5, 1250, 1500)
         assert moons.rho_l == spins.rho_l == 5.0
-        assert config.algorithms[3].spec.scl.kind == "linear"
+        assert config.algorithms[3].scl.kind == "linear"
 
     def test_grid_preset_turns_on_dumps(self):
         config = preset_config("toy-figure1-grids")
@@ -227,7 +227,7 @@ class TestPresets:
 
     def test_ablation_preset_sweeps_shapes(self):
         config = preset_config("ablation-scl-shapes")
-        shapes = [(a.spec.scl.kind, a.spec.scl.beta) for a in config.algorithms[1:]]
+        shapes = [(a.scl.kind, a.scl.beta) for a in config.algorithms[1:]]
         assert shapes == [("exponential", 0.25), ("exponential", 0.5),
                           ("exponential", 0.75), ("linear", 0.5)]
 

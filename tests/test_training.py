@@ -8,6 +8,7 @@ import hashlib
 import numpy as np
 import pytest
 
+import skewlab.training
 from skewlab.datasets import gen_two_moons, imbalance_counts, make_cissl_split
 from skewlab.losses import SclShape
 from skewlab.mlp import init_params, params_equal
@@ -300,7 +301,7 @@ class TestTrainingOutcomes:
         assert result.history[-1].student_errors.mean() < 0.05
 
     def test_divergence_raises_with_diagnostics(self, split):
-        # the probability floor bounds plain CE, so blow up the parameters
+        # CE taken from finite logits stays finite, so blow up the parameters
         # through the decay term instead
         config = TrainConfig(schedule=Schedule(total_iters=300, rampup_iters=0,
                                                w_max=0.0, base_lr=1e160),
@@ -311,6 +312,26 @@ class TestTrainingOutcomes:
                 train(split, AlgorithmSpec(kind="supervised"), config)
         assert excinfo.value.iteration >= 0
         assert "non-finite loss" in str(excinfo.value)
+
+    def test_non_finite_gradient_is_rejected(self, split, monkeypatch):
+        backward = skewlab.training.backward
+        calls = []
+
+        def poisoned(trace, d_logits):
+            calls.append(None)
+            grad = backward(trace, d_logits)
+            if len(calls) == 3:
+                grad.flat[0] = np.nan
+            return grad
+
+        monkeypatch.setattr(skewlab.training, "backward", poisoned)
+        steps = []
+        with pytest.raises(TrainingDiverged, match="non-finite loss or gradient") as excinfo:
+            train(split, AlgorithmSpec(kind="supervised"), small_config(w_max=0.0, seed=15),
+                  step_callback=lambda t, params, target: steps.append(t))
+        assert excinfo.value.iteration == 2
+        assert np.isfinite(excinfo.value.sup_loss) and excinfo.value.con_loss == 0.0
+        assert steps == [0, 1]
 
     def test_history_spacing_and_final_point(self, split):
         result = train(split, AlgorithmSpec(kind="mean-teacher"),
