@@ -151,9 +151,10 @@ def _outcomes(config: CampaignConfig, runs: list[RunSpec], n_workers: int):
 
     Serially each run executes when the next outcome is asked for.  On a pool
     every run is submitted up front and results are taken in submission
-    order; a run whose worker died (or that was pending when the pool broke)
-    comes back as a failure.  Closing the generator cancels the runs that
-    have not started.
+    order.  A dead worker breaks the pool; each run it left without a result
+    (in flight or queued) is then retried once, alone on a fresh one-worker
+    pool, so only a run whose own worker dies comes back as a failure.
+    Closing the generator cancels the runs that have not started.
     """
     if n_workers == 1 or len(runs) <= 1:
         for spec in runs:
@@ -168,10 +169,19 @@ def _outcomes(config: CampaignConfig, runs: list[RunSpec], n_workers: int):
                 try:
                     yield future.result()
                 except BrokenProcessPool:
-                    yield spec.run_id, None, traceback.format_exc()
+                    yield _execute_alone(config, spec)
         finally:
             for future in pending:
                 future.cancel()
+
+
+def _execute_alone(config: CampaignConfig, spec: RunSpec):
+    """One run on its own one-worker pool; a failure if that worker dies too."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        try:
+            return pool.submit(_execute_payload, (config, spec)).result()
+        except BrokenProcessPool:
+            return spec.run_id, None, traceback.format_exc()
 
 
 def resolve_workers(workers: int | None) -> int:

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mlp import log_softmax, softmax
 from .schema import Settings, setting
 
 
@@ -48,12 +47,12 @@ def class_weights(spec: ReweightSpec, counts: np.ndarray) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     if counts.ndim != 1 or counts.size < 2:
         raise ValueError("counts must be a vector with one entry per class (>= 2 classes)")
-    if np.any(counts < 1):
+    if (counts < 1).any():
         raise ValueError("counts must be positive")
     n_classes = counts.size
     if spec.method in ("ce", "focal"):
         return np.ones(n_classes, dtype=np.float64)
-    if np.all(counts == counts[0]):
+    if (counts == counts[0]).all():
         # Balanced counts give uniform weights by definition; returning ones
         # directly keeps the balanced case bit-identical to plain CE.
         return np.ones(n_classes, dtype=np.float64)
@@ -86,13 +85,17 @@ def supervised_loss(logits: np.ndarray, labels: np.ndarray, spec: ReweightSpec,
     batch = logits.shape[0]
     if batch == 0:
         raise ValueError("batch must be nonempty")
-    if np.any(labels < 0) or np.any(labels >= logits.shape[1]):
+    if (labels < 0).any() or (labels >= logits.shape[1]).any():
         raise ValueError("labels must index columns of logits")
     weights = class_weights(spec, counts)
     sample_w = weights[labels]
     rows = np.arange(batch)
-    probs = softmax(logits)
-    log_p = log_softmax(logits)[rows, labels]
+    # one shift, exp and row sum serve both the softmax and the log-softmax
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    row_sum = probs.sum(axis=1, keepdims=True)
+    log_p = shifted[rows, labels] - np.log(row_sum[:, 0])
+    probs /= row_sum
 
     if spec.method == "focal":
         gamma = spec.focal_gamma
@@ -113,11 +116,13 @@ def supervised_loss(logits: np.ndarray, labels: np.ndarray, spec: ReweightSpec,
     else:
         loss_terms = -log_p
         row_scale = sample_w / batch
-    onehot = np.zeros_like(probs)
-    onehot[rows, labels] = 1.0
-    d_logits = (probs - onehot) * row_scale[:, None]
+    # probs - onehot(labels), scaled per row, built on the probability array
+    d_logits = probs
+    d_logits[rows, labels] -= 1.0
+    d_logits *= row_scale[:, None]
 
-    loss = float(np.mean(sample_w * loss_terms))
+    # the bits of .mean(), without its Python-level overhead
+    loss = float((sample_w * loss_terms).sum() / batch)
     return loss, d_logits
 
 
@@ -132,8 +137,9 @@ def _weighted_consistency(student_probs: np.ndarray, target_probs: np.ndarray,
     if batch == 0:
         raise ValueError("batch must be nonempty")
     diff = student_probs - target_probs
-    per_sample = 0.5 * np.sum(diff * diff, axis=1)
-    loss = float(np.mean(sample_weights * per_sample))
+    per_sample = 0.5 * (diff * diff).sum(axis=1)
+    # the bits of .mean(), without its Python-level overhead
+    loss = float((sample_weights * per_sample).sum() / batch)
     d_probs = diff * (sample_weights / batch)[:, None]
     return loss, _grad_through_softmax(d_probs, student_probs)
 

@@ -4,8 +4,10 @@ The network is input(2) -> tanh hidden layers -> linear output, float64
 throughout.  All parameters live in one flat vector, laid out weight then bias,
 layer by layer; the per-layer weights and biases are views into it.
 Training owns its parameter vectors for the whole run and updates them in
-place (``skewlab.optim``); the functions here only read parameters and return
-new arrays.
+place (``skewlab.optim``).  ``forward``, ``backward``, ``param_add`` and
+``param_scale`` never modify their inputs.  Each takes an optional ``out=``:
+given, it writes its result there (a run-lifetime workspace) and returns it;
+omitted, it allocates fresh arrays.  Both give the same bits.
 """
 
 from __future__ import annotations
@@ -89,12 +91,22 @@ class MlpParams:
         return MlpParams(self.layer_sizes, np.array(values, dtype=np.float64))
 
 
-def param_add(a: MlpParams, b: MlpParams) -> MlpParams:
-    return MlpParams(a.layer_sizes, a.flat + b.flat)
+def _like(params: MlpParams) -> MlpParams:
+    return MlpParams(params.layer_sizes, np.empty_like(params.flat))
 
 
-def param_scale(params: MlpParams, factor: float) -> MlpParams:
-    return MlpParams(params.layer_sizes, params.flat * factor)
+def param_add(a: MlpParams, b: MlpParams, out: MlpParams | None = None) -> MlpParams:
+    """a + b, written into ``out`` if given."""
+    out = _like(a) if out is None else out
+    np.add(a.flat, b.flat, out=out.flat)
+    return out
+
+
+def param_scale(params: MlpParams, factor: float, out: MlpParams | None = None) -> MlpParams:
+    """params * factor, written into ``out`` if given."""
+    out = _like(params) if out is None else out
+    np.multiply(params.flat, factor, out=out.flat)
+    return out
 
 
 def params_equal(a: MlpParams, b: MlpParams) -> bool:
@@ -124,33 +136,47 @@ def init_params(hidden_width: int, n_classes: int, seed: int, *,
     return params
 
 
-def forward(params: MlpParams, x: np.ndarray) -> tuple[np.ndarray, ForwardTrace]:
-    """Compute logits for a batch of points; returns the trace for backward."""
+def layer_buffers(layer_sizes: tuple[int, ...], rows: int) -> tuple[np.ndarray, ...]:
+    """One uninitialised (rows, fan_out) array per layer: forward's ``out``."""
+    return tuple(np.empty((rows, fan_out)) for fan_out in layer_sizes[1:])
+
+
+def forward(params: MlpParams, x: np.ndarray, out: tuple[np.ndarray, ...] | None = None
+            ) -> tuple[np.ndarray, ForwardTrace]:
+    """Compute logits for a batch of points; returns the trace for backward.
+
+    Each layer's output goes into the matching array of ``out`` (see
+    ``layer_buffers``); the last one holds the logits.  The trace reads those
+    arrays, so it stays valid only until ``out`` is written again.
+    """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != params.weights[0].shape[0]:
         raise ValueError(f"input must have shape (batch, {params.weights[0].shape[0]})")
     if x.shape[0] == 0:
         raise ValueError("input batch must be nonempty")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("input must be finite")
-    act = []
+    if out is None:
+        out = layer_buffers(params.layer_sizes, x.shape[0])
+    elif len(out) != len(params.weights):
+        raise ValueError("out must hold one array per layer")
     h = x
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+    for w, b, z in zip(params.weights[:-1], params.biases[:-1], out):
         # tanh in place over the pre-activation: the same values as
-        # np.tanh(h @ w + b) without keeping a second batch x width array alive
-        z = h @ w
+        # np.tanh(h @ w + b) without a second batch x width array
+        np.matmul(h, w, out=z)
         z += b
         h = np.tanh(z, out=z)
-        act.append(h)
-    logits = h @ params.weights[-1] + params.biases[-1]
-    return logits, ForwardTrace(params, x, tuple(act), logits)
+    logits = np.matmul(h, params.weights[-1], out=out[-1])
+    logits += params.biases[-1]
+    return logits, ForwardTrace(params, x, tuple(out[:-1]), logits)
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    e /= e.sum(axis=1, keepdims=True)
+    return e
 
 
 def log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -159,26 +185,31 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
 
 
-def backward(trace: ForwardTrace, d_logits: np.ndarray) -> MlpParams:
+def backward(trace: ForwardTrace, d_logits: np.ndarray,
+             out: MlpParams | None = None) -> MlpParams:
     """Backpropagate a loss gradient taken with respect to the logits.
 
-    Returns a parameter-shaped gradient.  d_logits must already include any
-    batch averaging constant (the losses here fold in the 1/batch term).
+    Returns a parameter-shaped gradient, written into ``out`` if given.
+    d_logits must already include any batch averaging constant (the losses
+    here fold in the 1/batch term).
     """
     d_logits = np.asarray(d_logits, dtype=np.float64)
     if d_logits.shape != trace.logits.shape:
         raise ValueError("d_logits must match the logits shape")
     params = trace.params
-    grad = MlpParams(params.layer_sizes, np.empty(params.n_params))
+    if out is None:
+        out = _like(params)
+    elif out.layer_sizes != params.layer_sizes:
+        raise ValueError("out must have the parameters' layer sizes")
     layer_inputs = (trace.inputs,) + trace.activations
     delta = d_logits
     for i in range(len(params.weights) - 1, -1, -1):
-        grad.weights[i][...] = layer_inputs[i].T @ delta
-        grad.biases[i][...] = delta.sum(axis=0)
+        np.matmul(layer_inputs[i].T, delta, out=out.weights[i])
+        delta.sum(axis=0, out=out.biases[i])
         if i > 0:
             # tanh'(z) expressed through the stored activation: 1 - tanh(z)^2.
             delta = (delta @ params.weights[i].T) * (1.0 - trace.activations[i - 1] ** 2)
-    return grad
+    return out
 
 
 def grad_check(params: MlpParams, loss_fn: Callable[[MlpParams], tuple[float, MlpParams]],

@@ -30,6 +30,7 @@ from .mlp import (
     backward,
     forward,
     init_params,
+    layer_buffers,
     log_softmax,
     param_add,
     param_scale,
@@ -112,17 +113,22 @@ def sample_batch(split: CisslSplit, config: TrainConfig,
     config turns it off.  The labeled draw always precedes the unlabeled one
     so every regime consumes the stream identically.
     """
-    n_lab = len(split.labeled)
-    rows_lab = rng.choice(n_lab, size=config.labeled_batch,
-                          replace=config.sample_with_replacement)
+    replace = config.sample_with_replacement
+    rows_lab = _draw_rows(rng, len(split.labeled), config.labeled_batch, replace)
     unlabeled = split.unlabeled_points()
     if unlabeled.shape[0] == 0:
         rows_unl = np.empty(0, dtype=np.int64)
     else:
-        rows_unl = rng.choice(unlabeled.shape[0], size=config.unlabeled_batch,
-                              replace=config.sample_with_replacement)
+        rows_unl = _draw_rows(rng, unlabeled.shape[0], config.unlabeled_batch, replace)
     return (split.labeled.points[rows_lab], split.labeled.labels[rows_lab],
             unlabeled[rows_unl])
+
+
+def _draw_rows(rng: np.random.Generator, n: int, size: int, replace: bool) -> np.ndarray:
+    if replace:
+        # the same stream as rng.choice(n, size), without its argument handling
+        return rng.integers(0, n, size)
+    return rng.choice(n, size=size, replace=False)
 
 
 def perturb(x: np.ndarray, noise_std: float, rng: np.random.Generator) -> np.ndarray:
@@ -191,9 +197,18 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, *,
     batch_rng = np.random.default_rng(int(derived[1]))
     noise_rng = np.random.default_rng(int(derived[2]))
     # the student, its velocity and the EMA target live for the whole run and
-    # are updated in place
+    # are updated in place; so does the step workspace: the gradient, one
+    # buffer that the consistency, pseudo-label and decay terms take turns in,
+    # and the layer outputs of the labeled, student and target batches (the
+    # target's apart, since the student's trace must outlive the target's
+    # forward pass)
     velocity = np.zeros_like(params.flat)
     ema = params.with_flat(params.flat) if algo.kind in EMA_KINDS else None
+    grad = MlpParams(params.layer_sizes, np.empty(params.n_params))
+    extra = MlpParams(params.layer_sizes, np.empty(params.n_params))
+    lab_out = layer_buffers(params.layer_sizes, config.labeled_batch)
+    student_out = layer_buffers(params.layer_sizes, config.unlabeled_batch)
+    target_out = layer_buffers(params.layer_sizes, config.unlabeled_batch)
     counts = split.labeled_counts
 
     history: list[HistoryPoint] = []
@@ -202,17 +217,18 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, *,
         w = rampup_weight(t, sched)
         x_lab, y_lab, x_unl = sample_batch(split, config, batch_rng)
 
-        logits, trace = forward(params, x_lab)
+        logits, trace = forward(params, x_lab, out=lab_out)
         sup_loss, d_sup = supervised_loss(logits, y_lab, algo.reweight, counts)
-        grad = backward(trace, d_sup)
+        backward(trace, d_sup, out=grad)
 
         con_loss = 0.0
         if algo.kind in CONSISTENCY_KINDS and w > 0.0 and x_unl.shape[0] > 0:
             x_student = perturb(x_unl, config.perturb_std, noise_rng)
             x_target = perturb(x_unl, config.perturb_std, noise_rng)
-            s_logits, s_trace = forward(params, x_student)
+            s_logits, s_trace = forward(params, x_student, out=student_out)
             s_probs = softmax(s_logits)
-            t_logits, _ = forward(ema if ema is not None else params, x_target)
+            t_logits, _ = forward(ema if ema is not None else params, x_target,
+                                  out=target_out)
             t_probs = softmax(t_logits)
             if algo.kind == "mt-scl":
                 source = t_probs if algo.scl_pred_source == "target" else s_probs
@@ -221,17 +237,19 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, *,
                                                   counts, algo.scl)
             else:
                 con_loss, d_con = consistency_l2(s_probs, t_probs)
-            grad = param_add(grad, param_scale(backward(s_trace, d_con), w))
+            param_add(grad, param_scale(backward(s_trace, d_con, out=extra), w, out=extra),
+                      out=grad)
         elif algo.kind == "pseudo-label" and w > 0.0 and x_unl.shape[0] > 0:
-            u_logits, u_trace = forward(params, x_unl)
+            u_logits, u_trace = forward(params, x_unl, out=student_out)
             con_loss, d_con = _pseudo_label_loss(u_logits, algo.pl_threshold)
             if d_con is not None:
-                grad = param_add(grad, param_scale(backward(u_trace, d_con), w))
+                param_add(grad, param_scale(backward(u_trace, d_con, out=extra), w, out=extra),
+                          out=grad)
 
         if config.weight_decay > 0.0:
-            grad = param_add(grad, param_scale(params, config.weight_decay))
+            param_add(grad, param_scale(params, config.weight_decay, out=extra), out=grad)
         if not (math.isfinite(sup_loss) and math.isfinite(con_loss)
-                and np.all(np.isfinite(grad.flat))):
+                and np.isfinite(grad.flat).all()):
             raise TrainingDiverged(t, sup_loss, con_loss, _max_abs_param(params))
 
         sgd_step(params.flat, grad.flat, velocity, lr, config.momentum)

@@ -303,6 +303,35 @@ class TestStreaming:
         assert table["moons"]["supervised"]["all"][1] is not None  # both seeds
         assert table["moons"]["mean-teacher"]["all"][1] is None  # seed 0 only
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched execute_run")
+    def test_dead_first_worker_fails_its_run_only(self, tmp_path, monkeypatch):
+        # the pool breaks while every later run is in flight or queued; each
+        # is retried alone, and only the run that kills its worker fails
+        config = validate_config(tiny_config_text())
+        runs = [spec.run_id for spec in build_runs(config)]
+        full = quiet_run(config, out_dir=tmp_path / "full", workers=1)
+        original = campaign.execute_run
+
+        def dies_first(config, spec):
+            if spec.run_id == runs[0]:
+                os._exit(1)
+            return original(config, spec)
+
+        monkeypatch.setattr(campaign, "execute_run", dies_first)
+        out = tmp_path / "out"
+        outcome = quiet_run(config, out_dir=out, workers=2)
+        assert list(outcome.failures) == [runs[0]]
+        assert "BrokenProcessPool" in (out / "failures" / f"{runs[0]}.txt").read_text()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [r["status"] for r in manifest["runs"]] == ["failed", "ok", "ok", "ok"]
+        for run_id in runs[1:]:
+            name = f"runs/{run_id}.csv"
+            assert (out / name).read_bytes() == (full.out_dir / name).read_bytes(), name
+        table = read_table(out / "table.csv")
+        assert table["moons"]["supervised"]["all"][1] is None  # seed 1 only
+        assert table["moons"]["mean-teacher"]["all"][1] is not None  # both seeds
+
 
 class TestCli:
     def test_validate_accepts_good_config(self, tmp_path, capsys):

@@ -14,7 +14,9 @@ from skewlab.mlp import (
     forward,
     grad_check,
     init_params,
+    layer_buffers,
     load_params,
+    param_add,
     param_scale,
     params_equal,
     save_params,
@@ -83,6 +85,16 @@ class TestForward:
         for got, want in zip(trace.activations, activations):
             assert np.array_equal(got, want)
 
+        # into given buffers, filled with NaN so every entry must be written
+        out = layer_buffers(params.layer_sizes, len(x))
+        for buf in out:
+            buf.fill(np.nan)
+        into, into_trace = forward(params, x, out=out)
+        assert into is out[-1] and np.array_equal(into, reference)
+        assert len(into_trace.activations) == hidden_layers
+        for got, buf, want in zip(into_trace.activations, out, activations):
+            assert got is buf and np.array_equal(got, want)
+
     def test_softmax_rows_sum_to_one(self, params):
         x = np.random.default_rng(2).normal(scale=3.0, size=(50, 2))
         logits, _ = forward(params, x)
@@ -96,6 +108,10 @@ class TestForward:
     def test_rejects_bad_batches(self, params):
         with pytest.raises(ValueError):
             forward(params, np.empty((0, 2)))
+        with pytest.raises(ValueError):
+            forward(params, np.zeros((3, 2)), out=layer_buffers(params.layer_sizes, 3)[1:])
+        with pytest.raises(ValueError):
+            forward(params, np.zeros((3, 2)), out=layer_buffers(params.layer_sizes, 4))
         with pytest.raises(ValueError):
             forward(params, np.array([[np.nan, 0.0]]))
         with pytest.raises(ValueError):
@@ -117,6 +133,30 @@ class TestBackward:
         _, trace = forward(params, batch)
         with pytest.raises(ValueError):
             backward(trace, np.ones((5, 3)))
+        with pytest.raises(ValueError):
+            backward(trace, np.ones((5, 4)), out=init_params(8, 4, seed=0, hidden_layers=1))
+
+    @pytest.mark.parametrize("hidden_layers", [1, 3])
+    def test_matches_out_of_place_reference_bit_for_bit(self, hidden_layers):
+        layout = init_params(16, 3, seed=0, hidden_layers=hidden_layers)
+        rng = np.random.default_rng(10 + hidden_layers)
+        params = layout.with_flat(rng.normal(size=layout.n_params))
+        x = rng.normal(scale=2.0, size=(257, 2))
+        d_logits = rng.normal(size=(257, 3))
+        _, trace = forward(params, x)
+        inputs = (x,) + trace.activations
+        parts = []
+        delta = d_logits
+        for i in range(len(params.weights) - 1, -1, -1):
+            parts[:0] = [(inputs[i].T @ delta).ravel(), delta.sum(axis=0)]
+            if i > 0:
+                delta = (delta @ params.weights[i].T) * (1.0 - trace.activations[i - 1] ** 2)
+        reference = np.concatenate(parts)
+
+        assert np.array_equal(backward(trace, d_logits).flat, reference)
+        out = layout.with_flat(np.full(layout.n_params, np.nan))
+        assert backward(trace, d_logits, out=out) is out
+        assert np.array_equal(out.flat, reference)
 
     @pytest.mark.parametrize("hidden_layers", [1, 2, 3])
     def test_finite_differences_across_depths(self, batch, hidden_layers):
@@ -130,6 +170,30 @@ class TestBackward:
             return loss, backward(trace, d_logits)
 
         assert grad_check(params, loss_fn) < 1e-5
+
+
+class TestParamArithmetic:
+    @pytest.mark.parametrize("hidden_layers", [1, 3])
+    def test_out_matches_the_allocating_calls_bit_for_bit(self, hidden_layers):
+        layout = init_params(16, 3, seed=0, hidden_layers=hidden_layers)
+        rng = np.random.default_rng(20 + hidden_layers)
+        a = layout.with_flat(rng.normal(size=layout.n_params))
+        b = layout.with_flat(rng.normal(size=layout.n_params))
+        total = param_add(a, b)
+        scaled = param_scale(a, 0.37)
+        assert np.array_equal(total.flat, a.flat + b.flat)
+        assert np.array_equal(scaled.flat, a.flat * 0.37)
+        assert not np.shares_memory(total.flat, a.flat)
+
+        out = layout.with_flat(np.full(layout.n_params, np.nan))
+        assert param_add(a, b, out=out) is out
+        assert np.array_equal(out.flat, total.flat)
+        assert param_scale(a, 0.37, out=out) is out
+        assert np.array_equal(out.flat, scaled.flat)
+        # the accumulation a training step runs: out may be an operand
+        acc = a.with_flat(a.flat)
+        assert param_add(acc, param_scale(b, 0.37, out=out), out=acc) is acc
+        assert np.array_equal(acc.flat, a.flat + b.flat * 0.37)
 
 
 class TestGradCheck:

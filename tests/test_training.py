@@ -241,6 +241,24 @@ class TestSampleBatch:
         want = {tuple(p) for p in np.round(split.unlabeled_points(), 12)}
         assert seen == want
 
+    @pytest.mark.parametrize("replace", [True, False])
+    def test_rows_follow_the_choice_stream(self, split, replace):
+        # the same rows, and the same generator state after, as rng.choice on
+        # an identically seeded generator, draw after draw
+        config = small_config(w_max=0.0, labeled_batch=5, unlabeled_batch=7,
+                              sample_with_replacement=replace)
+        rng = np.random.default_rng(2)
+        reference = np.random.default_rng(2)
+        unlabeled = split.unlabeled_points()
+        for _ in range(20):
+            x_lab, y, x_unl = sample_batch(split, config, rng)
+            rows_lab = reference.choice(len(split.labeled), size=5, replace=replace)
+            rows_unl = reference.choice(unlabeled.shape[0], size=7, replace=replace)
+            assert np.array_equal(x_lab, split.labeled.points[rows_lab])
+            assert np.array_equal(y, split.labeled.labels[rows_lab])
+            assert np.array_equal(x_unl, unlabeled[rows_unl])
+        assert rng.random() == reference.random()
+
     def test_oversized_batch_without_replacement_is_rejected(self, split):
         config = TrainConfig(schedule=small_schedule(0.0), labeled_batch=13,
                              unlabeled_batch=8, hidden_width=8,
@@ -317,9 +335,9 @@ class TestTrainingOutcomes:
         backward = skewlab.training.backward
         calls = []
 
-        def poisoned(trace, d_logits):
+        def poisoned(trace, d_logits, out=None):
             calls.append(None)
-            grad = backward(trace, d_logits)
+            grad = backward(trace, d_logits, out=out)
             if len(calls) == 3:
                 grad.flat[0] = np.nan
             return grad
