@@ -22,8 +22,6 @@ import re
 import sys
 import traceback
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -154,12 +152,17 @@ def _outcomes(config: CampaignConfig, runs: list[RunSpec], n_workers: int):
     order.  A dead worker breaks the pool; each run it left without a result
     (in flight or queued) is then retried once, alone on a fresh one-worker
     pool, so only a run whose own worker dies comes back as a failure.
-    Closing the generator cancels the runs that have not started.
+    Closing the generator cancels the runs that have not started.  The pool
+    stack (multiprocessing, sockets, logging) is imported on the pool path
+    only, so a serial campaign never loads it.
     """
     if n_workers == 1 or len(runs) <= 1:
         for spec in runs:
             yield _execute_payload((config, spec))
         return
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         pending = deque(pool.submit(_execute_payload, (config, spec)) for spec in runs)
         try:
@@ -177,6 +180,9 @@ def _outcomes(config: CampaignConfig, runs: list[RunSpec], n_workers: int):
 
 def _execute_alone(config: CampaignConfig, spec: RunSpec):
     """One run on its own one-worker pool; a failure if that worker dies too."""
+    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures.process import BrokenProcessPool
+
     with ProcessPoolExecutor(max_workers=1) as pool:
         try:
             return pool.submit(_execute_payload, (config, spec)).result()

@@ -6,7 +6,8 @@ Verbs:
   preset <name> --out <dir>                     write a built-in config file
 
 Exit codes: 0 success, 1 one or more runs failed, 2 invalid config or bad
-arguments (a worker count that is not a positive integer among them).
+arguments (a worker count that is not a positive integer, or an output
+directory that cannot be created, among them).
 SKEWLAB_WORKERS overrides the default worker count when --workers is absent.
 """
 
@@ -60,6 +61,11 @@ def _load(path: Path):
         return None
 
 
+def _cannot_write(path: Path, exc: OSError) -> int:
+    print(f"cannot write outputs: {path}: {exc}", file=sys.stderr)
+    return 2
+
+
 def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
 
@@ -72,10 +78,13 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     if args.verb == "preset":
-        args.out.mkdir(parents=True, exist_ok=True)
         target = args.out / f"{args.name}.json"
-        target.write_text(json.dumps(preset_dict(args.name), indent=2) + "\n",
-                          encoding="utf-8")
+        try:
+            args.out.mkdir(parents=True, exist_ok=True)
+            target.write_text(json.dumps(preset_dict(args.name), indent=2) + "\n",
+                              encoding="utf-8")
+        except OSError as exc:
+            return _cannot_write(args.out, exc)
         print(target)
         return 0
 
@@ -87,7 +96,12 @@ def main(argv: list[str] | None = None) -> int:
     config = _load(args.config)
     if config is None:
         return 2
-    outcome = run_campaign(config, workers=workers, out_dir=args.out)
+    out_dir = args.out if args.out is not None else Path(config.output_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        return _cannot_write(out_dir, exc)
+    outcome = run_campaign(config, workers=workers, out_dir=out_dir)
     n_runs = len(config.datasets) * len(config.algorithms) * len(config.seeds)
     n_failed = len(outcome.failures)
     print(f"{config.name}: {n_runs - n_failed}/{n_runs} runs succeeded; "

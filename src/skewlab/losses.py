@@ -2,9 +2,9 @@
 
 Every loss returns (scalar value, gradient with respect to the student's
 pre-softmax logits), so trainers chain straight into the network's backward
-pass.  Classification losses take the logits and take their logarithms with a
-log-softmax, so no probability is ever clamped; consistency losses take
-softmax rows.
+pass.  Classification losses take the logits; one shift, exp and row sum give
+both the probabilities and their logarithms (shifted logit minus log row sum),
+so no probability is ever clamped.  Consistency losses take softmax rows.
 """
 
 from __future__ import annotations

@@ -179,12 +179,6 @@ def softmax(logits: np.ndarray) -> np.ndarray:
     return e
 
 
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    """Row-wise stable log of the softmax, exact where the softmax underflows."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-
-
 def backward(trace: ForwardTrace, d_logits: np.ndarray,
              out: MlpParams | None = None) -> MlpParams:
     """Backpropagate a loss gradient taken with respect to the logits.

@@ -31,7 +31,6 @@ from .mlp import (
     forward,
     init_params,
     layer_buffers,
-    log_softmax,
     param_add,
     param_scale,
     softmax,
@@ -155,18 +154,24 @@ def evaluate(params: MlpParams, dataset: Dataset2D) -> np.ndarray:
 def _pseudo_label_loss(logits: np.ndarray, threshold: float) -> tuple[float, np.ndarray | None]:
     """CE of confident samples against their own argmax, averaged over the
     whole batch; samples below the confidence threshold contribute nothing."""
-    probs = softmax(logits)
+    # one shift, exp and row sum serve both the softmax and the log-softmax
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    row_sum = probs.sum(axis=1, keepdims=True)
+    probs /= row_sum
     batch = probs.shape[0]
-    confidence = probs.max(axis=1)
-    mask = confidence >= threshold
+    mask = probs.max(axis=1) >= threshold
     if not mask.any():
         return 0.0, None
-    hard = probs.argmax(axis=1)
-    log_confidence = log_softmax(logits)[mask, hard[mask]]
+    rows = np.flatnonzero(mask)
+    hard = probs.argmax(axis=1)[rows]
+    log_confidence = shifted[rows, hard] - np.log(row_sum[rows, 0])
     loss = float(np.sum(-log_confidence) / batch)
-    d_logits = np.zeros_like(probs)
-    d_logits[mask] = probs[mask]
-    d_logits[mask, hard[mask]] -= 1.0
+    # probs - onehot(hard) on the confident rows, zero elsewhere, built on
+    # the probability array
+    d_logits = probs
+    d_logits[~mask] = 0.0
+    d_logits[rows, hard] -= 1.0
     d_logits /= batch
     return loss, d_logits
 

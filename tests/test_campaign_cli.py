@@ -5,8 +5,11 @@ from __future__ import annotations
 import json
 import multiprocessing
 import os
+import subprocess
+import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -416,3 +419,53 @@ class TestCli:
     def test_preset_rejects_unknown_name(self, tmp_path, capsys):
         with pytest.raises(SystemExit):
             main(["preset", "toy-table9", "--out", str(tmp_path)])
+
+
+class TestPoolImportsOnlyWithPool:
+    """A serial campaign never loads the process-pool stack.  This file imports
+    multiprocessing itself, so each check runs in a fresh interpreter."""
+
+    POOL_MODULES = ("multiprocessing", "concurrent.futures", "concurrent.futures.process",
+                    "logging")
+
+    def loaded_pool_modules(self, tmp_path, script):
+        script += ("\nimport json, sys\n"
+                   f"print(json.dumps(sorted(set({self.POOL_MODULES!r}) & set(sys.modules))))")
+        env = {**os.environ, "PYTHONPATH": str(Path(campaign.__file__).parents[1])}
+        env.pop(WORKERS_ENV, None)
+        done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                              capture_output=True, text=True, check=True)
+        return json.loads(done.stdout.splitlines()[-1])
+
+    def test_imports_leave_the_pool_stack_unloaded(self, tmp_path):
+        script = "import skewlab, skewlab.campaign, skewlab.cli, skewlab.coeffs"
+        assert self.loaded_pool_modules(tmp_path, script) == []
+
+    def test_serial_run_validate_and_preset_leave_it_unloaded(self, tmp_path):
+        (tmp_path / "c.json").write_text(tiny_config_text())
+        script = "\n".join([
+            "from skewlab.cli import main",
+            "assert main(['run', 'c.json', '--workers', '1', '--out', 'out']) == 0",
+            "assert main(['validate', 'c.json']) == 0",
+            "assert main(['preset', 'ema-gap', '--out', 'presets']) == 0",
+        ])
+        assert self.loaded_pool_modules(tmp_path, script) == []
+        assert (tmp_path / "out" / "manifest.json").is_file()
+
+
+class TestUnwritableOutputs:
+    @pytest.mark.parametrize("via", ["run --out", "run output_dir", "preset --out"])
+    def test_a_file_in_place_of_the_output_directory_exits_2(self, tmp_path, capsys, via):
+        # a bad argument (exit 2), not a failed run (exit 1)
+        blocker = tmp_path / "taken"
+        blocker.write_text("not a directory")
+        path = tmp_path / "c.json"
+        path.write_text(tiny_config_text(output_dir=str(blocker)))
+        args = {"run --out": ["run", str(path), "--out", str(blocker)],
+                "run output_dir": ["run", str(path)],
+                "preset --out": ["preset", "ema-gap", "--out", str(blocker)]}[via]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot write outputs: {blocker}: ")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert blocker.read_text() == "not a directory"

@@ -388,3 +388,58 @@ class TestHistoryCsv:
                            history=(), wall_seconds=0.0)
         with pytest.raises(ValueError):
             write_history_csv(result, str(tmp_path / "empty.csv"))
+
+
+def reference_pseudo_label_loss(logits, threshold):
+    """The two-pass formulation: a softmax, then a separate log-softmax of the
+    same logits, and the gradient built from zeros plus masked copies."""
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    batch = probs.shape[0]
+    mask = probs.max(axis=1) >= threshold
+    if not mask.any():
+        return 0.0, None
+    hard = probs.argmax(axis=1)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    loss = float(np.sum(-log_probs[mask, hard[mask]]) / batch)
+    d_logits = np.zeros_like(probs)
+    d_logits[mask] = probs[mask]
+    d_logits[mask, hard[mask]] -= 1.0
+    d_logits /= batch
+    return loss, d_logits
+
+
+class TestPseudoLabelLoss:
+    """The single-pass loss gives the two-pass formulation's bits exactly."""
+
+    @pytest.mark.parametrize("threshold", [0.5, 0.95, 1.0])
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    @pytest.mark.parametrize("batch", [1, 7, 32, 50])
+    def test_matches_reference_bit_for_bit(self, batch, n_classes, threshold):
+        rng = np.random.default_rng([batch, n_classes])
+        with_gradient = 0
+        for trial in range(20):
+            # row scales from nearly uniform to saturated (exact probability
+            # 1, which a threshold of 1.0 needs), with tied and signed-zero rows
+            scale = rng.choice([0.1, 1.0, 8.0, 60.0, 800.0], size=(batch, 1))
+            logits = rng.normal(size=(batch, n_classes)) * scale
+            logits[rng.random(batch) < 0.2] = 0.0
+            logits[rng.random(batch) < 0.2, 1] = -0.0
+            if trial % 2:
+                logits[:, 1] = logits[:, 0]
+            expected_loss, expected_d = reference_pseudo_label_loss(logits.copy(), threshold)
+            loss, d_logits = skewlab.training._pseudo_label_loss(logits.copy(), threshold)
+            assert loss == expected_loss
+            assert (d_logits is None) == (expected_d is None)
+            if d_logits is not None:
+                with_gradient += 1
+                assert np.array_equal(d_logits, expected_d)
+                assert np.array_equal(np.signbit(d_logits), np.signbit(expected_d))
+        assert with_gradient > 0
+
+    @pytest.mark.parametrize("batch", [1, 7, 32, 50])
+    def test_no_confident_row_gives_no_gradient(self, batch):
+        uniform = np.zeros((batch, 4))
+        assert skewlab.training._pseudo_label_loss(uniform, 0.5) == (0.0, None)
+        assert reference_pseudo_label_loss(uniform, 0.5) == (0.0, None)
