@@ -117,7 +117,7 @@ def prepare_split(config: CampaignConfig, dataset_index: int,
 def execute_run(config: CampaignConfig, spec: RunSpec) -> RunRecord:
     algo = config.algorithms[spec.algorithm_index]
     pool, split = prepare_split(config, spec.dataset_index, spec.seed)
-    result = train(split, algo, config.train_config(spec.seed, algo.w_max))
+    result = train(split, algo, config.training, spec.seed)
     student_grid = ema_grid = None
     if config.report.grids:
         bbox = default_bbox(pool.points)
@@ -199,6 +199,20 @@ def resolve_workers(workers: int | None) -> int:
     return int(value)
 
 
+def prepare_outputs(config: CampaignConfig, out: Path) -> None:
+    """Create the output directory, runs/ and params/ if the campaign has runs,
+    and datasets/ if it dumps them, so that a path in the way fails before any
+    run trains.  failures/ is made only by a failed run, but a failures path
+    that is not a directory is rejected here too."""
+    out.mkdir(parents=True, exist_ok=True)
+    names = ["runs", "params"] if config.datasets and config.algorithms else []
+    for name in names + (["datasets"] if config.report.dump_datasets else []):
+        (out / name).mkdir(exist_ok=True)
+    failures = out / "failures"
+    if failures.exists() and not failures.is_dir():
+        raise NotADirectoryError(f"{failures} is not a directory")
+
+
 def run_campaign(config: CampaignConfig, *, workers: int | None = None,
                  out_dir: str | Path | None = None,
                  log=sys.stderr) -> CampaignOutcome:
@@ -214,7 +228,7 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
     """
     n_workers = resolve_workers(workers)
     out = Path(out_dir if out_dir is not None else config.output_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    prepare_outputs(config, out)
     runs = build_runs(config)
 
     student_finals: dict[str, GroupErrors] = {}
@@ -242,8 +256,6 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
             del record  # free its parameters and grids before the next run
 
     if config.report.dump_datasets:
-        data_dir = out / "datasets"
-        data_dir.mkdir(exist_ok=True)
         for di, dataset in enumerate(config.datasets):
             for seed in config.seeds:
                 try:
@@ -251,12 +263,12 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
                 except Exception:
                     # already recorded as per-run failures; nothing to dump
                     continue
-                split_path = data_dir / f"{dataset.name}_seed{seed}.csv"
+                split_path = out / "datasets" / f"{dataset.name}_seed{seed}.csv"
                 write_split_csv(split, split_path)
                 files.append(split_path)
 
-    student_table = _aggregate(config, student_finals)
-    ema_table = _aggregate(config, ema_finals)
+    student_table = _aggregate(config, runs, student_finals)
+    ema_table = _aggregate(config, runs, ema_finals)
     if student_table:
         files.extend(write_report(student_table, out))
     if ema_table:
@@ -291,8 +303,6 @@ def _write_run(record: RunRecord, out: Path) -> list[Path]:
     """Write one finished run's history, parameter snapshots and grids."""
     run_id = record.spec.run_id
     result = record.result
-    (out / "runs").mkdir(exist_ok=True)
-    (out / "params").mkdir(exist_ok=True)
     history_path = out / "runs" / f"{run_id}.csv"
     write_history_csv(result, history_path)
     written = [history_path]
@@ -322,14 +332,14 @@ def _manifest_entry(config: CampaignConfig, spec: RunSpec, failed: bool) -> dict
     return entry
 
 
-def _aggregate(config: CampaignConfig, finals: dict[str, GroupErrors]
+def _aggregate(config: CampaignConfig, runs: list[RunSpec], finals: dict[str, GroupErrors]
                ) -> dict[str, dict[str, AggregateResult]]:
     """dataset -> algorithm -> aggregate of the runs' final grouped errors."""
-    table: dict[str, dict[str, AggregateResult]] = {}
-    for dataset in config.datasets:
-        for algo in config.algorithms:
-            per_seed = [finals[run_id] for seed in config.seeds
-                        if (run_id := f"{dataset.name}__{algo.name}__seed{seed}") in finals]
-            if per_seed:
-                table.setdefault(dataset.name, {})[algo.name] = aggregate_runs(per_seed)
-    return table
+    cells: dict[str, dict[str, list[GroupErrors]]] = {}
+    for spec in runs:  # grid order, so each cell lists its seeds in order
+        if spec.run_id in finals:
+            dataset = config.datasets[spec.dataset_index].name
+            algo = config.algorithms[spec.algorithm_index].name
+            cells.setdefault(dataset, {}).setdefault(algo, []).append(finals[spec.run_id])
+    return {dataset: {algo: aggregate_runs(per_seed) for algo, per_seed in per_algo.items()}
+            for dataset, per_algo in cells.items()}

@@ -7,7 +7,7 @@ Verbs:
 
 Exit codes: 0 success, 1 one or more runs failed, 2 invalid config or bad
 arguments (a worker count that is not a positive integer, or an output
-directory that cannot be created, among them).
+directory or subdirectory that cannot be created, among them).
 SKEWLAB_WORKERS overrides the default worker count when --workers is absent.
 """
 
@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .campaign import resolve_workers, run_campaign
+from .campaign import prepare_outputs, resolve_workers, run_campaign
 from .config import PRESET_NAMES, ConfigError, load_config, preset_dict
 
 
@@ -98,7 +98,7 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     out_dir = args.out if args.out is not None else Path(config.output_dir)
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
+        prepare_outputs(config, out_dir)
     except OSError as exc:
         return _cannot_write(out_dir, exc)
     outcome = run_campaign(config, workers=workers, out_dir=out_dir)

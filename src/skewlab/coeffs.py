@@ -196,10 +196,11 @@ def gradient_gap_estimate(params: MlpParams, target_params: MlpParams,
     """Compare the two consistency-gradient routes on one shared input batch.
 
     exact: gradient of the consistency loss against the target-parameter
-    branch minus the gradient against the shared-parameter branch (the latter
-    is identically zero on a shared input).  linear: J^T J (theta - theta')
-    scaled by 1/batch, with J the probability Jacobian at theta.  The
-    residual between them shrinks quadratically in ||theta - theta'||.
+    branch, which is also its difference from the shared-parameter branch:
+    that one's gradient is identically zero on a shared input.  linear: J^T J
+    (theta - theta') scaled by 1/batch, with J the probability Jacobian at
+    theta.  The residual between them shrinks quadratically in
+    ||theta - theta'||.
     """
     logits, trace = forward(params, batch)
     student_probs = softmax(logits)
@@ -207,10 +208,7 @@ def gradient_gap_estimate(params: MlpParams, target_params: MlpParams,
     target_probs = softmax(target_logits)
 
     _, d_target_branch = consistency_l2(student_probs, target_probs)
-    grad_target_branch = backward(trace, d_target_branch).flat
-    _, d_shared_branch = consistency_l2(student_probs, student_probs)
-    grad_shared_branch = backward(trace, d_shared_branch).flat
-    exact = grad_target_branch - grad_shared_branch
+    exact = backward(trace, d_target_branch).flat
 
     jac = probability_jacobian(params, batch)
     dtheta = params.flat - target_params.flat

@@ -12,7 +12,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .datasets import CLASS_COUNTS, UNLABELED_TYPES, imbalance_counts, unlabeled_rho
 from .optim import Schedule
@@ -51,11 +51,10 @@ class DatasetSpec(Settings):
 
 @dataclass(frozen=True, kw_only=True)
 class AlgorithmConfig(AlgorithmSpec):
-    """A regime spec with its run name (default: kind) and consistency weight
-    (default: DEFAULT_W_MAX of its kind, bounded like Schedule.w_max)."""
+    """A regime spec with its run name (default: kind); a config that omits
+    w_max gets DEFAULT_W_MAX of its kind."""
 
     name: str = setting()
-    w_max: float = field(metadata=Schedule.__dataclass_fields__["w_max"].metadata | {"key": None})
 
 
 @dataclass(frozen=True)
@@ -77,15 +76,12 @@ class CampaignConfig(Settings):
     name: str = setting(required=True)
     output_dir: str = setting()  # defaults to "<name>-out"
     seeds: tuple[int, ...] = setting(required=True)
-    schedule: Schedule = setting()  # w_max is set per algorithm
-    training: TrainConfig = setting()  # its schedule is the one above, its seed 0
+    schedule: Schedule = setting()
+    training: TrainConfig = setting()  # its schedule is the one above
     datasets: tuple[DatasetSpec, ...] = setting(())
     algorithms: tuple[AlgorithmConfig, ...] = setting(())
     report: ReportSpec = setting(ReportSpec())
     gap_curve: GapCurveSpec | None = setting(None)
-
-    def train_config(self, seed: int, w_max: float) -> TrainConfig:
-        return replace(self.training, schedule=replace(self.schedule, w_max=w_max), seed=seed)
 
     def to_dict(self) -> dict:
         """Fully resolved config as plain JSON data; hashing canonicalizes this."""
@@ -118,22 +114,23 @@ def _entries(raw: dict, key: str, cls, derive, errors: list[str]) -> tuple:
             errors.append(f"{key}[{i}]: must be an object")
         elif (values := read(cls, entry, f"{key}[{i}]", errors)) is not None:
             values.setdefault("name", values["kind"])
-            derive(values, f"{key}[{i}]", errors)
+            derive(values, entry, f"{key}[{i}]", errors)
             built.append(cls(**values))
     if len({entry.name for entry in built}) != len(built):
         errors.append(f"{key}: names must be unique")
     return tuple(built)
 
 
-def _derive_dataset(values: dict, path: str, errors: list[str]) -> None:
+def _derive_dataset(values: dict, entry: dict, path: str, errors: list[str]) -> None:
     need = values["labeled_max"] + values["unlabeled_max"] + values["val_per_class"]
     if values.setdefault("n_pool_per_class", need) < need:
         errors.append(f"{path}.n_pool_per_class: must be at least {need} "
                       "(labeled_max + unlabeled_max + val_per_class)")
 
 
-def _derive_algorithm(values: dict, path: str, errors: list[str]) -> None:
-    values.setdefault("w_max", DEFAULT_W_MAX[values["kind"]])
+def _derive_algorithm(values: dict, entry: dict, path: str, errors: list[str]) -> None:
+    if "w_max" not in entry:
+        values["w_max"] = DEFAULT_W_MAX[values["kind"]]
 
 
 def _seeds(raw: dict, errors: list[str]) -> tuple[int, ...]:

@@ -154,26 +154,12 @@ def consistency_l2(student_probs: np.ndarray, target_probs: np.ndarray) -> tuple
     return _weighted_consistency(student_probs, target_probs, np.ones(batch, dtype=np.float64))
 
 
-def scl_weight(counts: np.ndarray, predicted_class: int, shape: SclShape) -> float:
-    """Suppression factor for one sample given its predicted class.
+def scl_weights(counts: np.ndarray, predictions: np.ndarray, shape: SclShape) -> np.ndarray:
+    """Suppression factor of each sample given its predicted class.
 
     Uses the labeled per-class counts: n_c of the predicted class against the
     largest class size n_max.  Constant with respect to the model parameters.
     """
-    counts = np.asarray(counts, dtype=np.int64)
-    if np.any(counts < 1):
-        raise ValueError("counts must be positive")
-    if not 0 <= predicted_class < counts.size:
-        raise ValueError("predicted_class out of range")
-    n_c = float(counts[predicted_class])
-    n_max = float(counts.max())
-    if shape.kind == "linear":
-        return n_c / n_max
-    return float(shape.beta ** (1.0 - n_c / n_max))
-
-
-def scl_weights(counts: np.ndarray, predictions: np.ndarray, shape: SclShape) -> np.ndarray:
-    """Vectorized scl_weight over a batch of predicted classes."""
     counts = np.asarray(counts, dtype=np.int64)
     predictions = np.asarray(predictions, dtype=np.int64)
     if np.any(counts < 1):

@@ -21,7 +21,6 @@ class Schedule(Settings):
 
     total_iters: int = setting(5000, bound=">=1")
     rampup_iters: int = setting(bound=">=0")  # configs default it to 0.4 * total_iters
-    w_max: float = setting(0.0, bound=">=0.0", key="")  # configs set it per algorithm
     base_lr: float = setting(0.1, bound=">0.0")
     lr_decay_points: tuple[tuple[int, float], ...] = setting(((4000, 0.2),), key="lr_decay")
 
@@ -50,16 +49,16 @@ def ema_update(target: np.ndarray, params: np.ndarray, gamma: float) -> None:
     target += (1.0 - gamma) * params
 
 
-def rampup_weight(t: int, sched: Schedule) -> float:
+def rampup_weight(t: int, sched: Schedule, w_max: float) -> float:
     """Consistency coefficient at step t: w_max scaled by a squared-exponential
     ramp exp(-5 * (1 - t / rampup_iters)^2), saturating at w_max from
     rampup_iters onward.  rampup_iters == 0 disables the ramp entirely."""
     if t < 0:
         raise ValueError("t must be nonnegative")
     if sched.rampup_iters == 0 or t >= sched.rampup_iters:
-        return sched.w_max
+        return w_max
     frac = t / sched.rampup_iters
-    return sched.w_max * math.exp(-5.0 * (1.0 - frac) ** 2)
+    return w_max * math.exp(-5.0 * (1.0 - frac) ** 2)
 
 
 def lr_at(t: int, sched: Schedule) -> float:

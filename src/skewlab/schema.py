@@ -19,9 +19,9 @@ _TYPES = {str: (str, "must be a string"), bool: (bool, "must be a boolean"),
 
 def setting(default=MISSING, *, bound: str | None = None, choices: tuple = (),
             key: str | None = None, required: bool = False):
-    """bound is ">=m", ">m" or an interval such as "(0,1]"; key "" keeps the
-    setting out of JSON.  A setting that JSON may omit but that has no default
-    gets one the config reader derives from other settings."""
+    """bound is ">=m", ">m" or an interval such as "(0,1]".  A setting that
+    JSON may omit but that has no default gets one the config reader derives
+    from other settings."""
     return field(default=default, metadata={"bound": bound, "choices": choices,
                                             "key": key, "required": required})
 
@@ -70,7 +70,7 @@ def read(cls, obj: dict, path: str, errors: list[str]) -> dict | None:
     its default; one without a default is left out, and a required one makes
     the result None.  Settings that are neither scalars nor blocks with a
     default instance are left to the caller."""
-    declared = [(f, key, hint) for f, key, hint in _declared(cls) if key]
+    declared = _declared(cls)
     prefix = f"{path}." if path else ""
     known = {key for _, key, _ in declared}
     errors.extend(f"{prefix}{key}: unknown key" for key in obj if key not in known)
@@ -105,7 +105,7 @@ def read(cls, obj: dict, path: str, errors: list[str]) -> dict | None:
 def dump(value):
     """Plain JSON data: settings dataclasses as objects keyed like their JSON, tuples as lists."""
     if isinstance(value, Settings):
-        return {key: dump(getattr(value, f.name)) for f, key, _ in _declared(type(value)) if key}
+        return {key: dump(getattr(value, f.name)) for f, key, _ in _declared(type(value))}
     if isinstance(value, tuple):
         return [dump(item) for item in value]
     return value

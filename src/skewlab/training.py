@@ -62,6 +62,7 @@ class AlgorithmSpec(Settings):
     kind: str = setting(
         choices=("supervised", "pi-model", "mean-teacher", "pseudo-label", "mt-scl"), required=True)
     reweight: ReweightSpec = setting(ReweightSpec())
+    w_max: float = setting(0.0, bound=">=0.0")  # consistency weight after the ramp-up
     ema_gamma: float = setting(0.95, bound="(0,1]")
     pl_threshold: float = setting(0.95, bound="(0,1]")
     scl: SclShape = setting(SclShape())
@@ -80,7 +81,6 @@ class TrainConfig(Settings):
     hidden_layers: int = setting(2, bound=">=1")
     eval_every: int = setting(500, bound=">=1")
     sample_with_replacement: bool = setting(True)
-    seed: int = 0
 
 
 @dataclass(frozen=True, eq=False)
@@ -180,12 +180,12 @@ def _max_abs_param(params: MlpParams) -> float:
     return float(np.max(np.abs(params.flat)))
 
 
-def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, *,
+def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int, *,
           step_callback=None) -> RunResult:
     """Run one training session and return final parameters plus history.
 
-    Deterministic in (split, algo, config): all randomness flows from
-    config.seed through fixed-order stream derivation.
+    Deterministic in (split, algo, config, seed): all randomness flows from
+    seed through fixed-order stream derivation.
     """
     started = time.perf_counter()
     sched = config.schedule
@@ -196,7 +196,7 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, *,
         if len(split.unlabeled) and config.unlabeled_batch > len(split.unlabeled):
             raise ValueError("unlabeled_batch exceeds the unlabeled set without replacement")
 
-    derived = np.random.SeedSequence(config.seed).generate_state(3)
+    derived = np.random.SeedSequence(seed).generate_state(3)
     params = init_params(config.hidden_width, n_classes, int(derived[0]),
                          hidden_layers=config.hidden_layers)
     batch_rng = np.random.default_rng(int(derived[1]))
@@ -219,7 +219,7 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, *,
     history: list[HistoryPoint] = []
     for t in range(sched.total_iters):
         lr = lr_at(t, sched)
-        w = rampup_weight(t, sched)
+        w = rampup_weight(t, sched, algo.w_max)
         x_lab, y_lab, x_unl = sample_batch(split, config, batch_rng)
 
         logits, trace = forward(params, x_lab, out=lab_out)

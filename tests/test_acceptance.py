@@ -33,7 +33,7 @@ from skewlab.losses import (
     SclShape,
     consistency_l2,
     scl_consistency,
-    scl_weight,
+    scl_weights,
     supervised_loss,
 )
 from skewlab.mlp import backward, forward, grad_check, init_params, params_equal, softmax
@@ -199,17 +199,17 @@ class TestCriterion6SuppressionDegeneracies:
     def test_balanced_run_identity_and_exact_weights(self, verdict):
         pool = gen_two_moons(300, 0.12, seed=60)
         split = make_cissl_split(pool, np.array([8, 8]), "uniform", 1.0, 40, 30, seed=61)
-        config = TrainConfig(schedule=Schedule(total_iters=50, rampup_iters=10,
-                                               w_max=4.0, base_lr=0.1),
+        config = TrainConfig(schedule=Schedule(total_iters=50, rampup_iters=10, base_lr=0.1),
                              labeled_batch=8, unlabeled_batch=8, hidden_width=8,
-                             eval_every=25, seed=62)
-        mt = train(split, AlgorithmSpec(kind="mean-teacher"), config)
-        scl = train(split, AlgorithmSpec(kind="mt-scl"), config)
+                             eval_every=25)
+        mt = train(split, AlgorithmSpec(kind="mean-teacher", w_max=4.0), config, 62)
+        scl = train(split, AlgorithmSpec(kind="mt-scl", w_max=4.0), config, 62)
         identical = (params_equal(scl.params, mt.params)
                      and params_equal(scl.ema_params, mt.ema_params))
 
-        exp_at_max = scl_weight(np.array([10, 2]), 0, SclShape())
-        linear_minor = scl_weight(np.array([10, 2]), 1, SclShape(kind="linear"))
+        exp_at_max = float(scl_weights(np.array([10, 2]), np.array([0]), SclShape())[0])
+        linear_minor = float(scl_weights(np.array([10, 2]), np.array([1]),
+                                         SclShape(kind="linear"))[0])
 
         verdict(6, identical and exp_at_max == 1.0 and linear_minor == 0.2,
                 "balanced mt-scl run bit-identical to mean-teacher; "

@@ -469,3 +469,29 @@ class TestUnwritableOutputs:
         assert captured.err.startswith(f"cannot write outputs: {blocker}: ")
         assert captured.err.count("\n") == 1 and captured.out == ""
         assert blocker.read_text() == "not a directory"
+
+    @pytest.mark.parametrize("name", ["runs", "params", "failures", "datasets"])
+    def test_a_file_in_place_of_an_output_subdirectory_exits_2(self, tmp_path, capsys,
+                                                               monkeypatch, name):
+        # the subdirectories are made, or checked, before the first run trains
+        out = tmp_path / "out"
+        out.mkdir()
+        blocker = out / name
+        blocker.write_text("not a directory")
+        path = tmp_path / "c.json"
+        path.write_text(tiny_config_text(report={"dump_datasets": True}))
+        trained = []
+        execute_run = campaign.execute_run
+
+        def recorded(config, spec):
+            trained.append(spec.run_id)
+            return execute_run(config, spec)
+
+        monkeypatch.setattr(campaign, "execute_run", recorded)
+        assert main(["run", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"cannot write outputs: {out}: ")
+        assert str(blocker) in captured.err
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert trained == []
+        assert blocker.read_text() == "not a directory"

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -171,13 +170,12 @@ class TestTrainConfigBridge:
             schedule={"total_iters": 300, "rampup_iters": 100, "base_lr": 0.2,
                       "lr_decay": [[200, 0.5]]},
             training={"labeled_batch": 4, "hidden_width": 8}))
-        tc = config.train_config(seed=3, w_max=6.0)
+        tc = config.training
         sched = tc.schedule
-        assert (sched.total_iters, sched.rampup_iters, sched.w_max) == (300, 100, 6.0)
+        assert sched is config.schedule
+        assert (sched.total_iters, sched.rampup_iters) == (300, 100)
         assert sched.lr_decay_points == ((200, 0.5),)
-        assert tc.seed == 3
         assert tc.labeled_batch == 4 and tc.hidden_width == 8
-        assert sched == replace(config.schedule, w_max=6.0)
 
 
 class TestDigest:

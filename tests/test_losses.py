@@ -15,7 +15,6 @@ from skewlab.losses import (
     class_weights,
     consistency_l2,
     scl_consistency,
-    scl_weight,
     scl_weights,
     supervised_loss,
 )
@@ -154,21 +153,23 @@ class TestConsistencyL2:
 
 class TestSclWeight:
     def test_exponential_is_one_at_max_frequency(self):
-        assert scl_weight(np.array([10, 2]), 0, SclShape()) == 1.0
+        assert scl_weights(np.array([10, 2]), np.array([0]), SclShape())[0] == 1.0
 
     def test_exponential_at_half_frequency(self):
-        w = scl_weight(np.array([10, 5]), 1, SclShape(kind="exponential", beta=0.5))
-        assert w == pytest.approx(EXP_HALF_FREQ, rel=1e-15)
+        w = scl_weights(np.array([10, 5]), np.array([1]), SclShape(kind="exponential", beta=0.5))
+        assert w[0] == pytest.approx(EXP_HALF_FREQ, rel=1e-15)
 
     def test_linear_minor_class_ratio_is_exact(self):
-        assert scl_weight(np.array([10, 2]), 1, SclShape(kind="linear")) == 0.2
+        assert scl_weights(np.array([10, 2]), np.array([1]), SclShape(kind="linear"))[0] == 0.2
 
     def test_vectorized_form_agrees(self):
         counts = np.array([10, 3, 2])
         shape = SclShape(kind="exponential", beta=0.5)
         predictions = np.array([0, 2, 1, 0])
         w = scl_weights(counts, predictions, shape)
-        assert np.array_equal(w, [scl_weight(counts, int(c), shape) for c in predictions])
+        # the closed form beta^(1 - n_c / n_max), one sample at a time
+        assert np.array_equal(w, [0.5 ** (1.0 - float(counts[c]) / float(counts.max()))
+                                  for c in predictions])
 
     @given(counts=st.lists(st.integers(1, 1000), min_size=2, max_size=6),
            beta=st.floats(0.01, 1.0), kind=st.sampled_from(["exponential", "linear"]))
@@ -176,7 +177,7 @@ class TestSclWeight:
     def test_bounded_and_monotone_in_frequency(self, counts, beta, kind):
         counts = np.sort(np.asarray(counts, dtype=np.int64))[::-1].copy()
         shape = SclShape(kind=kind, beta=beta)
-        weights = [scl_weight(counts, c, shape) for c in range(len(counts))]
+        weights = scl_weights(counts, np.arange(len(counts)), shape)
         assert all(0.0 < w <= 1.0 for w in weights)
         # counts are nonincreasing across classes, so weights must be too
         assert all(a >= b - 1e-15 for a, b in zip(weights, weights[1:]))

@@ -62,9 +62,10 @@ class TestEma:
         # freezes it there while the student trains on
         split = make_cissl_split(gen_two_moons(100, 0.1, seed=0), np.array([6, 2]), "same",
                                  3.0, 20, 10, seed=1)
-        config = TrainConfig(schedule=Schedule(total_iters=20, rampup_iters=0, w_max=4.0),
-                             labeled_batch=4, unlabeled_batch=4, hidden_width=8, seed=2)
-        result = train(split, AlgorithmSpec(kind="mean-teacher", ema_gamma=1.0), config)
+        config = TrainConfig(schedule=Schedule(total_iters=20, rampup_iters=0),
+                             labeled_batch=4, unlabeled_batch=4, hidden_width=8)
+        result = train(split, AlgorithmSpec(kind="mean-teacher", w_max=4.0, ema_gamma=1.0),
+                       config, 2)
         derived = np.random.SeedSequence(2).generate_state(3)
         assert params_equal(result.ema_params, init_params(8, 2, int(derived[0])))
         assert not params_equal(result.params, result.ema_params)
@@ -83,7 +84,7 @@ class TestEma:
 
 
 def sched(**kwargs):
-    base = dict(total_iters=5000, rampup_iters=2000, w_max=8.0, base_lr=0.1,
+    base = dict(total_iters=5000, rampup_iters=2000, base_lr=0.1,
                 lr_decay_points=((4000, 0.2),))
     base.update(kwargs)
     return Schedule(**base)
@@ -91,25 +92,25 @@ def sched(**kwargs):
 
 class TestRampup:
     def test_start_of_ramp(self):
-        assert rampup_weight(0, sched()) == pytest.approx(8.0 * RAMP_AT_ZERO, rel=1e-15)
+        assert rampup_weight(0, sched(), 8.0) == pytest.approx(8.0 * RAMP_AT_ZERO, rel=1e-15)
 
     def test_saturates_at_rampup_iters(self):
         s = sched()
-        assert rampup_weight(2000, s) == 8.0
-        assert rampup_weight(4999, s) == 8.0
+        assert rampup_weight(2000, s, 8.0) == 8.0
+        assert rampup_weight(4999, s, 8.0) == 8.0
 
     def test_zero_rampup_disables_the_ramp(self):
-        assert rampup_weight(0, sched(rampup_iters=0)) == 8.0
+        assert rampup_weight(0, sched(rampup_iters=0), 8.0) == 8.0
 
     def test_monotone_and_bounded(self):
         s = sched()
-        values = [rampup_weight(t, s) for t in range(0, 2100, 7)]
+        values = [rampup_weight(t, s, 8.0) for t in range(0, 2100, 7)]
         assert all(a <= b for a, b in zip(values, values[1:]))
         assert all(0.0 < v <= 8.0 for v in values)
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):
-            rampup_weight(-1, sched())
+            rampup_weight(-1, sched(), 8.0)
 
 
 class TestLrAt:
@@ -136,7 +137,6 @@ class TestScheduleValidation:
     @pytest.mark.parametrize("kwargs", [
         dict(total_iters=0),
         dict(rampup_iters=-1),
-        dict(w_max=-0.5),
         dict(base_lr=0.0),
         dict(lr_decay_points=((200, 0.5), (100, 0.5))),
         dict(lr_decay_points=((100, 0.5), (100, 0.5))),
@@ -146,10 +146,14 @@ class TestScheduleValidation:
         with pytest.raises(ValueError):
             sched(**kwargs)
 
+    def test_negative_w_max_rejected_on_the_algorithm(self):
+        # the ramp's ceiling is a regime setting, bounded where it is declared
+        with pytest.raises(ValueError, match="w_max must be at least 0.0"):
+            AlgorithmSpec(kind="mean-teacher", w_max=-0.5)
+
     @given(total=st.integers(1, 10_000), frac=st.floats(0.0, 1.0))
     @settings(max_examples=60, deadline=None)
     def test_ramp_never_exceeds_w_max(self, total, frac):
-        s = Schedule(total_iters=total, rampup_iters=total // 2, w_max=3.0,
-                     base_lr=0.1)
+        s = Schedule(total_iters=total, rampup_iters=total // 2, base_lr=0.1)
         t = int(frac * (total - 1))
-        assert 0.0 <= rampup_weight(t, s) <= 3.0
+        assert 0.0 <= rampup_weight(t, s, 3.0) <= 3.0

@@ -28,17 +28,16 @@ from skewlab.training import (
 )
 
 
-def small_schedule(w_max, total=60, rampup=20, **kwargs):
-    return Schedule(total_iters=total, rampup_iters=rampup, w_max=w_max,
-                    base_lr=0.1, **kwargs)
+def small_schedule(total=60, rampup=20, **kwargs):
+    return Schedule(total_iters=total, rampup_iters=rampup, base_lr=0.1, **kwargs)
 
 
-def small_config(w_max, **kwargs):
+def small_config(**kwargs):
     sched_kwargs = {k: kwargs.pop(k) for k in ("total", "rampup", "lr_decay_points")
                     if k in kwargs}
     fields = dict(labeled_batch=8, unlabeled_batch=8, hidden_width=8, eval_every=20)
     fields.update(kwargs)
-    return TrainConfig(schedule=small_schedule(w_max, **sched_kwargs), **fields)
+    return TrainConfig(schedule=small_schedule(**sched_kwargs), **fields)
 
 
 @pytest.fixture(scope="module")
@@ -50,10 +49,10 @@ def split():
 
 class TestDeterminism:
     def test_identical_runs_are_bit_identical(self, split):
-        algo = AlgorithmSpec(kind="mean-teacher")
-        config = small_config(w_max=4.0, seed=7)
-        a = train(split, algo, config)
-        b = train(split, algo, config)
+        algo = AlgorithmSpec(kind="mean-teacher", w_max=4.0)
+        config = small_config()
+        a = train(split, algo, config, 7)
+        b = train(split, algo, config, 7)
         assert params_equal(a.params, b.params)
         assert params_equal(a.ema_params, b.ema_params)
         assert len(a.history) == len(b.history)
@@ -63,8 +62,8 @@ class TestDeterminism:
 
     def test_seed_changes_the_trajectory(self, split):
         algo = AlgorithmSpec(kind="supervised")
-        a = train(split, algo, small_config(w_max=0.0, seed=0))
-        b = train(split, algo, small_config(w_max=0.0, seed=1))
+        a = train(split, algo, small_config(), 0)
+        b = train(split, algo, small_config(), 1)
         assert not params_equal(a.params, b.params)
 
 
@@ -145,8 +144,8 @@ class TestPinnedTrajectories:
     @pytest.mark.parametrize("name", sorted(RUNS))
     def test_digests(self, split, name):
         algo_fields, config_fields = self.RUNS[name]
-        result = train(split, AlgorithmSpec(**algo_fields),
-                       small_config(w_max=4.0, seed=21, **config_fields))
+        result = train(split, AlgorithmSpec(**algo_fields, w_max=4.0),
+                       small_config(**config_fields), 21)
         assert trajectory_digests(result) == self.PINS[name]
 
 
@@ -156,35 +155,36 @@ class TestRegimeEquivalences:
     the perturbation stream only runs when the term does."""
 
     def test_zero_weight_consistency_matches_supervised(self, split):
-        config = small_config(w_max=0.0, seed=3)
-        sup = train(split, AlgorithmSpec(kind="supervised"), config)
-        pi = train(split, AlgorithmSpec(kind="pi-model"), config)
-        mt = train(split, AlgorithmSpec(kind="mean-teacher"), config)
+        config = small_config()
+        sup = train(split, AlgorithmSpec(kind="supervised"), config, 3)
+        pi = train(split, AlgorithmSpec(kind="pi-model", w_max=0.0), config, 3)
+        mt = train(split, AlgorithmSpec(kind="mean-teacher", w_max=0.0), config, 3)
         assert params_equal(pi.params, sup.params)
         assert params_equal(mt.params, sup.params)
 
     def test_unreachable_threshold_matches_supervised(self, split):
-        config = small_config(w_max=1.0, seed=4)
-        sup = train(split, AlgorithmSpec(kind="supervised"), config)
-        pl = train(split, AlgorithmSpec(kind="pseudo-label", pl_threshold=1.0), config)
+        config = small_config()
+        sup = train(split, AlgorithmSpec(kind="supervised", w_max=1.0), config, 4)
+        pl = train(split, AlgorithmSpec(kind="pseudo-label", w_max=1.0, pl_threshold=1.0),
+                   config, 4)
         assert params_equal(pl.params, sup.params)
 
     def test_balanced_suppression_matches_mean_teacher(self, split):
-        config = small_config(w_max=4.0, seed=5)
-        mt = train(split, AlgorithmSpec(kind="mean-teacher"), config)
+        config = small_config()
+        mt = train(split, AlgorithmSpec(kind="mean-teacher", w_max=4.0), config, 5)
         # linear shape with balanced counts is the constant weight 1
         balanced = make_cissl_split(gen_two_moons(400, 0.1, seed=32),
                                     np.array([8, 8]), "same", 1.0, 60, 40, seed=33)
-        mt_b = train(balanced, AlgorithmSpec(kind="mean-teacher"), config)
-        scl_b = train(balanced, AlgorithmSpec(kind="mt-scl", scl=SclShape(kind="linear")),
-                      config)
+        mt_b = train(balanced, AlgorithmSpec(kind="mean-teacher", w_max=4.0), config, 5)
+        scl_b = train(balanced, AlgorithmSpec(kind="mt-scl", w_max=4.0,
+                                              scl=SclShape(kind="linear")), config, 5)
         assert params_equal(scl_b.params, mt_b.params)
         assert not params_equal(mt.params, mt_b.params)
 
     def test_suppression_changes_imbalanced_runs(self, split):
-        config = small_config(w_max=4.0, seed=6)
-        mt = train(split, AlgorithmSpec(kind="mean-teacher"), config)
-        scl = train(split, AlgorithmSpec(kind="mt-scl"), config)
+        config = small_config()
+        mt = train(split, AlgorithmSpec(kind="mean-teacher", w_max=4.0), config, 6)
+        scl = train(split, AlgorithmSpec(kind="mt-scl", w_max=4.0), config, 6)
         assert not params_equal(scl.params, mt.params)
 
 
@@ -196,8 +196,8 @@ class TestEmaTracking:
         def record(t, params, target):
             students.append(params)
 
-        result = train(split, AlgorithmSpec(kind="mean-teacher", ema_gamma=gamma),
-                       small_config(w_max=4.0, seed=8), step_callback=record)
+        result = train(split, AlgorithmSpec(kind="mean-teacher", w_max=4.0, ema_gamma=gamma),
+                       small_config(), 8, step_callback=record)
         replay = students[0]  # iteration 0: target starts at init, then mixes
         derived = np.random.SeedSequence(8).generate_state(3)
         replay = init_params(8, 2, int(derived[0]))
@@ -207,8 +207,7 @@ class TestEmaTracking:
         assert np.abs(flat - result.ema_params.flat).max() < 1e-12
 
     def test_supervised_has_no_target(self, split):
-        result = train(split, AlgorithmSpec(kind="supervised"),
-                       small_config(w_max=0.0, seed=9))
+        result = train(split, AlgorithmSpec(kind="supervised"), small_config(), 9)
         assert result.ema_params is None
         assert result.history[-1].ema_errors is None
 
@@ -217,7 +216,7 @@ class TestSampleBatch:
     def test_minor_class_frequency_tracks_counts(self, split):
         # labeled counts are {10, 2}; a uniform draw over rows puts the minor
         # class at 1/6 of each batch in expectation
-        config = small_config(w_max=0.0, labeled_batch=12)
+        config = small_config(labeled_batch=12)
         rng = np.random.default_rng(0)
         total = 0
         draws = 10_000
@@ -229,7 +228,7 @@ class TestSampleBatch:
 
     def test_without_replacement_covers_the_partition(self, split):
         n_unl = split.unlabeled_points().shape[0]
-        config = TrainConfig(schedule=small_schedule(0.0), labeled_batch=12,
+        config = TrainConfig(schedule=small_schedule(), labeled_batch=12,
                              unlabeled_batch=n_unl, hidden_width=8,
                              sample_with_replacement=False)
         rng = np.random.default_rng(1)
@@ -245,7 +244,7 @@ class TestSampleBatch:
     def test_rows_follow_the_choice_stream(self, split, replace):
         # the same rows, and the same generator state after, as rng.choice on
         # an identically seeded generator, draw after draw
-        config = small_config(w_max=0.0, labeled_batch=5, unlabeled_batch=7,
+        config = small_config(labeled_batch=5, unlabeled_batch=7,
                               sample_with_replacement=replace)
         rng = np.random.default_rng(2)
         reference = np.random.default_rng(2)
@@ -260,11 +259,11 @@ class TestSampleBatch:
         assert rng.random() == reference.random()
 
     def test_oversized_batch_without_replacement_is_rejected(self, split):
-        config = TrainConfig(schedule=small_schedule(0.0), labeled_batch=13,
+        config = TrainConfig(schedule=small_schedule(), labeled_batch=13,
                              unlabeled_batch=8, hidden_width=8,
                              sample_with_replacement=False)
         with pytest.raises(ValueError, match="labeled_batch"):
-            train(split, AlgorithmSpec(kind="supervised"), config)
+            train(split, AlgorithmSpec(kind="supervised"), config, 0)
 
 
 class TestPerturb:
@@ -312,22 +311,21 @@ class TestTrainingOutcomes:
         pool = gen_two_moons(1200, 0.1, seed=40)
         split = make_cissl_split(pool, np.array([500, 500]), "uniform", 1.0,
                                  50, 100, seed=41)
-        config = TrainConfig(schedule=small_schedule(0.0, total=400, rampup=0),
+        config = TrainConfig(schedule=small_schedule(total=400, rampup=0),
                              labeled_batch=32, unlabeled_batch=1,
-                             hidden_width=16, eval_every=400, seed=10)
-        result = train(split, AlgorithmSpec(kind="supervised"), config)
+                             hidden_width=16, eval_every=400)
+        result = train(split, AlgorithmSpec(kind="supervised"), config, 10)
         assert result.history[-1].student_errors.mean() < 0.05
 
     def test_divergence_raises_with_diagnostics(self, split):
         # CE taken from finite logits stays finite, so blow up the parameters
         # through the decay term instead
-        config = TrainConfig(schedule=Schedule(total_iters=300, rampup_iters=0,
-                                               w_max=0.0, base_lr=1e160),
+        config = TrainConfig(schedule=Schedule(total_iters=300, rampup_iters=0, base_lr=1e160),
                              labeled_batch=8, unlabeled_batch=8,
-                             hidden_width=8, weight_decay=1.0, seed=11)
+                             hidden_width=8, weight_decay=1.0)
         with pytest.warns(RuntimeWarning):
             with pytest.raises(TrainingDiverged) as excinfo:
-                train(split, AlgorithmSpec(kind="supervised"), config)
+                train(split, AlgorithmSpec(kind="supervised"), config, 11)
         assert excinfo.value.iteration >= 0
         assert "non-finite loss" in str(excinfo.value)
 
@@ -345,15 +343,15 @@ class TestTrainingOutcomes:
         monkeypatch.setattr(skewlab.training, "backward", poisoned)
         steps = []
         with pytest.raises(TrainingDiverged, match="non-finite loss or gradient") as excinfo:
-            train(split, AlgorithmSpec(kind="supervised"), small_config(w_max=0.0, seed=15),
+            train(split, AlgorithmSpec(kind="supervised"), small_config(), 15,
                   step_callback=lambda t, params, target: steps.append(t))
         assert excinfo.value.iteration == 2
         assert np.isfinite(excinfo.value.sup_loss) and excinfo.value.con_loss == 0.0
         assert steps == [0, 1]
 
     def test_history_spacing_and_final_point(self, split):
-        result = train(split, AlgorithmSpec(kind="mean-teacher"),
-                       small_config(w_max=2.0, total=50, rampup=10, seed=12))
+        result = train(split, AlgorithmSpec(kind="mean-teacher", w_max=2.0),
+                       small_config(total=50, rampup=10), 12)
         iters = [p.iteration for p in result.history]
         assert iters == [20, 40, 50]
         assert all(a < b for a, b in zip(iters, iters[1:]))
@@ -362,8 +360,7 @@ class TestTrainingOutcomes:
 
 class TestHistoryCsv:
     def test_round_trip(self, split, tmp_path):
-        result = train(split, AlgorithmSpec(kind="mean-teacher"),
-                       small_config(w_max=2.0, seed=13))
+        result = train(split, AlgorithmSpec(kind="mean-teacher", w_max=2.0), small_config(), 13)
         path = tmp_path / "history.csv"
         write_history_csv(result, str(path))
         header, matrix = read_history_csv(str(path))
@@ -373,10 +370,10 @@ class TestHistoryCsv:
         assert matrix[-1, 3] == result.history[-1].sup_loss
 
     def test_reruns_serialize_identically(self, split, tmp_path):
-        config = small_config(w_max=2.0, seed=14)
+        config = small_config()
         paths = []
         for name in ("a.csv", "b.csv"):
-            result = train(split, AlgorithmSpec(kind="pi-model"), config)
+            result = train(split, AlgorithmSpec(kind="pi-model", w_max=2.0), config, 14)
             path = tmp_path / name
             write_history_csv(result, str(path))
             paths.append(path.read_bytes())
