@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import consistency_l2
-from .mlp import MlpParams, backward, forward, layer_views, softmax
+from .losses import consistency_l2, grad_through_softmax
+from .mlp import ForwardTrace, MlpParams, backward, forward, layer_views, softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,33 +162,23 @@ class GapEstimate:
     residual: float
 
 
-def probability_jacobian(params: MlpParams, x: np.ndarray) -> np.ndarray:
-    """Jacobian of the softmax outputs with respect to the flat parameters.
-
-    Row (i * n_classes + c) holds d p[i, c] / d theta.  One batched backward
-    pass carries the (batch, n_classes, n_classes) logit gradients of every
-    output entry down the layers; each entry only reaches its own input row,
-    so each layer's gradient for entry (i, c) is the outer product of row i's
-    layer input with that entry's delta, written straight into the output.
-    """
-    logits, trace = forward(params, x)
-    probs = softmax(logits)
-    batch, n_classes = probs.shape
-    jac = np.empty((batch, n_classes, params.n_params), dtype=np.float64)
-    jac_weights, jac_biases = layer_views(params.layer_sizes, jac)
-    # delta[i, c, k] = d p[i, c] / d logits[i, k] = p[i, k] * ([c == k] - p[i, c])
-    delta = probs[:, None, :] * (np.eye(n_classes) - probs[:, :, None])
+def _probability_tangent(trace: ForwardTrace, probs: np.ndarray,
+                         direction: np.ndarray) -> np.ndarray:
+    """J @ direction, with J the Jacobian of the softmax rows with respect to
+    the flat parameters at trace.params: one forward-mode pass that carries
+    each layer's tangent alongside the activations the trace stored."""
+    params = trace.params
+    d_weights, d_biases = layer_views(params.layer_sizes, direction)
     layer_inputs = (trace.inputs,) + trace.activations
-    for i in range(len(params.weights) - 1, -1, -1):
-        np.multiply(layer_inputs[i][:, None, :, None], delta[:, :, None, :], out=jac_weights[i])
-        jac_biases[i][...] = delta
-        if i > 0:
-            # One matmul over all batch * n_classes entries, then tanh'(z)
-            # through the stored activation: 1 - tanh(z)^2.
-            back = delta.reshape(batch * n_classes, -1) @ params.weights[i].T
-            delta = (back.reshape(batch, n_classes, -1)
-                     * (1.0 - trace.activations[i - 1] ** 2)[:, None, :])
-    return jac.reshape(batch * n_classes, params.n_params)
+    d_h = None  # the input does not depend on the parameters
+    for i, w in enumerate(params.weights):
+        d_z = layer_inputs[i] @ d_weights[i] + d_biases[i]
+        if d_h is not None:
+            d_z += d_h @ w
+        if i < len(trace.activations):
+            # tanh'(z) through the stored activation: 1 - tanh(z)^2
+            d_h = d_z * (1.0 - trace.activations[i] ** 2)
+    return grad_through_softmax(d_z, probs)
 
 
 def gradient_gap_estimate(params: MlpParams, target_params: MlpParams,
@@ -199,8 +189,9 @@ def gradient_gap_estimate(params: MlpParams, target_params: MlpParams,
     branch, which is also its difference from the shared-parameter branch:
     that one's gradient is identically zero on a shared input.  linear: J^T J
     (theta - theta') scaled by 1/batch, with J the probability Jacobian at
-    theta.  The residual between them shrinks quadratically in
-    ||theta - theta'||.
+    theta, formed without J: a forward tangent pass gives J (theta - theta')
+    and one backward pass through the softmax applies J^T to it.  The
+    residual between them shrinks quadratically in ||theta - theta'||.
     """
     logits, trace = forward(params, batch)
     student_probs = softmax(logits)
@@ -210,8 +201,7 @@ def gradient_gap_estimate(params: MlpParams, target_params: MlpParams,
     _, d_target_branch = consistency_l2(student_probs, target_probs)
     exact = backward(trace, d_target_branch).flat
 
-    jac = probability_jacobian(params, batch)
-    dtheta = params.flat - target_params.flat
-    linear = jac.T @ (jac @ dtheta) / batch.shape[0]
+    tangent = _probability_tangent(trace, student_probs, params.flat - target_params.flat)
+    linear = backward(trace, grad_through_softmax(tangent, student_probs)).flat / batch.shape[0]
     residual = float(np.linalg.norm(exact - linear))
     return GapEstimate(exact=exact, linear=linear, residual=residual)

@@ -65,21 +65,28 @@ def class_weights(spec: ReweightSpec, counts: np.ndarray) -> np.ndarray:
     return raw * (n_classes / raw.sum())
 
 
-def _grad_through_softmax(d_probs: np.ndarray, probs: np.ndarray) -> np.ndarray:
-    """Chain a gradient in probability space back to the logits."""
+def grad_through_softmax(d_probs: np.ndarray, probs: np.ndarray) -> np.ndarray:
+    """Chain a gradient in probability space back to the logits.
+
+    This multiplies each row by the softmax Jacobian diag(p) - p p^T, which is
+    symmetric, so it also carries a logit tangent forward to the probabilities.
+    """
     inner = (d_probs * probs).sum(axis=1, keepdims=True)
     return probs * (d_probs - inner)
 
 
 def supervised_loss(logits: np.ndarray, labels: np.ndarray, spec: ReweightSpec,
-                    counts: np.ndarray) -> tuple[float, np.ndarray]:
+                    weights: np.ndarray) -> tuple[float, np.ndarray]:
     """Mean reweighted classification loss over a labeled batch.
 
-    Takes the pre-softmax logits.  The returned gradient is taken with respect
-    to them and already includes the 1/batch factor.
+    Takes the pre-softmax logits and the per-class weights
+    (``class_weights(spec, counts)``, computed once per run).  The returned
+    gradient is taken with respect to the logits and already includes the
+    1/batch factor.
     """
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.float64)
     if logits.ndim != 2 or labels.shape != (logits.shape[0],):
         raise ValueError("logits must be (batch, classes) with one label per row")
     batch = logits.shape[0]
@@ -87,7 +94,8 @@ def supervised_loss(logits: np.ndarray, labels: np.ndarray, spec: ReweightSpec,
         raise ValueError("batch must be nonempty")
     if (labels < 0).any() or (labels >= logits.shape[1]).any():
         raise ValueError("labels must index columns of logits")
-    weights = class_weights(spec, counts)
+    if weights.shape != (logits.shape[1],):
+        raise ValueError("weights must hold one entry per column of logits")
     sample_w = weights[labels]
     rows = np.arange(batch)
     # one shift, exp and row sum serve both the softmax and the log-softmax
@@ -141,7 +149,7 @@ def _weighted_consistency(student_probs: np.ndarray, target_probs: np.ndarray,
     # the bits of .mean(), without its Python-level overhead
     loss = float((sample_weights * per_sample).sum() / batch)
     d_probs = diff * (sample_weights / batch)[:, None]
-    return loss, _grad_through_softmax(d_probs, student_probs)
+    return loss, grad_through_softmax(d_probs, student_probs)
 
 
 def consistency_l2(student_probs: np.ndarray, target_probs: np.ndarray) -> tuple[float, np.ndarray]:

@@ -23,8 +23,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datasets import CisslSplit, Dataset2D
-from .ioutil import fmt, read_csv, write_csv
-from .losses import ReweightSpec, SclShape, consistency_l2, scl_consistency, supervised_loss
+from .ioutil import FLOAT, read_csv, write_text
+from .losses import (
+    ReweightSpec,
+    SclShape,
+    class_weights,
+    consistency_l2,
+    scl_consistency,
+    supervised_loss,
+)
 from .mlp import (
     MlpParams,
     backward,
@@ -215,6 +222,7 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int
     student_out = layer_buffers(params.layer_sizes, config.unlabeled_batch)
     target_out = layer_buffers(params.layer_sizes, config.unlabeled_batch)
     counts = split.labeled_counts
+    weights = class_weights(algo.reweight, counts)
 
     history: list[HistoryPoint] = []
     for t in range(sched.total_iters):
@@ -223,7 +231,7 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int
         x_lab, y_lab, x_unl = sample_batch(split, config, batch_rng)
 
         logits, trace = forward(params, x_lab, out=lab_out)
-        sup_loss, d_sup = supervised_loss(logits, y_lab, algo.reweight, counts)
+        sup_loss, d_sup = supervised_loss(logits, y_lab, algo.reweight, weights)
         backward(trace, d_sup, out=grad)
 
         con_loss = 0.0
@@ -291,16 +299,17 @@ def write_history_csv(result: RunResult, path: str) -> None:
         raise ValueError("history is empty")
     n_classes = result.history[0].student_errors.size
     with_ema = result.history[0].ema_errors is not None
-    rows = []
+    header = history_header(n_classes, with_ema)
+    row = ",".join(["%d"] + [FLOAT] * (len(header) - 1)) + "\n"
+    parts = [",".join(header) + "\n"]
     for point in result.history:
-        row = [str(point.iteration), fmt(point.lr), fmt(point.w),
-               fmt(point.sup_loss), fmt(point.con_loss)]
-        row += [fmt(e) for e in point.student_errors]
+        cells = [point.iteration, point.lr, point.w, point.sup_loss, point.con_loss]
+        cells += point.student_errors.tolist()
         if with_ema:
             assert point.ema_errors is not None
-            row += [fmt(e) for e in point.ema_errors]
-        rows.append(row)
-    write_csv(path, history_header(n_classes, with_ema), rows)
+            cells += point.ema_errors.tolist()
+        parts.append(row % tuple(cells))
+    write_text(path, "".join(parts))
 
 
 def read_history_csv(path: str) -> tuple[list[str], np.ndarray]:

@@ -31,6 +31,7 @@ from skewlab.datasets import gen_two_moons, imbalance_counts, make_cissl_split
 from skewlab.losses import (
     ReweightSpec,
     SclShape,
+    class_weights,
     consistency_l2,
     scl_consistency,
     scl_weights,
@@ -168,9 +169,11 @@ class TestCriterion5GradientChecks:
                      ReweightSpec(method="cb", cb_beta=float(rng.choice([0.9, 0.99, 0.999])))]
 
             def supervised_fn(spec):
+                weights = class_weights(spec, counts)
+
                 def fn(p):
                     logits, trace = forward(p, x)
-                    loss, d = supervised_loss(logits, labels, spec, counts)
+                    loss, d = supervised_loss(logits, labels, spec, weights)
                     return loss, backward(trace, d)
                 return fn
 

@@ -15,7 +15,6 @@ from skewlab.coeffs import (
     gap_curve,
     gradient_gap_estimate,
     momentum_coefficients,
-    probability_jacobian,
     sgd_coefficients,
     write_gap_curve,
 )
@@ -223,31 +222,42 @@ def loop_jacobian(params, x):
 
 
 class TestProbabilityJacobian:
+    """gradient_gap_estimate forms linear = J^T J (theta - theta') / batch from
+    Jacobian products alone; these check it against an explicit J."""
+
     @pytest.fixture(params=[(2, 1), (2, 3), (4, 1), (4, 3)],
                     ids=["2cls-1layer", "2cls-3layers", "4cls-1layer", "4cls-3layers"])
     def setup(self, request):
         n_classes, hidden_layers = request.param
         params = init_params(5, n_classes, seed=11, hidden_layers=hidden_layers)
         x = np.random.default_rng(12).normal(size=(7, 2))
-        return params, x
+        step = 0.1 * np.random.default_rng(14).normal(size=params.n_params)
+        target = params.with_flat(params.flat - step)
+        return params, target, x, params.flat - target.flat
 
     def test_matches_per_entry_backward(self, setup):
-        params, x = setup
-        reference = loop_jacobian(params, x)
-        jac = probability_jacobian(params, x)
-        assert jac.shape == reference.shape
+        params, target, x, dtheta = setup
+        jac = loop_jacobian(params, x)
+        reference = jac.T @ (jac @ dtheta) / x.shape[0]
+        linear = gradient_gap_estimate(params, target, x).linear
+        assert linear.shape == reference.shape
         tol = 64 * np.finfo(np.float64).eps * np.abs(reference).max()
-        assert np.abs(jac - reference).max() <= tol
+        assert np.abs(linear - reference).max() <= tol
 
     def test_matches_central_differences(self, setup):
-        params, x = setup
-        jac = probability_jacobian(params, x)
+        # linear[k] = <d p / d theta_k, J dtheta> / batch, both directional
+        # derivatives taken by central differences
+        params, target, x, dtheta = setup
+        linear = gradient_gap_estimate(params, target, x).linear
         h = 1e-6
+
+        def derivative(direction):
+            up = softmax(forward(params.with_flat(params.flat + h * direction), x)[0])
+            down = softmax(forward(params.with_flat(params.flat - h * direction), x)[0])
+            return ((up - down) / (2 * h)).ravel()
+
+        along_dtheta = derivative(dtheta)
         coords = np.random.default_rng(13).choice(params.n_params, size=8, replace=False)
         for k in coords:
-            step = np.zeros(params.n_params)
-            step[k] = h
-            up = softmax(forward(params.with_flat(params.flat + step), x)[0])
-            down = softmax(forward(params.with_flat(params.flat - step), x)[0])
-            fd = ((up - down) / (2 * h)).ravel()
-            assert np.allclose(jac[:, k], fd, rtol=1e-6, atol=1e-8)
+            fd = derivative(np.eye(params.n_params)[k]) @ along_dtheta / x.shape[0]
+            assert np.isclose(linear[k], fd, rtol=1e-6, atol=1e-9)

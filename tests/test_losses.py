@@ -36,29 +36,30 @@ class TestSupervisedLoss:
         # exp(-800) underflows, so these softmax rows are exactly one-hot
         logits = rows([800.0, 0.0, 0.0], [0.0, 800.0, 0.0])
         loss, grad = supervised_loss(logits, np.array([0, 1]), ReweightSpec(),
-                                     np.array([5, 3, 1]))
+                                     class_weights(ReweightSpec(), np.array([5, 3, 1])))
         assert loss == 0.0
         assert np.allclose(grad, 0.0, atol=1e-15)
 
     def test_uniform_probabilities_give_log_c(self):
         logits = np.zeros((3, 4))
-        loss, _ = supervised_loss(logits, np.array([0, 2, 3]), ReweightSpec(),
-                                  np.ones(4, dtype=np.int64))
+        loss, _ = supervised_loss(logits, np.array([0, 2, 3]), ReweightSpec(), np.ones(4))
         assert loss == pytest.approx(LN4, abs=1e-15)
 
     def test_focal_single_sample_at_half_confidence(self):
         logits = rows([0.0, 0.0])
         spec = ReweightSpec(method="focal", focal_gamma=2.0)
-        loss, _ = supervised_loss(logits, np.array([0]), spec, np.array([1, 1]))
+        loss, _ = supervised_loss(logits, np.array([0]), spec,
+                                  class_weights(spec, np.array([1, 1])))
         assert loss == pytest.approx(FOCAL_HALF, abs=1e-15)
 
     def test_focal_gamma_zero_reduces_to_ce(self):
         logits = np.random.default_rng(0).normal(size=(6, 3))
         labels = np.array([0, 1, 2, 0, 1, 2])
         counts = np.array([7, 2, 1])
-        ce = supervised_loss(logits, labels, ReweightSpec(), counts)
-        focal0 = supervised_loss(logits, labels,
-                                 ReweightSpec(method="focal", focal_gamma=0.0), counts)
+        focal = ReweightSpec(method="focal", focal_gamma=0.0)
+        ce = supervised_loss(logits, labels, ReweightSpec(),
+                             class_weights(ReweightSpec(), counts))
+        focal0 = supervised_loss(logits, labels, focal, class_weights(focal, counts))
         assert focal0[0] == pytest.approx(ce[0], rel=1e-12)
         assert np.allclose(focal0[1], ce[1], atol=1e-12)
 
@@ -66,8 +67,11 @@ class TestSupervisedLoss:
         logits = np.random.default_rng(1).normal(size=(4, 3))
         labels = np.array([2, 0, 1, 1])
         counts = np.array([6, 6, 6])
-        ce_loss, ce_grad = supervised_loss(logits, labels, ReweightSpec(), counts)
-        in_loss, in_grad = supervised_loss(logits, labels, ReweightSpec(method="in"), counts)
+        ce_loss, ce_grad = supervised_loss(logits, labels, ReweightSpec(),
+                                           class_weights(ReweightSpec(), counts))
+        inverse = ReweightSpec(method="in")
+        in_loss, in_grad = supervised_loss(logits, labels, inverse,
+                                           class_weights(inverse, counts))
         assert in_loss == ce_loss
         assert np.array_equal(in_grad, ce_grad)
 
@@ -75,7 +79,7 @@ class TestSupervisedLoss:
         logits = np.random.default_rng(2).normal(size=(3, 4))
         probs = softmax(logits)
         labels = np.array([1, 3, 0])
-        _, grad = supervised_loss(logits, labels, ReweightSpec(), np.ones(4, dtype=np.int64))
+        _, grad = supervised_loss(logits, labels, ReweightSpec(), np.ones(4))
         onehot = np.eye(4)[labels]
         assert np.allclose(grad, (probs - onehot) / 3.0, atol=1e-15)
 
@@ -85,15 +89,20 @@ class TestSupervisedLoss:
         for method in ("ce", "focal"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
-                loss, grad = supervised_loss(logits, np.array([0]),
-                                             ReweightSpec(method=method), np.array([1, 1]))
+                spec = ReweightSpec(method=method)
+                loss, grad = supervised_loss(logits, np.array([0]), spec,
+                                             class_weights(spec, np.array([1, 1])))
             assert loss == pytest.approx(1000.0, rel=1e-12)
             assert np.all(np.isfinite(grad))
 
     def test_rejects_bad_labels(self):
         logits = rows([0.0, 0.0])
         with pytest.raises(ValueError):
-            supervised_loss(logits, np.array([2]), ReweightSpec(), np.array([1, 1]))
+            supervised_loss(logits, np.array([2]), ReweightSpec(), np.ones(2))
+
+    def test_rejects_weights_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="one entry per column"):
+            supervised_loss(rows([0.0, 0.0]), np.array([1]), ReweightSpec(), np.ones(3))
 
 
 class TestClassWeights:
@@ -241,9 +250,11 @@ def _fd_supervised(spec, counts, n_classes, seed):
     x = rng.normal(size=(7, 2))
     labels = rng.integers(0, n_classes, size=7)
 
+    weights = class_weights(spec, counts)
+
     def loss_fn(p):
         logits, trace = forward(p, x)
-        loss, d_logits = supervised_loss(logits, labels, spec, counts)
+        loss, d_logits = supervised_loss(logits, labels, spec, weights)
         return loss, backward(trace, d_logits)
 
     return grad_check(params, loss_fn)

@@ -165,8 +165,7 @@ class TestBackward:
 
         def loss_fn(p):
             logits, trace = forward(p, batch)
-            loss, d_logits = supervised_loss(logits, labels,
-                                             ReweightSpec(), np.array([3, 1, 1]))
+            loss, d_logits = supervised_loss(logits, labels, ReweightSpec(), np.ones(3))
             return loss, backward(trace, d_logits)
 
         assert grad_check(params, loss_fn) < 1e-5
@@ -211,8 +210,7 @@ class TestGradCheck:
 
         def loss_fn(p):
             logits, trace = forward(p, batch)
-            loss, d_logits = supervised_loss(logits, labels,
-                                             ReweightSpec(), np.ones(4, dtype=np.int64))
+            loss, d_logits = supervised_loss(logits, labels, ReweightSpec(), np.ones(4))
             return loss, backward(trace, d_logits)
 
         assert grad_check(params, loss_fn, eps=eps) < 1e-5

@@ -7,8 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab.mlp import init_params, param_scale
+from skewlab import report
+from skewlab.mlp import forward, init_params, param_scale, softmax
 from skewlab.report import (
+    GRID_BLOCK_ROWS,
     AggregateResult,
     GroupErrors,
     aggregate_runs,
@@ -101,6 +103,25 @@ class TestBoundaryGrid:
         assert np.array_equal(fine.ys[::2], coarse.ys)
         assert np.array_equal(fine.max_prob[::2, ::2], coarse.max_prob)
         assert np.array_equal(fine.argmax[::2, ::2], coarse.argmax)
+
+    @pytest.mark.parametrize("width", [1, 8, 64])
+    @pytest.mark.parametrize("hidden_layers", [1, 2, 3])
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_blocked_grid_matches_one_forward_bitwise(self, n_classes, hidden_layers, width):
+        # more nodes than one block, and a ragged last block
+        nx = 67
+        ny = GRID_BLOCK_ROWS // nx + 2
+        assert nx * ny > GRID_BLOCK_ROWS and nx * ny % GRID_BLOCK_ROWS != 0
+        params = init_params(width, n_classes, seed=23, hidden_layers=hidden_layers)
+        bbox = (-2.5, 2.0, -1.5, 3.0)
+        grid = boundary_grid(params, bbox, resolution=(nx, ny))
+        grid_x, grid_y = np.meshgrid(grid.xs, grid.ys)
+        nodes = np.column_stack((grid_x.ravel(), grid_y.ravel()))
+        logits, _ = forward(params, nodes)
+        assert np.array_equal(report._grid_logits(params, nodes), logits)
+        probs = softmax(logits)
+        assert np.array_equal(grid.max_prob, probs.max(axis=1).reshape(ny, nx))
+        assert np.array_equal(grid.argmax, probs.argmax(axis=1).reshape(ny, nx))
 
     def test_degenerate_inputs_rejected(self, params):
         with pytest.raises(ValueError):
