@@ -4,39 +4,3 @@ Everything runs on 2-D synthetic data with a small dense network, 64-bit
 floats, and seeded RNG streams, so full training campaigns finish in minutes
 on one core and every number is reproducible bit for bit.
 """
-
-from __future__ import annotations
-
-__version__ = "0.1.0"
-
-from .datasets import (
-    CisslSplit,
-    Dataset2D,
-    SplitCapacityError,
-    gen_four_spins,
-    gen_two_moons,
-    imbalance_counts,
-    make_cissl_split,
-)
-from .losses import ReweightSpec, SclShape
-from .optim import Schedule
-from .training import AlgorithmSpec, RunResult, TrainConfig, TrainingDiverged, evaluate, train
-
-__all__ = [
-    "AlgorithmSpec",
-    "CisslSplit",
-    "Dataset2D",
-    "ReweightSpec",
-    "RunResult",
-    "Schedule",
-    "SclShape",
-    "SplitCapacityError",
-    "TrainConfig",
-    "TrainingDiverged",
-    "evaluate",
-    "gen_four_spins",
-    "gen_two_moons",
-    "imbalance_counts",
-    "make_cissl_split",
-    "train",
-]

@@ -152,11 +152,12 @@ def _outcomes(config: CampaignConfig, runs: list[RunSpec], n_workers: int):
     order.  A dead worker breaks the pool; each run it left without a result
     (in flight or queued) is then retried once, alone on a fresh one-worker
     pool, so only a run whose own worker dies comes back as a failure.
-    Closing the generator cancels the runs that have not started.  The pool
-    stack (multiprocessing, sockets, logging) is imported on the pool path
-    only, so a serial campaign never loads it.
+    Closing the generator cancels the runs that have not started.  A pool
+    gets at most one worker per run, since it starts them all at once; its
+    stack (multiprocessing, sockets, logging) is imported on that path only.
     """
-    if n_workers == 1 or len(runs) <= 1:
+    n_workers = min(n_workers, len(runs))
+    if n_workers <= 1:
         for spec in runs:
             yield _execute_payload((config, spec))
         return

@@ -12,20 +12,17 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import re
 from dataclasses import dataclass, replace
 
 from .datasets import CLASS_COUNTS, UNLABELED_TYPES, imbalance_counts, unlabeled_rho
 from .optim import Schedule
 from .schema import Settings, dump, fits, read, setting
-from .training import AlgorithmSpec, TrainConfig
+from .training import REGIMES, AlgorithmSpec, TrainConfig
 
-DEFAULT_W_MAX = {
-    "supervised": 0.0,
-    "pi-model": 20.0,
-    "mean-teacher": 8.0,
-    "pseudo-label": 1.0,
-    "mt-scl": 8.0,
-}
+# a name goes into run ids, file names and CSV cells, whose "__" joins and
+# commas it must not hold; nor may it hold a path separator or start with "."
+_NAME = re.compile(r"[A-Za-z0-9]+([._-][A-Za-z0-9]+)*")
 
 
 class ConfigError(ValueError):
@@ -52,7 +49,7 @@ class DatasetSpec(Settings):
 @dataclass(frozen=True, kw_only=True)
 class AlgorithmConfig(AlgorithmSpec):
     """A regime spec with its run name (default: kind); a config that omits
-    w_max gets DEFAULT_W_MAX of its kind."""
+    w_max gets its kind's default from REGIMES."""
 
     name: str = setting()
 
@@ -113,7 +110,9 @@ def _entries(raw: dict, key: str, cls, derive, errors: list[str]) -> tuple:
         if not isinstance(entry, dict):
             errors.append(f"{key}[{i}]: must be an object")
         elif (values := read(cls, entry, f"{key}[{i}]", errors)) is not None:
-            values.setdefault("name", values["kind"])
+            if not _NAME.fullmatch(values.setdefault("name", values["kind"])):
+                errors.append(f"{key}[{i}].name: must be letters and digits joined by single "
+                              f"'.', '_' or '-', got {values['name']!r}")
             derive(values, entry, f"{key}[{i}]", errors)
             built.append(cls(**values))
     if len({entry.name for entry in built}) != len(built):
@@ -130,7 +129,7 @@ def _derive_dataset(values: dict, entry: dict, path: str, errors: list[str]) -> 
 
 def _derive_algorithm(values: dict, entry: dict, path: str, errors: list[str]) -> None:
     if "w_max" not in entry:
-        values["w_max"] = DEFAULT_W_MAX[values["kind"]]
+        values["w_max"] = REGIMES[values["kind"]][0]
 
 
 def _seeds(raw: dict, errors: list[str]) -> tuple[int, ...]:
@@ -158,7 +157,7 @@ def _lr_decay(entry, errors: list[str]) -> tuple[tuple[int, float], ...]:
     pairs, last = [], -1
     for i, pair in enumerate(entry):
         if (not isinstance(pair, list) or len(pair) != 2 or not fits(int, pair[0])
-                or not fits(float, pair[1]) or pair[1] <= 0.0):
+                or pair[0] < 0 or not fits(float, pair[1]) or pair[1] <= 0.0):
             errors.append(f"schedule.lr_decay[{i}]: must be [iteration >= 0, positive factor]")
             continue
         if pair[0] <= last:
@@ -198,7 +197,7 @@ def validate_config(text: str) -> CampaignConfig:
     schedule = read(Schedule, sched_obj, "schedule", errors)
     schedule.setdefault("rampup_iters", round(0.4 * schedule["total_iters"]))
     if "lr_decay" in sched_obj:
-        schedule["lr_decay_points"] = _lr_decay(sched_obj["lr_decay"], errors)
+        schedule["lr_decay"] = _lr_decay(sched_obj["lr_decay"], errors)
     training = read(TrainConfig, _block(raw, "training", errors), "training", errors)
     _check_batches(training, top["datasets"], errors)
 

@@ -34,7 +34,7 @@ class SclShape(Settings):
     on the most frequent class and shrink toward rarer predicted classes.
     """
 
-    kind: str = setting("exponential", choices=("exponential", "linear"), key="shape")
+    shape: str = setting("exponential", choices=("exponential", "linear"))
     beta: float = setting(0.5, bound="(0,1]")
 
 
@@ -162,7 +162,7 @@ def consistency_l2(student_probs: np.ndarray, target_probs: np.ndarray) -> tuple
     return _weighted_consistency(student_probs, target_probs, np.ones(batch, dtype=np.float64))
 
 
-def scl_weights(counts: np.ndarray, predictions: np.ndarray, shape: SclShape) -> np.ndarray:
+def scl_weights(counts: np.ndarray, predictions: np.ndarray, scl: SclShape) -> np.ndarray:
     """Suppression factor of each sample given its predicted class.
 
     Uses the labeled per-class counts: n_c of the predicted class against the
@@ -176,21 +176,21 @@ def scl_weights(counts: np.ndarray, predictions: np.ndarray, shape: SclShape) ->
         raise ValueError("predictions out of range")
     n_c = counts.astype(np.float64)[predictions]
     n_max = float(counts.max())
-    if shape.kind == "linear":
+    if scl.shape == "linear":
         return n_c / n_max
-    return np.power(shape.beta, 1.0 - n_c / n_max)
+    return np.power(scl.beta, 1.0 - n_c / n_max)
 
 
 def scl_consistency(student_probs: np.ndarray, target_probs: np.ndarray,
                     predictions: np.ndarray, counts: np.ndarray,
-                    shape: SclShape) -> tuple[float, np.ndarray]:
+                    scl: SclShape) -> tuple[float, np.ndarray]:
     """Consistency loss with per-sample suppression by predicted-class frequency.
 
     predictions are the argmax classes the caller computed (no gradient flows
     through them).  With balanced counts every suppression factor is exactly
     1 and the result is bit-identical to consistency_l2.
     """
-    weights = scl_weights(counts, predictions, shape)
+    weights = scl_weights(counts, predictions, scl)
     if weights.shape != (np.asarray(student_probs).shape[0],):
         raise ValueError("predictions must align with the batch")
     return _weighted_consistency(student_probs, target_probs, weights)

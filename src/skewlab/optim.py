@@ -22,14 +22,14 @@ class Schedule(Settings):
     total_iters: int = setting(5000, bound=">=1")
     rampup_iters: int = setting(bound=">=0")  # configs default it to 0.4 * total_iters
     base_lr: float = setting(0.1, bound=">0.0")
-    lr_decay_points: tuple[tuple[int, float], ...] = setting(((4000, 0.2),), key="lr_decay")
+    lr_decay: tuple[tuple[int, float], ...] = setting(((4000, 0.2),))
 
     def __post_init__(self) -> None:
         super().__post_init__()
         last = -1
-        for point, factor in self.lr_decay_points:
+        for point, factor in self.lr_decay:
             if point <= last:
-                raise ValueError("lr_decay_points must be strictly increasing")
+                raise ValueError("lr_decay points must be nonnegative and strictly increasing")
             if factor <= 0.0:
                 raise ValueError("lr decay factors must be positive")
             last = point
@@ -66,7 +66,7 @@ def lr_at(t: int, sched: Schedule) -> float:
     if t < 0:
         raise ValueError("t must be nonnegative")
     lr = sched.base_lr
-    for point, factor in sched.lr_decay_points:
+    for point, factor in sched.lr_decay:
         if t >= point:
             lr *= factor
     return lr

@@ -1,9 +1,9 @@
 """Settings declared once, on the dataclass fields that carry them at run time.
 
-`setting` stores a field's default, bound or choices and JSON key in its
-metadata.  `Settings` subclasses check them on construction (``beta must lie
-in (0,1]``), `read` checks JSON against them (``algorithms[0].scl.beta: must
-lie in (0,1]``) and `dump` writes the JSON back.
+`setting` stores a field's default and its bound or choices in its metadata;
+the field's name is its JSON key.  `Settings` subclasses check them on
+construction (``beta must lie in (0,1]``), `read` checks JSON against them
+(``algorithms[0].scl.beta: must lie in (0,1]``) and `dump` writes the JSON back.
 """
 
 from __future__ import annotations
@@ -18,19 +18,18 @@ _TYPES = {str: (str, "must be a string"), bool: (bool, "must be a boolean"),
 
 
 def setting(default=MISSING, *, bound: str | None = None, choices: tuple = (),
-            key: str | None = None, required: bool = False):
+            required: bool = False):
     """bound is ">=m", ">m" or an interval such as "(0,1]".  A setting that
     JSON may omit but that has no default gets one the config reader derives
     from other settings."""
     return field(default=default, metadata={"bound": bound, "choices": choices,
-                                            "key": key, "required": required})
+                                            "required": required})
 
 
 @cache
 def _declared(cls) -> tuple:
     hints = typing.get_type_hints(cls)
-    return tuple((f, f.name if f.metadata["key"] is None else f.metadata["key"], hints[f.name])
-                 for f in fields(cls) if "bound" in f.metadata)
+    return tuple((f, hints[f.name]) for f in fields(cls) if "bound" in f.metadata)
 
 
 def _problem(f, value) -> str | None:
@@ -53,7 +52,7 @@ class Settings:
     """Base of the settings dataclasses: construction checks every declared setting."""
 
     def __post_init__(self) -> None:
-        for f, _, _ in _declared(type(self)):
+        for f, _ in _declared(type(self)):
             if (problem := _problem(f, getattr(self, f.name))) is not None:
                 raise ValueError(f"{f.name} {problem}")
 
@@ -72,16 +71,16 @@ def read(cls, obj: dict, path: str, errors: list[str]) -> dict | None:
     default instance are left to the caller."""
     declared = _declared(cls)
     prefix = f"{path}." if path else ""
-    known = {key for _, key, _ in declared}
+    known = {f.name for f, _ in declared}
     errors.extend(f"{prefix}{key}: unknown key" for key in obj if key not in known)
     values, failed = {}, False
-    for f, key, hint in declared:
+    for f, hint in declared:
         nested = is_dataclass(hint) and f.default is not MISSING
-        value, problem = obj.get(key), None
-        if key not in obj:
+        value, problem = obj.get(f.name), None
+        if f.name not in obj:
             problem = "required key is missing" if f.metadata["required"] else None
         elif nested and isinstance(value, dict):
-            values[f.name] = hint(**read(hint, value, prefix + key, errors))
+            values[f.name] = hint(**read(hint, value, prefix + f.name, errors))
             continue
         elif nested:
             problem = "must be an object"
@@ -95,7 +94,7 @@ def read(cls, obj: dict, path: str, errors: list[str]) -> dict | None:
                 values[f.name] = value
                 continue
         if problem is not None:
-            errors.append(f"{prefix}{key}: {problem}")
+            errors.append(f"{prefix}{f.name}: {problem}")
         failed = failed or f.metadata["required"]
         if f.default is not MISSING:
             values[f.name] = f.default
@@ -103,9 +102,9 @@ def read(cls, obj: dict, path: str, errors: list[str]) -> dict | None:
 
 
 def dump(value):
-    """Plain JSON data: settings dataclasses as objects keyed like their JSON, tuples as lists."""
+    """Plain JSON data: settings dataclasses as objects keyed by field name, tuples as lists."""
     if isinstance(value, Settings):
-        return {key: dump(getattr(value, f.name)) for f, key, _ in _declared(type(value))}
+        return {f.name: dump(getattr(value, f.name)) for f, _ in _declared(type(value))}
     if isinstance(value, tuple):
         return [dump(item) for item in value]
     return value

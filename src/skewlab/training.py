@@ -45,8 +45,15 @@ from .mlp import (
 from .optim import Schedule, ema_update, lr_at, rampup_weight, sgd_step
 from .schema import Settings, setting
 
-CONSISTENCY_KINDS = ("pi-model", "mean-teacher", "mt-scl")
-EMA_KINDS = ("mean-teacher", "mt-scl")
+# kind -> (default w_max, unlabeled term, keeps an EMA target); the "l2" and "scl"
+# consistency terms compare the student with its EMA target, or else with itself
+REGIMES = {
+    "supervised": (0.0, None, False),
+    "pi-model": (20.0, "l2", False),
+    "mean-teacher": (8.0, "l2", True),
+    "pseudo-label": (1.0, "pseudo-label", False),
+    "mt-scl": (8.0, "scl", True),
+}
 
 
 class TrainingDiverged(RuntimeError):
@@ -66,8 +73,7 @@ class TrainingDiverged(RuntimeError):
 class AlgorithmSpec(Settings):
     """Which regime to run plus its regime-specific knobs."""
 
-    kind: str = setting(
-        choices=("supervised", "pi-model", "mean-teacher", "pseudo-label", "mt-scl"), required=True)
+    kind: str = setting(choices=tuple(REGIMES), required=True)
     reweight: ReweightSpec = setting(ReweightSpec())
     w_max: float = setting(0.0, bound=">=0.0")  # consistency weight after the ramp-up
     ema_gamma: float = setting(0.95, bound="(0,1]")
@@ -215,7 +221,8 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int
     # target's apart, since the student's trace must outlive the target's
     # forward pass)
     velocity = np.zeros_like(params.flat)
-    ema = params.with_flat(params.flat) if algo.kind in EMA_KINDS else None
+    _, term, keeps_ema = REGIMES[algo.kind]
+    ema = params.with_flat(params.flat) if keeps_ema else None
     grad = MlpParams(params.layer_sizes, np.empty(params.n_params))
     extra = MlpParams(params.layer_sizes, np.empty(params.n_params))
     lab_out = layer_buffers(params.layer_sizes, config.labeled_batch)
@@ -234,30 +241,28 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int
         sup_loss, d_sup = supervised_loss(logits, y_lab, algo.reweight, weights)
         backward(trace, d_sup, out=grad)
 
-        con_loss = 0.0
-        if algo.kind in CONSISTENCY_KINDS and w > 0.0 and x_unl.shape[0] > 0:
+        con_loss, d_con = 0.0, None
+        unlabeled = term is not None and w > 0.0 and x_unl.shape[0] > 0
+        if unlabeled and term == "pseudo-label":
+            u_logits, u_trace = forward(params, x_unl, out=student_out)
+            con_loss, d_con = _pseudo_label_loss(u_logits, algo.pl_threshold)
+        elif unlabeled:
             x_student = perturb(x_unl, config.perturb_std, noise_rng)
             x_target = perturb(x_unl, config.perturb_std, noise_rng)
-            s_logits, s_trace = forward(params, x_student, out=student_out)
+            s_logits, u_trace = forward(params, x_student, out=student_out)
             s_probs = softmax(s_logits)
             t_logits, _ = forward(ema if ema is not None else params, x_target,
                                   out=target_out)
             t_probs = softmax(t_logits)
-            if algo.kind == "mt-scl":
+            if term == "scl":
                 source = t_probs if algo.scl_pred_source == "target" else s_probs
-                predictions = source.argmax(axis=1)
-                con_loss, d_con = scl_consistency(s_probs, t_probs, predictions,
+                con_loss, d_con = scl_consistency(s_probs, t_probs, source.argmax(axis=1),
                                                   counts, algo.scl)
             else:
                 con_loss, d_con = consistency_l2(s_probs, t_probs)
-            param_add(grad, param_scale(backward(s_trace, d_con, out=extra), w, out=extra),
+        if d_con is not None:
+            param_add(grad, param_scale(backward(u_trace, d_con, out=extra), w, out=extra),
                       out=grad)
-        elif algo.kind == "pseudo-label" and w > 0.0 and x_unl.shape[0] > 0:
-            u_logits, u_trace = forward(params, x_unl, out=student_out)
-            con_loss, d_con = _pseudo_label_loss(u_logits, algo.pl_threshold)
-            if d_con is not None:
-                param_add(grad, param_scale(backward(u_trace, d_con, out=extra), w, out=extra),
-                          out=grad)
 
         if config.weight_decay > 0.0:
             param_add(grad, param_scale(params, config.weight_decay, out=extra), out=grad)

@@ -161,7 +161,7 @@ class TestCriterion5GradientChecks:
             labels = rng.integers(0, n_classes, size=batch)
             target_probs = softmax(rng.normal(size=(batch, n_classes)))
             predictions = target_probs.argmax(axis=1)
-            shape = SclShape(kind=str(rng.choice(["exponential", "linear"])),
+            shape = SclShape(shape=str(rng.choice(["exponential", "linear"])),
                              beta=float(rng.uniform(0.1, 1.0)))
             specs = [ReweightSpec(),
                      ReweightSpec(method="in"),
@@ -212,7 +212,7 @@ class TestCriterion6SuppressionDegeneracies:
 
         exp_at_max = float(scl_weights(np.array([10, 2]), np.array([0]), SclShape())[0])
         linear_minor = float(scl_weights(np.array([10, 2]), np.array([1]),
-                                         SclShape(kind="linear"))[0])
+                                         SclShape(shape="linear"))[0])
 
         verdict(6, identical and exp_at_max == 1.0 and linear_minor == 0.2,
                 "balanced mt-scl run bit-identical to mean-teacher; "

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -160,6 +161,23 @@ class TestRunCampaign:
         monkeypatch.setenv(WORKERS_ENV, "2")
         outcome = quiet_run(tiny_config, out_dir=tmp_path / "out")
         assert outcome.ok
+
+    def test_pool_has_at_most_one_worker_per_run(self, tiny_config, tmp_path, monkeypatch):
+        # a pool starts all of its workers at the first submit, so a larger
+        # one would fork workers that never get a run
+        sizes = []
+
+        class Recording(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers=None, **kwargs):
+                sizes.append(max_workers)
+                super().__init__(max_workers, **kwargs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
+        serial = quiet_run(tiny_config, out_dir=tmp_path / "serial", workers=1)
+        pooled = quiet_run(tiny_config, out_dir=tmp_path / "pooled", workers=6)
+        assert sizes == [4]  # one worker per run of the 4-run campaign
+        for fa, fb in zip(sorted(serial.files), sorted(pooled.files)):
+            assert fa.read_bytes() == fb.read_bytes(), fa.name
 
     def test_failures_are_isolated_and_recorded(self, tmp_path):
         # second dataset's pool cannot cover its split: every run on it fails,

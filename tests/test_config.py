@@ -130,7 +130,7 @@ class TestDefaults:
         assert config.schedule.total_iters == 5000
         assert config.schedule.rampup_iters == 2000
         assert config.schedule.base_lr == 0.1
-        assert config.schedule.lr_decay_points == ((4000, 0.2),)
+        assert config.schedule.lr_decay == ((4000, 0.2),)
         assert config.training.labeled_batch == config.training.unlabeled_batch == 32
         assert config.training.perturb_std == 0.1
         assert config.training.momentum == 0.9
@@ -174,7 +174,7 @@ class TestTrainConfigBridge:
         sched = tc.schedule
         assert sched is config.schedule
         assert (sched.total_iters, sched.rampup_iters) == (300, 100)
-        assert sched.lr_decay_points == ((200, 0.5),)
+        assert sched.lr_decay == ((200, 0.5),)
         assert tc.labeled_batch == 4 and tc.hidden_width == 8
 
 
@@ -212,7 +212,7 @@ class TestPresets:
         assert (moons.labeled_max, moons.unlabeled_max, moons.val_per_class) == (10, 2500, 3000)
         assert (spins.labeled_max, spins.unlabeled_max, spins.val_per_class) == (5, 1250, 1500)
         assert moons.rho_l == spins.rho_l == 5.0
-        assert config.algorithms[3].scl.kind == "linear"
+        assert config.algorithms[3].scl.shape == "linear"
 
     def test_grid_preset_turns_on_dumps(self):
         config = preset_config("toy-figure1-grids")
@@ -225,7 +225,7 @@ class TestPresets:
 
     def test_ablation_preset_sweeps_shapes(self):
         config = preset_config("ablation-scl-shapes")
-        shapes = [(a.scl.kind, a.scl.beta) for a in config.algorithms[1:]]
+        shapes = [(a.scl.shape, a.scl.beta) for a in config.algorithms[1:]]
         assert shapes == [("exponential", 0.25), ("exponential", 0.5),
                           ("exponential", 0.75), ("linear", 0.5)]
 

@@ -72,6 +72,10 @@ NO_DATASETS = "datasets: datasets and algorithms must both be given to run train
 NO_ALGORITHMS = "algorithms: datasets and algorithms must both be given to run training"
 
 
+def bad_name(path: str, name: str) -> str:
+    return f"{path}.name: must be letters and digits joined by single '.', '_' or '-', got {name!r}"
+
+
 def mutated(path: str, value) -> str:
     """BASE with the dotted path set to value (list indices as numbers)."""
     config = copy.deepcopy(BASE)
@@ -112,6 +116,13 @@ CORPUS = [
     ("datasets.0.rho_l", 0.5, {"datasets[0].rho_l: must be at least 1.0"}),
     ("datasets.0.rho_l", "5", {"datasets[0].rho_l: must be a real number"}),
     ("datasets.0.name", 7, {"datasets[0].name: must be a string"}),
+    # names go into run ids ("__" joins), file paths and CSV cells
+    ("datasets.0.name", "a__b", {bad_name("datasets[0]", "a__b")}),
+    ("datasets.0.name", "sub/dir", {bad_name("datasets[0]", "sub/dir")}),
+    ("datasets.0.name", "", {bad_name("datasets[0]", "")}),
+    ("algorithms.0.name", "../x", {bad_name("algorithms[0]", "../x")}),
+    ("algorithms.0.name", "mt,scl", {bad_name("algorithms[0]", "mt,scl")}),
+    ("algorithms.0.name", "mt-", {bad_name("algorithms[0]", "mt-")}),
     ("datasets.0.unlabeled_type", "skewed",
      {"datasets[0].unlabeled_type: must be one of ['half', 'same', 'uniform'], got 'skewed'"}),
     ("algorithms", [{"kind": "mt-scl"}, {"kind": "mt-scl"}], {"algorithms: names must be unique"}),
@@ -147,6 +158,8 @@ CORPUS = [
     ("schedule.base_lr", 0.0, {"schedule.base_lr: out of range"}),
     ("schedule.lr_decay", 5, {"schedule.lr_decay: must be a list of [iteration, factor] pairs"}),
     ("schedule.lr_decay", [[100, 0]],
+     {"schedule.lr_decay[0]: must be [iteration >= 0, positive factor]"}),
+    ("schedule.lr_decay", [[-5, 0.5]],
      {"schedule.lr_decay[0]: must be [iteration >= 0, positive factor]"}),
     ("schedule.lr_decay", [[100, 0.5], [50, 0.5]],
      {"schedule.lr_decay: iterations must be strictly increasing"}),

@@ -165,15 +165,15 @@ class TestSclWeight:
         assert scl_weights(np.array([10, 2]), np.array([0]), SclShape())[0] == 1.0
 
     def test_exponential_at_half_frequency(self):
-        w = scl_weights(np.array([10, 5]), np.array([1]), SclShape(kind="exponential", beta=0.5))
+        w = scl_weights(np.array([10, 5]), np.array([1]), SclShape(shape="exponential", beta=0.5))
         assert w[0] == pytest.approx(EXP_HALF_FREQ, rel=1e-15)
 
     def test_linear_minor_class_ratio_is_exact(self):
-        assert scl_weights(np.array([10, 2]), np.array([1]), SclShape(kind="linear"))[0] == 0.2
+        assert scl_weights(np.array([10, 2]), np.array([1]), SclShape(shape="linear"))[0] == 0.2
 
     def test_vectorized_form_agrees(self):
         counts = np.array([10, 3, 2])
-        shape = SclShape(kind="exponential", beta=0.5)
+        shape = SclShape(shape="exponential", beta=0.5)
         predictions = np.array([0, 2, 1, 0])
         w = scl_weights(counts, predictions, shape)
         # the closed form beta^(1 - n_c / n_max), one sample at a time
@@ -185,7 +185,7 @@ class TestSclWeight:
     @settings(max_examples=100, deadline=None)
     def test_bounded_and_monotone_in_frequency(self, counts, beta, kind):
         counts = np.sort(np.asarray(counts, dtype=np.int64))[::-1].copy()
-        shape = SclShape(kind=kind, beta=beta)
+        shape = SclShape(shape=kind, beta=beta)
         weights = scl_weights(counts, np.arange(len(counts)), shape)
         assert all(0.0 < w <= 1.0 for w in weights)
         # counts are nonincreasing across classes, so weights must be too
@@ -193,7 +193,7 @@ class TestSclWeight:
 
     def test_beta_range_is_enforced(self):
         with pytest.raises(ValueError, match=r"beta must lie in \(0,1\]"):
-            SclShape(kind="exponential", beta=1.5)
+            SclShape(shape="exponential", beta=1.5)
 
 
 class TestSclConsistency:
@@ -203,7 +203,7 @@ class TestSclConsistency:
         target = softmax(rng.normal(size=(6, 4)))
         predictions = student.argmax(axis=1)
         counts = np.array([3, 3, 3, 3])
-        for shape in (SclShape(), SclShape(kind="linear")):
+        for shape in (SclShape(), SclShape(shape="linear")):
             loss, grad = scl_consistency(student, target, predictions, counts, shape)
             plain_loss, plain_grad = consistency_l2(student, target)
             assert loss == plain_loss
@@ -227,7 +227,7 @@ class TestSclConsistency:
         predictions = np.array([0, 0, 1, 1])
         counts = np.array([10, 2])
         loss, _ = scl_consistency(student, target, predictions, counts,
-                                  SclShape(kind="exponential", beta=0.5))
+                                  SclShape(shape="exponential", beta=0.5))
         per_sample = 0.5 * np.sum((student - target) ** 2, axis=1)
         weights = np.array([1.0, 1.0, EXP_MINOR_10_2, EXP_MINOR_10_2])
         assert loss == pytest.approx(float(np.mean(weights * per_sample)), rel=1e-14)
@@ -239,7 +239,7 @@ class TestSclConsistency:
         target = softmax(rng.normal(size=(2, 2)))
         counts = np.array([10, 2])
         _, grad_scl = scl_consistency(student, target, np.array([1, 1]), counts,
-                                      SclShape(kind="linear"))
+                                      SclShape(shape="linear"))
         _, grad_plain = consistency_l2(student, target)
         assert np.allclose(grad_scl, 0.2 * grad_plain, atol=1e-15)
 
@@ -295,7 +295,7 @@ class TestFiniteDifferences:
     def test_consistency(self):
         assert _fd_consistency(None, seed=12) < 1e-5
 
-    @pytest.mark.parametrize("shape", [SclShape(), SclShape(kind="linear"),
-                                       SclShape(kind="exponential", beta=0.25)])
+    @pytest.mark.parametrize("shape", [SclShape(), SclShape(shape="linear"),
+                                       SclShape(shape="exponential", beta=0.25)])
     def test_suppressed_consistency(self, shape):
         assert _fd_consistency(shape, seed=13) < 1e-5

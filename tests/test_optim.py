@@ -85,7 +85,7 @@ class TestEma:
 
 def sched(**kwargs):
     base = dict(total_iters=5000, rampup_iters=2000, base_lr=0.1,
-                lr_decay_points=((4000, 0.2),))
+                lr_decay=((4000, 0.2),))
     base.update(kwargs)
     return Schedule(**base)
 
@@ -120,10 +120,10 @@ class TestLrAt:
         assert lr_at(4000, s) == pytest.approx(0.02, rel=1e-15)
 
     def test_without_decay_points(self):
-        assert lr_at(4500, sched(lr_decay_points=())) == 0.1
+        assert lr_at(4500, sched(lr_decay=())) == 0.1
 
     def test_decay_factors_compound(self):
-        s = sched(lr_decay_points=((100, 0.5), (200, 0.5)))
+        s = sched(lr_decay=((100, 0.5), (200, 0.5)))
         assert lr_at(99, s) == 0.1
         assert lr_at(150, s) == pytest.approx(0.05, rel=1e-15)
         assert lr_at(200, s) == pytest.approx(0.025, rel=1e-15)
@@ -138,9 +138,9 @@ class TestScheduleValidation:
         dict(total_iters=0),
         dict(rampup_iters=-1),
         dict(base_lr=0.0),
-        dict(lr_decay_points=((200, 0.5), (100, 0.5))),
-        dict(lr_decay_points=((100, 0.5), (100, 0.5))),
-        dict(lr_decay_points=((100, 0.0),)),
+        dict(lr_decay=((200, 0.5), (100, 0.5))),
+        dict(lr_decay=((100, 0.5), (100, 0.5))),
+        dict(lr_decay=((100, 0.0),)),
     ])
     def test_bad_fields_rejected(self, kwargs):
         with pytest.raises(ValueError):

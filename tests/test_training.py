@@ -33,7 +33,7 @@ def small_schedule(total=60, rampup=20, **kwargs):
 
 
 def small_config(**kwargs):
-    sched_kwargs = {k: kwargs.pop(k) for k in ("total", "rampup", "lr_decay_points")
+    sched_kwargs = {k: kwargs.pop(k) for k in ("total", "rampup", "lr_decay")
                     if k in kwargs}
     fields = dict(labeled_batch=8, unlabeled_batch=8, hidden_width=8, eval_every=20)
     fields.update(kwargs)
@@ -177,7 +177,7 @@ class TestRegimeEquivalences:
                                     np.array([8, 8]), "same", 1.0, 60, 40, seed=33)
         mt_b = train(balanced, AlgorithmSpec(kind="mean-teacher", w_max=4.0), config, 5)
         scl_b = train(balanced, AlgorithmSpec(kind="mt-scl", w_max=4.0,
-                                              scl=SclShape(kind="linear")), config, 5)
+                                              scl=SclShape(shape="linear")), config, 5)
         assert params_equal(scl_b.params, mt_b.params)
         assert not params_equal(mt.params, mt_b.params)
 
