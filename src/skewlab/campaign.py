@@ -31,7 +31,7 @@ import numpy as np
 from .coeffs import write_gap_curve
 from .config import CampaignConfig, config_digest
 from .datasets import (
-    GENERATORS,
+    KINDS,
     CisslSplit,
     Dataset2D,
     imbalance_counts,
@@ -43,7 +43,6 @@ from .mlp import save_params
 from .report import (
     AggregateResult,
     BoundaryGrid,
-    GroupErrors,
     aggregate_runs,
     boundary_grid,
     default_bbox,
@@ -107,7 +106,7 @@ def prepare_split(config: CampaignConfig, dataset_index: int,
     """
     ds = config.datasets[dataset_index]
     pool_seed, split_seed = np.random.SeedSequence([seed, dataset_index]).generate_state(2)
-    pool = GENERATORS[ds.kind](ds.n_pool_per_class, ds.data_noise, int(pool_seed))
+    pool = KINDS[ds.kind][0](ds.n_pool_per_class, ds.data_noise, int(pool_seed))
     labeled_counts = imbalance_counts(ds.labeled_max, ds.rho_l, pool.n_classes)
     split = make_cissl_split(pool, labeled_counts, ds.unlabeled_type, ds.rho_l,
                              ds.unlabeled_max, ds.val_per_class, int(split_seed))
@@ -232,8 +231,8 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
     prepare_outputs(config, out)
     runs = build_runs(config)
 
-    student_finals: dict[str, GroupErrors] = {}
-    ema_finals: dict[str, GroupErrors] = {}
+    # student and EMA target: dataset -> algorithm -> final grouped errors per seed
+    finals: tuple[dict, dict] = ({}, {})
     failures: dict[str, str] = {}
     files: list[Path] = []
     with closing(_outcomes(config, runs, n_workers)) as outcomes:
@@ -247,11 +246,15 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
                 print(f"[skewlab] FAILED {run_id}\n{error}", file=log)
                 continue
             files.extend(_write_run(record, out))
-            # all the tables need of a run: its final errors, grouped
+            # all the tables need of a run: its final errors, grouped; runs
+            # arrive in grid order, so each cell lists its seeds in order
             last = record.result.history[-1]
-            student_finals[run_id] = group_errors(last.student_errors, record.labeled_counts)
-            if last.ema_errors is not None:
-                ema_finals[run_id] = group_errors(last.ema_errors, record.labeled_counts)
+            dataset = config.datasets[record.spec.dataset_index].name
+            algo = config.algorithms[record.spec.algorithm_index].name
+            for cells, errors in zip(finals, (last.student_errors, last.ema_errors)):
+                if errors is not None:
+                    cells.setdefault(dataset, {}).setdefault(algo, []).append(
+                        group_errors(errors, record.labeled_counts))
             print(f"[skewlab] done {run_id} "
                   f"({record.result.wall_seconds:.1f}s)", file=log)
             del record  # free its parameters and grids before the next run
@@ -268,12 +271,14 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
                 write_split_csv(split, split_path)
                 files.append(split_path)
 
-    student_table = _aggregate(config, runs, student_finals)
-    ema_table = _aggregate(config, runs, ema_finals)
-    if student_table:
-        files.extend(write_report(student_table, out))
-    if ema_table:
-        files.extend(write_report(ema_table, out, table_name="table_ema.csv"))
+    student_table, ema_table = (
+        {dataset: {algo: aggregate_runs(per_seed) for algo, per_seed in per_algo.items()}
+         for dataset, per_algo in cells.items()} for cells in finals)
+    for table, table_name in ((student_table, "table.csv"), (ema_table, "table_ema.csv")):
+        if table:
+            columns = [a.name for a in config.algorithms
+                       if any(a.name in per_algo for per_algo in table.values())]
+            files.extend(write_report(table, out, columns, table_name=table_name))
 
     if config.gap_curve is not None:
         gc = config.gap_curve
@@ -288,8 +293,7 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
         "config": config.to_dict(),
         "runs": [_manifest_entry(config, spec, spec.run_id in failures) for spec in runs],
     }
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                             encoding="utf-8")
+    write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     files.append(manifest_path)
 
     return CampaignOutcome(out_dir=out, files=tuple(files), failures=failures,
@@ -332,15 +336,3 @@ def _manifest_entry(config: CampaignConfig, spec: RunSpec, failed: bool) -> dict
         entry["failure"] = _failure_name(spec.run_id)
     return entry
 
-
-def _aggregate(config: CampaignConfig, runs: list[RunSpec], finals: dict[str, GroupErrors]
-               ) -> dict[str, dict[str, AggregateResult]]:
-    """dataset -> algorithm -> aggregate of the runs' final grouped errors."""
-    cells: dict[str, dict[str, list[GroupErrors]]] = {}
-    for spec in runs:  # grid order, so each cell lists its seeds in order
-        if spec.run_id in finals:
-            dataset = config.datasets[spec.dataset_index].name
-            algo = config.algorithms[spec.algorithm_index].name
-            cells.setdefault(dataset, {}).setdefault(algo, []).append(finals[spec.run_id])
-    return {dataset: {algo: aggregate_runs(per_seed) for algo, per_seed in per_algo.items()}
-            for dataset, per_algo in cells.items()}

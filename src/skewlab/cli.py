@@ -20,6 +20,7 @@ from pathlib import Path
 
 from .campaign import prepare_outputs, resolve_workers, run_campaign
 from .config import PRESET_NAMES, ConfigError, load_config, preset_dict
+from .ioutil import write_text
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -81,8 +82,7 @@ def main(argv: list[str] | None = None) -> int:
         target = args.out / f"{args.name}.json"
         try:
             args.out.mkdir(parents=True, exist_ok=True)
-            target.write_text(json.dumps(preset_dict(args.name), indent=2) + "\n",
-                              encoding="utf-8")
+            write_text(target, json.dumps(preset_dict(args.name), indent=2) + "\n")
         except OSError as exc:
             return _cannot_write(args.out, exc)
         print(target)

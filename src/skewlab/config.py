@@ -2,9 +2,9 @@
 
 A campaign is datasets x algorithms x seeds.  Each setting is declared once,
 on the dataclass field that carries it (see skewlab.schema); validation reads
-those declarations, applies defaults, rejects unknown keys at every level,
-checks that every run can carve its split and draw its batches, and reports
-all problems at once with field paths.
+those declarations, applies defaults, rejects unknown and repeated keys at
+every level, checks that every run can carve its split and draw its batches,
+and reports all problems at once with field paths.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import json
 import re
 from dataclasses import dataclass, replace
 
-from .datasets import CLASS_COUNTS, UNLABELED_TYPES, imbalance_counts, unlabeled_rho
+from .datasets import KINDS, UNLABELED_TYPES, imbalance_counts, unlabeled_rho
 from .optim import Schedule
 from .schema import Settings, dump, fits, read, setting
 from .training import REGIMES, AlgorithmSpec, TrainConfig
@@ -36,7 +36,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class DatasetSpec(Settings):
     name: str = setting()  # defaults to kind
-    kind: str = setting(choices=tuple(CLASS_COUNTS), required=True)
+    kind: str = setting(choices=tuple(KINDS), required=True)
     labeled_max: int = setting(bound=">=1", required=True)
     unlabeled_max: int = setting(bound=">=1", required=True)
     val_per_class: int = setting(bound=">=1", required=True)
@@ -170,7 +170,7 @@ def _lr_decay(entry, errors: list[str]) -> tuple[tuple[int, float], ...]:
 def _check_batches(training: dict, datasets: tuple[DatasetSpec, ...], errors: list[str]) -> None:
     """Without replacement, a batch cannot exceed the partition it is drawn from."""
     for d in datasets if not training["sample_with_replacement"] else ():
-        rho_u, n_classes = unlabeled_rho(d.unlabeled_type, d.rho_l), CLASS_COUNTS[d.kind]
+        rho_u, n_classes = unlabeled_rho(d.unlabeled_type, d.rho_l), KINDS[d.kind][1]
         for part, counts in (("labeled", imbalance_counts(d.labeled_max, d.rho_l, n_classes)),
                              ("unlabeled", imbalance_counts(d.unlabeled_max, rho_u, n_classes))):
             if training[f"{part}_batch"] > counts.sum():
@@ -180,14 +180,21 @@ def _check_batches(training: dict, datasets: tuple[DatasetSpec, ...], errors: li
 
 def validate_config(text: str) -> CampaignConfig:
     """Parse and validate raw config text; raises ConfigError listing every problem."""
+    errors: list[str] = []
+
+    def unique_keys(pairs: list[tuple[str, object]]) -> dict:
+        keys = [key for key, _ in pairs]
+        errors.extend(f"key {key!r} appears more than once in one object"
+                      for key in dict.fromkeys(keys) if keys.count(key) > 1)
+        return dict(pairs)
+
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError([f"config is not valid JSON: {exc}"]) from exc
     if not isinstance(raw, dict):
         raise ConfigError(["config top level must be an object"])
 
-    errors: list[str] = []
     top = read(CampaignConfig, raw, "", errors) or {}
     top["seeds"] = _seeds(raw, errors)
     top["datasets"] = _entries(raw, "datasets", DatasetSpec, _derive_dataset, errors)
@@ -207,7 +214,7 @@ def validate_config(text: str) -> CampaignConfig:
         if (not isinstance(entry, list) or len(entry) != 2
                 or any(not fits(int, e) or e < 2 for e in entry)):
             errors.append("report.grid_resolution: must be [nx >= 2, ny >= 2]")
-        elif "report" in top:
+        elif "report" in top:  # absent when a required top-level key failed
             top["report"] = replace(top["report"], grid_resolution=tuple(entry))
 
     gap = raw.get("gap_curve")

@@ -151,8 +151,8 @@ def gen_four_spins(n_per_class: int, noise_std: float, seed: int) -> Dataset2D:
     return _finish_generation(base, labels, noise_std, rng, 4)
 
 
-GENERATORS = {"twomoons": gen_two_moons, "fourspins": gen_four_spins}
-CLASS_COUNTS = {"twomoons": 2, "fourspins": 4}
+# kind -> (generator, number of classes)
+KINDS = {"twomoons": (gen_two_moons, 2), "fourspins": (gen_four_spins, 4)}
 
 
 def imbalance_counts(n_max: int, rho: float, n_classes: int) -> np.ndarray:

@@ -9,6 +9,7 @@ Both give the same text for every float, nan and inf included.
 
 from __future__ import annotations
 
+import contextlib
 import os
 from typing import Iterable, Sequence
 
@@ -22,9 +23,21 @@ def fmt(value: float) -> str:
 
 
 def write_text(path: str | os.PathLike[str], text: str) -> None:
-    """Write text in one call as UTF-8 with unix newlines, whatever the platform."""
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+    """Write text in one call as UTF-8 with unix newlines, whatever the platform.
+
+    The text goes to ``<path>.tmp``, which then replaces path, so path holds
+    its old bytes or all of the new ones; a write that raises leaves no
+    temporary file behind.
+    """
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def write_csv(path: str | os.PathLike[str], header: Sequence[str], rows: Iterable[Sequence[str]]) -> None:

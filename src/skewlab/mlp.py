@@ -29,20 +29,15 @@ def _vector_size(layer_sizes: tuple[int, ...]) -> int:
 
 def layer_views(layer_sizes: tuple[int, ...], values: np.ndarray
                 ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-layer weight and bias views into ``values``, whose last axis is laid
-    out like a flat parameter vector: weight then bias, layer by layer.
-
-    Leading axes carry through, so a stack of vectors of shape (..., n) gives
-    weights of shape (..., fan_in, fan_out) and biases of shape (..., fan_out).
-    """
-    lead = values.shape[:-1]
+    """Per-layer (fan_in, fan_out) weight and bias views into the vector
+    ``values``, laid out weight then bias, layer by layer."""
     weights = []
     biases = []
     pos = 0
     for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        weights.append(values[..., pos:pos + fan_in * fan_out].reshape(lead + (fan_in, fan_out)))
+        weights.append(values[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
         pos += fan_in * fan_out
-        biases.append(values[..., pos:pos + fan_out])
+        biases.append(values[pos:pos + fan_out])
         pos += fan_out
     return tuple(weights), tuple(biases)
 
@@ -124,11 +119,11 @@ class ForwardTrace:
 
 
 def init_params(hidden_width: int, n_classes: int, seed: int, *,
-                n_inputs: int = 2, hidden_layers: int = 2) -> MlpParams:
-    """Fan-in-scaled normal weights (std 1/sqrt(fan_in)), zero biases."""
+                hidden_layers: int = 2) -> MlpParams:
+    """Fan-in-scaled normal weights (std 1/sqrt(fan_in)), zero biases, for 2-D inputs."""
     if hidden_width < 1 or hidden_layers < 1 or n_classes < 2:
         raise ValueError("hidden_width and hidden_layers must be positive, n_classes >= 2")
-    sizes = (n_inputs,) + (hidden_width,) * hidden_layers + (n_classes,)
+    sizes = (2,) + (hidden_width,) * hidden_layers + (n_classes,)
     params = MlpParams(sizes, np.zeros(_vector_size(sizes)))
     rng = np.random.default_rng(seed)
     for w in params.weights:

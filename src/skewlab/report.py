@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -30,9 +30,6 @@ class GroupErrors:
     all: float
     major: float
     minor: float
-
-    def by_name(self, name: str) -> float:
-        return {"all": self.all, "major": self.major, "minor": self.minor}[name]
 
 
 @dataclass(frozen=True)
@@ -174,22 +171,17 @@ def _parse_cell(cell: str) -> tuple[float, float | None]:
 
 
 def write_report(aggregates: Mapping[str, Mapping[str, AggregateResult]],
-                 destination: str | Path, *, table_name: str = "table.csv") -> list[Path]:
+                 destination: str | Path, algorithms: Sequence[str], *,
+                 table_name: str = "table.csv") -> list[Path]:
     """Write the summary table.
 
     aggregates maps dataset name -> algorithm name -> AggregateResult; the
-    table has one row per dataset x group and one column per algorithm, cells
-    holding mean±std at full precision.  Returns the files written.
+    table has one row per dataset x group and one column per algorithm named
+    in algorithms, in order, cells holding mean±std at full precision or
+    nothing.  Returns the files written.
     """
     destination = Path(destination)
     destination.mkdir(parents=True, exist_ok=True)
-
-    algorithms: list[str] = []
-    for per_algo in aggregates.values():
-        for name in per_algo:
-            if name not in algorithms:
-                algorithms.append(name)
-
     rows = []
     for dataset, per_algo in aggregates.items():
         for group in GROUP_NAMES:
@@ -199,11 +191,11 @@ def write_report(aggregates: Mapping[str, Mapping[str, AggregateResult]],
                 if agg is None:
                     row.append("")
                 else:
-                    std = None if agg.std is None else agg.std.by_name(group)
-                    row.append(_format_cell(agg.mean.by_name(group), std))
+                    std = None if agg.std is None else getattr(agg.std, group)
+                    row.append(_format_cell(getattr(agg.mean, group), std))
             rows.append(row)
     table_path = destination / table_name
-    write_csv(table_path, ["dataset", "group"] + algorithms, rows)
+    write_csv(table_path, ["dataset", "group", *algorithms], rows)
     return [table_path]
 
 

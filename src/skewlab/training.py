@@ -128,10 +128,7 @@ def sample_batch(split: CisslSplit, config: TrainConfig,
     replace = config.sample_with_replacement
     rows_lab = _draw_rows(rng, len(split.labeled), config.labeled_batch, replace)
     unlabeled = split.unlabeled_points()
-    if unlabeled.shape[0] == 0:
-        rows_unl = np.empty(0, dtype=np.int64)
-    else:
-        rows_unl = _draw_rows(rng, unlabeled.shape[0], config.unlabeled_batch, replace)
+    rows_unl = _draw_rows(rng, unlabeled.shape[0], config.unlabeled_batch, replace)
     return (split.labeled.points[rows_lab], split.labeled.labels[rows_lab],
             unlabeled[rows_unl])
 
@@ -189,12 +186,7 @@ def _pseudo_label_loss(logits: np.ndarray, threshold: float) -> tuple[float, np.
     return loss, d_logits
 
 
-def _max_abs_param(params: MlpParams) -> float:
-    return float(np.max(np.abs(params.flat)))
-
-
-def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int, *,
-          step_callback=None) -> RunResult:
+def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int) -> RunResult:
     """Run one training session and return final parameters plus history.
 
     Deterministic in (split, algo, config, seed): all randomness flows from
@@ -206,7 +198,7 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int
     if not config.sample_with_replacement:
         if config.labeled_batch > len(split.labeled):
             raise ValueError("labeled_batch exceeds the labeled set without replacement")
-        if len(split.unlabeled) and config.unlabeled_batch > len(split.unlabeled):
+        if config.unlabeled_batch > len(split.unlabeled):
             raise ValueError("unlabeled_batch exceeds the unlabeled set without replacement")
 
     derived = np.random.SeedSequence(seed).generate_state(3)
@@ -242,7 +234,7 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int
         backward(trace, d_sup, out=grad)
 
         con_loss, d_con = 0.0, None
-        unlabeled = term is not None and w > 0.0 and x_unl.shape[0] > 0
+        unlabeled = term is not None and w > 0.0
         if unlabeled and term == "pseudo-label":
             u_logits, u_trace = forward(params, x_unl, out=student_out)
             con_loss, d_con = _pseudo_label_loss(u_logits, algo.pl_threshold)
@@ -268,14 +260,11 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int
             param_add(grad, param_scale(params, config.weight_decay, out=extra), out=grad)
         if not (math.isfinite(sup_loss) and math.isfinite(con_loss)
                 and np.isfinite(grad.flat).all()):
-            raise TrainingDiverged(t, sup_loss, con_loss, _max_abs_param(params))
+            raise TrainingDiverged(t, sup_loss, con_loss, float(np.abs(params.flat).max()))
 
         sgd_step(params.flat, grad.flat, velocity, lr, config.momentum)
         if ema is not None:
             ema_update(ema.flat, params.flat, algo.ema_gamma)
-        if step_callback is not None:
-            step_callback(t, params.with_flat(params.flat),
-                          ema.with_flat(ema.flat) if ema is not None else None)
 
         if (t + 1) % config.eval_every == 0 or t + 1 == sched.total_iters:
             student_errors = evaluate(params, split.validation)

@@ -25,7 +25,7 @@ from skewlab.campaign import (
 )
 from skewlab.cli import main
 from skewlab.config import validate_config
-from skewlab.report import read_table
+from skewlab.report import aggregate_runs, group_errors, read_table
 from skewlab.training import read_history_csv
 
 
@@ -204,6 +204,46 @@ class TestRunCampaign:
         assert "cramped" not in outcome.student_table
         dumped = sorted(p.name for p in (outcome.out_dir / "datasets").glob("*.csv"))
         assert dumped == ["moons_seed0.csv", "moons_seed1.csv"]
+
+    def test_table_columns_follow_the_config(self, tmp_path, monkeypatch):
+        # the first run, a__supervised__seed0, fails; at the other dataset the
+        # supervised column still comes first, as in the config
+        dataset = json.loads(tiny_config_text())["datasets"][0]
+        config = validate_config(tiny_config_text(
+            seeds=[0], datasets=[{**dataset, "name": "a"}, {**dataset, "name": "b"}]))
+        train = campaign.train
+        calls = []
+
+        def first_fails(*args):
+            calls.append(None)
+            if len(calls) == 1:
+                raise RuntimeError("first run fails")
+            return train(*args)
+
+        monkeypatch.setattr(campaign, "train", first_fails)
+        outcome = quiet_run(config, out_dir=tmp_path / "out", workers=1)
+        assert list(outcome.failures) == ["a__supervised__seed0"]
+        header = (outcome.out_dir / "table.csv").read_text().split("\n")[0]
+        assert header == "dataset,group,supervised,mean-teacher"
+
+    def test_tables_match_the_run_histories(self, tmp_path):
+        config = with_cramped_dataset(validate_config(tiny_config_text()))
+        outcome = quiet_run(config, out_dir=tmp_path / "out")
+        for table_name, prefix in (("table.csv", "student_err_"), ("table_ema.csv", "ema_err_")):
+            table = read_table(outcome.out_dir / table_name)
+            assert set(table) == {"moons"}
+            for algo in table["moons"]:
+                finals = []
+                for seed in config.seeds:
+                    header, matrix = read_history_csv(
+                        str(outcome.out_dir / "runs" / f"moons__{algo}__seed{seed}.csv"))
+                    errors = matrix[-1, [i for i, h in enumerate(header) if h.startswith(prefix)]]
+                    counts = prepare_split(config, 0, seed)[1].labeled_counts
+                    finals.append(group_errors(errors, counts))
+                agg = aggregate_runs(finals)
+                for group in ("all", "major", "minor"):
+                    assert table["moons"][algo][group] == (getattr(agg.mean, group),
+                                                           getattr(agg.std, group))
 
     def test_gap_curve_only_campaign(self, tmp_path):
         config = validate_config(json.dumps(

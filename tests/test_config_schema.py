@@ -195,6 +195,24 @@ class TestBadConfigCorpus:
     def test_base_is_valid(self):
         validate_config(json.dumps(BASE))
 
+    def test_repeated_keys_are_errors(self):
+        text = ('{"name": "corpus", "seeds": [0], "seeds": [1], "datasets": [{"kind": '
+                '"twomoons", "labeled_max": 10, "labeled_max": 12, "unlabeled_max": 40, '
+                '"val_per_class": 20}], "algorithms": [{"kind": "mt-scl"}]}')
+        with pytest.raises(ConfigError) as excinfo:
+            validate_config(text)
+        assert set(excinfo.value.errors) == {
+            "key 'seeds' appears more than once in one object",
+            "key 'labeled_max' appears more than once in one object"}
+
+    def test_grid_resolution_beside_a_missing_name(self):
+        # a failed required key leaves no resolved report to set it on
+        config = {key: value for key, value in BASE.items() if key != "name"}
+        config["report"] = {"grid_resolution": [5, 4]}
+        with pytest.raises(ConfigError) as excinfo:
+            validate_config(json.dumps(config))
+        assert set(excinfo.value.errors) == {"name: required key is missing"}
+
     def test_empty_object(self):
         with pytest.raises(ConfigError) as excinfo:
             validate_config("{}")

@@ -11,7 +11,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skewlab.datasets import CisslSplit, Dataset2D, write_split_csv
-from skewlab.ioutil import FLOAT, fmt, read_csv, write_csv
+from skewlab.ioutil import FLOAT, fmt, read_csv, write_csv, write_text
 from skewlab.mlp import init_params, save_params
 from skewlab.report import BoundaryGrid, boundary_grid, read_table, write_grid_csv
 from skewlab.training import (
@@ -68,6 +68,33 @@ class TestReadCsv:
         path = tmp_path / "h.csv"
         write_csv(path, ("a", "b"), [])
         assert read_csv(path) == (["a", "b"], [])
+
+
+class TestAtomicWrite:
+    # a lone surrogate cannot be encoded as UTF-8, so the write raises
+    # after the file it writes to is open
+    UNWRITABLE = "new\n" * 1000 + "\ud800"
+
+    def test_failed_write_leaves_no_new_file(self, tmp_path):
+        path = tmp_path / "fresh.csv"
+        with pytest.raises(UnicodeEncodeError):
+            write_text(path, self.UNWRITABLE)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_write_keeps_the_old_bytes(self, tmp_path):
+        path = tmp_path / "kept.csv"
+        write_text(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            write_text(path, self.UNWRITABLE)
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_write_replaces_and_leaves_no_temporary_file(self, tmp_path):
+        path = tmp_path / "replaced.csv"
+        write_text(path, "old\n")
+        write_text(str(path), "new\r\n")
+        assert path.read_bytes() == b"new\r\n"
+        assert list(tmp_path.iterdir()) == [path]
 
 
 class TestBulkWritersMatchFmt:

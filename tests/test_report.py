@@ -23,6 +23,7 @@ from skewlab.report import (
 )
 
 STD_OF_02_04 = 0.14142135623730953   # ddof=1 over {0.2, 0.4}
+ALGORITHMS = ["supervised", "pi-model", "mean-teacher", "mt-scl"]
 
 
 class TestGroupErrors:
@@ -175,7 +176,7 @@ class TestReportFiles:
         }
 
     def test_table_layout_and_round_trip(self, aggregates, tmp_path):
-        files = write_report(aggregates, tmp_path)
+        files = write_report(aggregates, tmp_path, ALGORITHMS)
         assert [f.name for f in files] == ["table.csv"]
         table = read_table(files[0])
         assert set(table) == {"twomoons", "fourspins"}
@@ -189,13 +190,13 @@ class TestReportFiles:
     def test_single_run_cells_have_no_spread(self, tmp_path):
         aggs = {"twomoons": {"supervised": AggregateResult(
             mean=GroupErrors(0.1, 0.05, 0.2), std=None, n_runs=1)}}
-        files = write_report(aggs, tmp_path)
+        files = write_report(aggs, tmp_path, ["supervised"])
         table = read_table(files[0])
         assert table["twomoons"]["supervised"]["all"] == (0.1, None)
         assert "±" not in files[0].read_text()
 
     def test_custom_table_name(self, aggregates, tmp_path):
-        files = write_report(aggregates, tmp_path, table_name="table_ema.csv")
+        files = write_report(aggregates, tmp_path, ALGORITHMS, table_name="table_ema.csv")
         assert files[0].name == "table_ema.csv"
 
     def test_grid_files_written_per_run(self, tmp_path):

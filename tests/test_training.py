@@ -189,21 +189,24 @@ class TestRegimeEquivalences:
 
 
 class TestEmaTracking:
-    def test_target_replays_from_recorded_students(self, split):
+    def test_target_replays_from_recorded_students(self, split, monkeypatch):
         gamma = 0.95
         students = []
+        ema_update = skewlab.training.ema_update
 
-        def record(t, params, target):
-            students.append(params)
+        def record(target, student, gamma):
+            students.append(student.copy())
+            ema_update(target, student, gamma)
 
+        monkeypatch.setattr(skewlab.training, "ema_update", record)
         result = train(split, AlgorithmSpec(kind="mean-teacher", w_max=4.0, ema_gamma=gamma),
-                       small_config(), 8, step_callback=record)
-        replay = students[0]  # iteration 0: target starts at init, then mixes
+                       small_config(), 8)
+        # iteration 0: target starts at init, then mixes
         derived = np.random.SeedSequence(8).generate_state(3)
         replay = init_params(8, 2, int(derived[0]))
         flat = replay.flat
         for p in students:
-            flat = gamma * flat + (1.0 - gamma) * p.flat
+            flat = gamma * flat + (1.0 - gamma) * p
         assert np.abs(flat - result.ema_params.flat).max() < 1e-12
 
     def test_supervised_has_no_target(self, split):
@@ -342,9 +345,15 @@ class TestTrainingOutcomes:
 
         monkeypatch.setattr(skewlab.training, "backward", poisoned)
         steps = []
+        sgd_step = skewlab.training.sgd_step
+
+        def counted(*args):
+            steps.append(len(steps))
+            sgd_step(*args)
+
+        monkeypatch.setattr(skewlab.training, "sgd_step", counted)
         with pytest.raises(TrainingDiverged, match="non-finite loss or gradient") as excinfo:
-            train(split, AlgorithmSpec(kind="supervised"), small_config(), 15,
-                  step_callback=lambda t, params, target: steps.append(t))
+            train(split, AlgorithmSpec(kind="supervised"), small_config(), 15)
         assert excinfo.value.iteration == 2
         assert np.isfinite(excinfo.value.sup_loss) and excinfo.value.con_loss == 0.0
         assert steps == [0, 1]
