@@ -15,14 +15,9 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .ioutil import FLOAT, fmt, read_csv, write_csv, write_text
-from .mlp import MlpParams, forward, layer_buffers, softmax
+from .mlp import MlpParams, forward, layer_buffers, row_blocks, softmax
 
 GROUP_NAMES = ("all", "major", "minor")
-
-# Rows per hidden-layer forward in boundary_grid.  A hidden layer gives each
-# row the same bits whatever the block, so blocking only bounds the memory;
-# the class layer is not blocked (see _grid_logits).
-GRID_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -110,36 +105,19 @@ def boundary_grid(params: MlpParams, bbox: tuple[float, float, float, float],
     xs = _axis_nodes(x_min, x_max, nx)
     ys = _axis_nodes(y_min, y_max, ny)
     grid_x, grid_y = np.meshgrid(xs, ys)
-    flat = np.column_stack((grid_x.ravel(), grid_y.ravel()))
-    probs = softmax(_grid_logits(params, flat))
-    return BoundaryGrid(xs=xs, ys=ys,
-                        max_prob=probs.max(axis=1).reshape(ny, nx),
-                        argmax=probs.argmax(axis=1).reshape(ny, nx).astype(np.int64))
-
-
-def _grid_logits(params: MlpParams, points: np.ndarray) -> np.ndarray:
-    """The bits of forward(params, points)[0] without its full-size arrays
-    for every hidden layer but the last.
-
-    The hidden layers run in blocks of GRID_BLOCK_ROWS rows, each block's last
-    pre-activation written into one full-size array that is then passed
-    through tanh in place; the class layer runs once over all rows.  Its
-    narrow matmul must stay whole: OpenBLAS switches to a small-matrix kernel
-    that rounds differently once rows x classes x width falls to 1e6 or
-    below, so a block-sized class layer would change the bits.
-    """
-    sizes = params.layer_sizes
-    split = params.n_params - (sizes[-2] + 1) * sizes[-1]
-    hidden = MlpParams(sizes[:-1], params.flat[:split])
-    classes = MlpParams(sizes[-2:], params.flat[split:])
-    last_hidden = np.empty((points.shape[0], sizes[-2]))
-    block = layer_buffers(sizes[:-1], min(GRID_BLOCK_ROWS, points.shape[0]))[:-1]
-    for start in range(0, points.shape[0], GRID_BLOCK_ROWS):
-        rows = last_hidden[start:start + GRID_BLOCK_ROWS]
-        forward(hidden, points[start:start + rows.shape[0]],
-                out=tuple(z[:rows.shape[0]] for z in block) + (rows,))
-    np.tanh(last_hidden, out=last_hidden)
-    return forward(classes, last_hidden)[0]
+    nodes = np.column_stack((grid_x.ravel(), grid_y.ravel()))
+    max_prob = np.empty(nodes.shape[0])
+    argmax = np.empty(nodes.shape[0], dtype=np.int64)
+    # row blocks that keep the bits of one whole forward (see mlp.row_blocks)
+    blocks = row_blocks(params.layer_sizes, nodes.shape[0])
+    out = layer_buffers(params.layer_sizes, max(stop - start for start, stop in blocks))
+    for start, stop in blocks:
+        logits, _ = forward(params, nodes[start:stop], out=tuple(z[:stop - start] for z in out))
+        probs = softmax(logits)
+        probs.max(axis=1, out=max_prob[start:stop])
+        probs.argmax(axis=1, out=argmax[start:stop])
+    return BoundaryGrid(xs=xs, ys=ys, max_prob=max_prob.reshape(ny, nx),
+                        argmax=argmax.reshape(ny, nx))
 
 
 def write_grid_csv(grid: BoundaryGrid, path: str | Path) -> None:

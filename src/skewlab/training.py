@@ -40,6 +40,7 @@ from .mlp import (
     layer_buffers,
     param_add,
     param_scale,
+    row_blocks,
     softmax,
 )
 from .optim import Schedule, ema_update, lr_at, rampup_weight, sgd_step
@@ -151,8 +152,14 @@ def perturb(x: np.ndarray, noise_std: float, rng: np.random.Generator) -> np.nda
 
 def evaluate(params: MlpParams, dataset: Dataset2D) -> np.ndarray:
     """Per-class error rates under argmax prediction; NaN for absent classes."""
-    logits, _ = forward(params, dataset.points)
-    predicted = logits.argmax(axis=1)
+    points = dataset.points
+    predicted = np.empty(points.shape[0], dtype=np.intp)
+    # row blocks that keep the bits of one whole forward (see mlp.row_blocks)
+    blocks = row_blocks(params.layer_sizes, points.shape[0])
+    out = layer_buffers(params.layer_sizes, max(stop - start for start, stop in blocks))
+    for start, stop in blocks:
+        logits, _ = forward(params, points[start:stop], out=tuple(z[:stop - start] for z in out))
+        logits.argmax(axis=1, out=predicted[start:stop])
     errors = np.full(dataset.n_classes, np.nan, dtype=np.float64)
     for cls in range(dataset.n_classes):
         mask = dataset.labels == cls

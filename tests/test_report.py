@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab import report
-from skewlab.mlp import forward, init_params, param_scale, softmax
+from skewlab.mlp import forward, init_params, param_scale, row_blocks, softmax
 from skewlab.report import (
-    GRID_BLOCK_ROWS,
     AggregateResult,
     GroupErrors,
     aggregate_runs,
@@ -105,24 +105,55 @@ class TestBoundaryGrid:
         assert np.array_equal(fine.max_prob[::2, ::2], coarse.max_prob)
         assert np.array_equal(fine.argmax[::2, ::2], coarse.argmax)
 
+    @staticmethod
+    def assert_matches_one_forward(params, resolution):
+        bbox = (-2.5, 2.0, -1.5, 3.0)
+        grid = boundary_grid(params, bbox, resolution=resolution)
+        grid_x, grid_y = np.meshgrid(grid.xs, grid.ys)
+        probs = softmax(forward(params, np.column_stack((grid_x.ravel(), grid_y.ravel())))[0])
+        nx, ny = resolution
+        assert np.array_equal(grid.max_prob, probs.max(axis=1).reshape(ny, nx))
+        assert np.array_equal(grid.argmax, probs.argmax(axis=1).reshape(ny, nx))
+
     @pytest.mark.parametrize("width", [1, 8, 64])
     @pytest.mark.parametrize("hidden_layers", [1, 2, 3])
     @pytest.mark.parametrize("n_classes", [2, 4])
     def test_blocked_grid_matches_one_forward_bitwise(self, n_classes, hidden_layers, width):
-        # more nodes than one block, and a ragged last block
-        nx = 67
-        ny = GRID_BLOCK_ROWS // nx + 2
-        assert nx * ny > GRID_BLOCK_ROWS and nx * ny % GRID_BLOCK_ROWS != 0
+        # a node count that is not a whole number of aligned row groups; every
+        # shape but the three 4-class width-8 ones, whose 8 x 4 class layer
+        # sits just above the small-matrix line, runs in several row blocks
         params = init_params(width, n_classes, seed=23, hidden_layers=hidden_layers)
-        bbox = (-2.5, 2.0, -1.5, 3.0)
-        grid = boundary_grid(params, bbox, resolution=(nx, ny))
-        grid_x, grid_y = np.meshgrid(grid.xs, grid.ys)
-        nodes = np.column_stack((grid_x.ravel(), grid_y.ravel()))
-        logits, _ = forward(params, nodes)
-        assert np.array_equal(report._grid_logits(params, nodes), logits)
-        probs = softmax(logits)
-        assert np.array_equal(grid.max_prob, probs.max(axis=1).reshape(ny, nx))
-        assert np.array_equal(grid.argmax, probs.argmax(axis=1).reshape(ny, nx))
+        self.assert_matches_one_forward(params, (67, 467))
+
+    # node counts just below and just above the small-matrix line of the
+    # class layer (7,812 rows for 64 x 2, 3,906 for 64 x 4), and on either
+    # side of the first split into two blocks above the line
+    @pytest.mark.parametrize("n_classes, nodes, n_blocks", [
+        (2, 7812, 30), (2, 7814, 1), (2, 15630, 1), (2, 15632, 2),
+        (4, 3906, 15), (4, 3908, 1), (4, 15630, 1), (4, 15632, 2)])
+    def test_grid_straddling_the_small_matmul_line_matches_one_forward(
+            self, n_classes, nodes, n_blocks):
+        params = init_params(64, n_classes, seed=24)
+        assert len(row_blocks(params.layer_sizes, nodes)) == n_blocks
+        self.assert_matches_one_forward(params, (nodes // 2, 2))
+
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    def test_full_200_by_200_grid_matches_one_forward(self, n_classes):
+        params = init_params(64, n_classes, seed=25)
+        assert len(row_blocks(params.layer_sizes, 200 * 200)) > 1
+        self.assert_matches_one_forward(params, (200, 200))
+
+    def test_grid_memory_stays_below_one_full_size_hidden_array(self):
+        # measured peak 10.6 MB for a 200 x 200 grid at width 64; one full-size
+        # 40,000 x 64 hidden array alone is 20.5 MB
+        params = init_params(64, 2, seed=26)
+        tracemalloc.start()
+        try:
+            boundary_grid(params, (-2.0, 2.0, -2.0, 2.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 13e6
 
     def test_degenerate_inputs_rejected(self, params):
         with pytest.raises(ValueError):

@@ -4,14 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import skewlab.training
-from skewlab.datasets import gen_two_moons, imbalance_counts, make_cissl_split
+from skewlab.datasets import gen_four_spins, gen_two_moons, imbalance_counts, make_cissl_split
 from skewlab.losses import SclShape
-from skewlab.mlp import init_params, params_equal
+from skewlab.mlp import forward, init_params, params_equal, row_blocks
 from skewlab.optim import Schedule
 from skewlab.training import (
     AlgorithmSpec,
@@ -307,6 +308,32 @@ class TestEvaluate:
         assert errors[0] == 0.0
         assert errors[1] == 1.0
         assert np.isnan(errors[2])
+
+    # the presets' validation sets: 3,000 points per class on twomoons, whose
+    # 64 x 2 class layer is on the small-matrix kernel at 6,000 rows, and
+    # 1,500 per class on fourspins, whose 64 x 4 class layer is not
+    @pytest.mark.parametrize("n_classes, generate, per_class",
+                             [(2, gen_two_moons, 3000), (4, gen_four_spins, 1500)])
+    def test_errors_match_the_argmax_of_one_forward(self, n_classes, generate, per_class):
+        data = generate(per_class, 0.1, seed=6)
+        params = init_params(64, n_classes, seed=7)
+        predicted = forward(params, data.points)[0].argmax(axis=1)
+        expected = [np.mean(predicted[data.labels == c] != c) for c in range(n_classes)]
+        assert np.array_equal(evaluate(params, data), expected)
+        assert len(row_blocks(params.layer_sizes, len(data))) == (23 if n_classes == 2 else 1)
+
+    def test_memory_stays_at_row_block_size(self):
+        # measured peak 0.39 MB on 6,000 twomoons rows at width 64; one
+        # full-size 6,000 x 64 hidden array alone is 3.1 MB
+        params = init_params(64, 2, seed=8)
+        data = gen_two_moons(3000, 0.1, seed=8)
+        tracemalloc.start()
+        try:
+            evaluate(params, data)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
 
 
 class TestTrainingOutcomes:
