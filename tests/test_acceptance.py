@@ -37,9 +37,11 @@ from skewlab.losses import (
     scl_weights,
     supervised_loss,
 )
-from skewlab.mlp import backward, forward, grad_check, init_params, params_equal, softmax
+from skewlab.mlp import backward, forward, init_params, softmax
 from skewlab.optim import Schedule
 from skewlab.training import AlgorithmSpec, TrainConfig, train
+
+from mlp_helpers import grad_check, params_equal
 
 
 @pytest.fixture

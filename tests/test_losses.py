@@ -18,7 +18,9 @@ from skewlab.losses import (
     scl_weights,
     supervised_loss,
 )
-from skewlab.mlp import backward, forward, grad_check, init_params, softmax
+from skewlab.mlp import backward, forward, init_params, softmax
+
+from mlp_helpers import grad_check
 
 LN4 = 1.3862943611198906
 FOCAL_HALF = 0.17328679513998632          # (1-0.5)^2 * (-ln 0.5)

@@ -17,17 +17,17 @@ from skewlab.mlp import (
     MlpParams,
     backward,
     forward,
-    grad_check,
     init_params,
     layer_buffers,
     load_params,
     param_add,
     param_scale,
-    params_equal,
     row_blocks,
     save_params,
     softmax,
 )
+
+from mlp_helpers import grad_check, params_equal
 
 
 @pytest.fixture

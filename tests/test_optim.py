@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlab.datasets import gen_two_moons, make_cissl_split
-from skewlab.mlp import init_params, params_equal
+from skewlab.mlp import init_params
 from skewlab.optim import Schedule, ema_update, lr_at, rampup_weight, sgd_step
 from skewlab.training import AlgorithmSpec, TrainConfig, train
+
+from mlp_helpers import params_equal
 
 RAMP_AT_ZERO = 0.006737946999085467   # exp(-5)
 
