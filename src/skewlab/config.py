@@ -13,11 +13,11 @@ import copy
 import hashlib
 import json
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .datasets import KINDS, UNLABELED_TYPES, imbalance_counts, unlabeled_rho
 from .optim import Schedule
-from .schema import Settings, dump, fits, read, setting
+from .schema import Settings, dump, read, setting
 from .training import REGIMES, AlgorithmSpec, TrainConfig
 
 # a name goes into run ids, file names and CSV cells, whose "__" joins and
@@ -64,7 +64,8 @@ class GapCurveSpec(Settings):
 @dataclass(frozen=True)
 class ReportSpec(Settings):
     grids: bool = setting(False)
-    grid_resolution: tuple[int, int] = setting((200, 200))
+    grid_resolution: tuple[int, int] = setting((200, 200), bound=(">=2", ">=2"),
+                                               form="[nx >= 2, ny >= 2]")
     dump_datasets: bool = setting(False)
 
 
@@ -72,11 +73,12 @@ class ReportSpec(Settings):
 class CampaignConfig(Settings):
     name: str = setting(required=True)
     output_dir: str = setting()  # defaults to "<name>-out"
-    seeds: tuple[int, ...] = setting(required=True)
+    seeds: tuple[int, ...] = setting(required=True, form="a nonempty list of integers",
+                                     item=setting(bound=">=0", form="nonnegative"))
     schedule: Schedule = setting()
     training: TrainConfig = setting()  # its schedule is the one above
-    datasets: tuple[DatasetSpec, ...] = setting(())
-    algorithms: tuple[AlgorithmConfig, ...] = setting(())
+    datasets: tuple[DatasetSpec, ...] = setting((), form="a list")
+    algorithms: tuple[AlgorithmConfig, ...] = setting((), form="a list")
     report: ReportSpec = setting(ReportSpec())
     gap_curve: GapCurveSpec | None = setting(None)
 
@@ -90,81 +92,26 @@ def config_digest(config: CampaignConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _block(raw: dict, key: str, errors: list[str]) -> dict:
-    value = raw.get(key, {})
-    if isinstance(value, dict):
-        return value
-    errors.append(f"{key}: must be an object")
-    return {}
-
-
-def _entries(raw: dict, key: str, cls, derive, errors: list[str]) -> tuple:
-    """The list under key, each object read as cls; derive fills dependent defaults."""
-    if key not in raw:
-        return ()
-    if not isinstance(raw[key], list):
-        errors.append(f"{key}: must be a list")
-        return ()
+def _entries(top: dict, raw: dict, key: str, cls, errors: list[str]) -> tuple:
+    """The entries read under key, each named (default: its kind) and completed."""
     built = []
-    for i, entry in enumerate(raw[key]):
-        if not isinstance(entry, dict):
-            errors.append(f"{key}[{i}]: must be an object")
-        elif (values := read(cls, entry, f"{key}[{i}]", errors)) is not None:
-            if not _NAME.fullmatch(values.setdefault("name", values["kind"])):
-                errors.append(f"{key}[{i}].name: must be letters and digits joined by single "
-                              f"'.', '_' or '-', got {values['name']!r}")
-            derive(values, entry, f"{key}[{i}]", errors)
-            built.append(cls(**values))
+    for i, values in enumerate(top[key]):
+        if values is None:  # it failed to read
+            continue
+        if not _NAME.fullmatch(values.setdefault("name", values["kind"])):
+            errors.append(f"{key}[{i}].name: must be letters and digits joined by single "
+                          f"'.', '_' or '-', got {values['name']!r}")
+        if cls is DatasetSpec:
+            need = values["labeled_max"] + values["unlabeled_max"] + values["val_per_class"]
+            if values.setdefault("n_pool_per_class", need) < need:
+                errors.append(f"{key}[{i}].n_pool_per_class: must be at least {need} "
+                              "(labeled_max + unlabeled_max + val_per_class)")
+        elif "w_max" not in raw[key][i]:
+            values["w_max"] = REGIMES[values["kind"]][0]
+        built.append(cls(**values))
     if len({entry.name for entry in built}) != len(built):
         errors.append(f"{key}: names must be unique")
     return tuple(built)
-
-
-def _derive_dataset(values: dict, entry: dict, path: str, errors: list[str]) -> None:
-    need = values["labeled_max"] + values["unlabeled_max"] + values["val_per_class"]
-    if values.setdefault("n_pool_per_class", need) < need:
-        errors.append(f"{path}.n_pool_per_class: must be at least {need} "
-                      "(labeled_max + unlabeled_max + val_per_class)")
-
-
-def _derive_algorithm(values: dict, entry: dict, path: str, errors: list[str]) -> None:
-    if "w_max" not in entry:
-        values["w_max"] = REGIMES[values["kind"]][0]
-
-
-def _seeds(raw: dict, errors: list[str]) -> tuple[int, ...]:
-    entry = raw.get("seeds")
-    if "seeds" in raw and (not isinstance(entry, list) or not entry):
-        errors.append("seeds: must be a nonempty list of integers")
-        return ()
-    seeds = []
-    for i, value in enumerate(entry or ()):
-        if not fits(int, value):
-            errors.append(f"seeds[{i}]: must be an integer")
-        elif value < 0:
-            errors.append(f"seeds[{i}]: must be nonnegative")
-        else:
-            seeds.append(value)
-    if len(set(seeds)) != len(seeds):
-        errors.append("seeds: must not repeat")
-    return tuple(seeds)
-
-
-def _lr_decay(entry, errors: list[str]) -> tuple[tuple[int, float], ...]:
-    if not isinstance(entry, list):
-        errors.append("schedule.lr_decay: must be a list of [iteration, factor] pairs")
-        return ()
-    pairs, last = [], -1
-    for i, pair in enumerate(entry):
-        if (not isinstance(pair, list) or len(pair) != 2 or not fits(int, pair[0])
-                or pair[0] < 0 or not fits(float, pair[1]) or pair[1] <= 0.0):
-            errors.append(f"schedule.lr_decay[{i}]: must be [iteration >= 0, positive factor]")
-            continue
-        if pair[0] <= last:
-            errors.append("schedule.lr_decay: iterations must be strictly increasing")
-        last = pair[0]
-        pairs.append((pair[0], float(pair[1])))
-    return tuple(pairs)
 
 
 def _check_batches(training: dict, datasets: tuple[DatasetSpec, ...], errors: list[str]) -> None:
@@ -195,35 +142,19 @@ def validate_config(text: str) -> CampaignConfig:
     if not isinstance(raw, dict):
         raise ConfigError(["config top level must be an object"])
 
-    top = read(CampaignConfig, raw, "", errors) or {}
-    top["seeds"] = _seeds(raw, errors)
-    top["datasets"] = _entries(raw, "datasets", DatasetSpec, _derive_dataset, errors)
-    top["algorithms"] = _entries(raw, "algorithms", AlgorithmConfig, _derive_algorithm, errors)
-
-    sched_obj = _block(raw, "schedule", errors)
-    schedule = read(Schedule, sched_obj, "schedule", errors)
+    top = read(CampaignConfig, raw, "", errors)
+    if len(set(seeds := top.get("seeds", ()))) != len(seeds):
+        errors.append("seeds: must not repeat")
+    top["datasets"] = _entries(top, raw, "datasets", DatasetSpec, errors)
+    top["algorithms"] = _entries(top, raw, "algorithms", AlgorithmConfig, errors)
+    schedule = top["schedule"]
     schedule.setdefault("rampup_iters", round(0.4 * schedule["total_iters"]))
-    if "lr_decay" in sched_obj:
-        schedule["lr_decay"] = _lr_decay(sched_obj["lr_decay"], errors)
-    training = read(TrainConfig, _block(raw, "training", errors), "training", errors)
-    _check_batches(training, top["datasets"], errors)
+    points = [point for point, _ in schedule["lr_decay"]]
+    errors.extend("schedule.lr_decay: iterations must be strictly increasing"
+                  for last, point in zip(points, points[1:]) if point <= last)
+    _check_batches(top["training"], top["datasets"], errors)
 
-    report = raw.get("report")
-    if isinstance(report, dict) and "grid_resolution" in report:
-        entry = report["grid_resolution"]
-        if (not isinstance(entry, list) or len(entry) != 2
-                or any(not fits(int, e) or e < 2 for e in entry)):
-            errors.append("report.grid_resolution: must be [nx >= 2, ny >= 2]")
-        elif "report" in top:  # absent when a required top-level key failed
-            top["report"] = replace(top["report"], grid_resolution=tuple(entry))
-
-    gap = raw.get("gap_curve")
-    if gap is not None and not isinstance(gap, dict):
-        errors.append("gap_curve: must be an object")
-    elif gap is not None:
-        top["gap_curve"] = GapCurveSpec(**read(GapCurveSpec, gap, "gap_curve", errors))
-
-    if not top["datasets"] and not top["algorithms"] and top.get("gap_curve") is None:
+    if not top["datasets"] and not top["algorithms"] and top["gap_curve"] is None:
         errors.append("datasets: at least one dataset is required unless gap_curve is set")
     if bool(top["datasets"]) != bool(top["algorithms"]):
         errors.append(f"{'algorithms' if top['datasets'] else 'datasets'}: "
@@ -232,7 +163,7 @@ def validate_config(text: str) -> CampaignConfig:
         raise ConfigError(errors)
     top.setdefault("output_dir", f"{top['name']}-out" if top["name"] else "campaign-out")
     top["schedule"] = Schedule(**schedule)
-    top["training"] = TrainConfig(schedule=top["schedule"], **training)
+    top["training"] = TrainConfig(schedule=top["schedule"], **top["training"])
     return CampaignConfig(**top)
 
 

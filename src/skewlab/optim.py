@@ -22,17 +22,14 @@ class Schedule(Settings):
     total_iters: int = setting(5000, bound=">=1")
     rampup_iters: int = setting(bound=">=0")  # configs default it to 0.4 * total_iters
     base_lr: float = setting(0.1, bound=">0.0")
-    lr_decay: tuple[tuple[int, float], ...] = setting(((4000, 0.2),))
+    lr_decay: tuple[tuple[int, float], ...] = setting(
+        ((4000, 0.2),), form="a list of [iteration, factor] pairs",
+        item=setting(bound=(">=0", ">0.0"), form="[iteration >= 0, positive factor]"))
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        last = -1
-        for point, factor in self.lr_decay:
-            if point <= last:
-                raise ValueError("lr_decay points must be nonnegative and strictly increasing")
-            if factor <= 0.0:
-                raise ValueError("lr decay factors must be positive")
-            last = point
+        if any(b[0] <= a[0] for a, b in zip(self.lr_decay, self.lr_decay[1:])):
+            raise ValueError("lr_decay points must be strictly increasing")
 
 
 def sgd_step(params: np.ndarray, grad: np.ndarray, velocity: np.ndarray,

@@ -180,6 +180,27 @@ CORPUS = [
     ("gap_curve", {"delta": 1.0}, {"gap_curve.delta: must lie in [0,1)"}),
     ("gap_curve", {"gamma": 0.0}, {"gap_curve.gamma: must lie in (0,1]"}),
     ("gap_curve", {"max_lag": "5"}, {"gap_curve.max_lag: must be an integer"}),
+    # a bad entry keeps the index of every later one
+    ("datasets", [3, {**BASE["datasets"][0], "n_pool_per_class": 1}],
+     {"datasets[0]: must be an object", "datasets[1].n_pool_per_class: must be at least 70 "
+      "(labeled_max + unlabeled_max + val_per_class)"}),
+    ("algorithms", [3, {"kind": "pi-model"}], {"algorithms[0]: must be an object"}),
+    ("report.grid_resolution", [3, 4, 5], {"report.grid_resolution: must be [nx >= 2, ny >= 2]"}),
+    ("report.grid_resolution", [2.5, 3], {"report.grid_resolution: must be [nx >= 2, ny >= 2]"}),
+    ("report.grid_resolution", "x", {"report.grid_resolution: must be [nx >= 2, ny >= 2]"}),
+    ("schedule.lr_decay", [[1]],
+     {"schedule.lr_decay[0]: must be [iteration >= 0, positive factor]"}),
+    ("schedule.lr_decay", [[1.0, 0.5]],
+     {"schedule.lr_decay[0]: must be [iteration >= 0, positive factor]"}),
+    ("schedule.lr_decay", [[True, 0.5]],
+     {"schedule.lr_decay[0]: must be [iteration >= 0, positive factor]"}),
+    ("schedule.lr_decay", [[5, 0.5], [3, 0.5], [1, 0]],
+     {"schedule.lr_decay[2]: must be [iteration >= 0, positive factor]",
+      "schedule.lr_decay: iterations must be strictly increasing"}),
+    ("seeds", [True, -1], {"seeds[0]: must be an integer", "seeds[1]: must be nonnegative"}),
+    ("schedule", None, {"schedule: must be an object"}),
+    ("report", None, {"report: must be an object"}),
+    ("algorithms.0.scl", None, {"algorithms[0].scl: must be an object"}),
 ]
 
 
@@ -205,8 +226,12 @@ class TestBadConfigCorpus:
             "key 'seeds' appears more than once in one object",
             "key 'labeled_max' appears more than once in one object"}
 
+    def test_null_gap_curve_is_absent(self):
+        assert (config_digest(validate_config(json.dumps({**BASE, "gap_curve": None})))
+                == config_digest(validate_config(json.dumps(BASE))))
+
     def test_grid_resolution_beside_a_missing_name(self):
-        # a failed required key leaves no resolved report to set it on
+        # the report is still read beside a failed required key
         config = {key: value for key, value in BASE.items() if key != "name"}
         config["report"] = {"grid_resolution": [5, 4]}
         with pytest.raises(ConfigError) as excinfo:
@@ -284,11 +309,23 @@ class TestValidConfigsCanRun:
         ("algorithms.0.w_max", 10**400, "algorithms[0].w_max: must be a real number"),
         ("schedule.lr_decay", [[10, float("nan")]],
          "schedule.lr_decay[0]: must be [iteration >= 0, positive factor]"),
-    ], ids=["nan-noise", "infinite-lr", "huge-w_max", "nan-decay-factor"])
+        # JSON readers round integers from 2**53; 10**400 overflowed the ramp-up default
+        ("schedule.total_iters", 10**400, "schedule.total_iters: must be an integer"),
+        ("seeds", [2**53], "seeds[0]: must be an integer"),
+    ], ids=["nan-noise", "infinite-lr", "huge-w_max", "nan-decay-factor", "huge-total_iters",
+            "inexact-seed"])
     def test_non_finite_numbers_are_rejected(self, path, value, expected):
         with pytest.raises(ConfigError) as excinfo:
             validate_config(mutated(path, value))
         assert set(excinfo.value.errors) == {expected}
+
+    def test_class_counts_beyond_exact_json_range_are_rejected(self):
+        # 2**63 overflowed the class counts
+        assert errors_of(small(datasets={"labeled_max": 2**63}, training=WITHOUT_REPLACEMENT)) == {
+            "datasets[0].labeled_max: must be an integer", NO_DATASETS}
+
+    def test_largest_exact_integer_is_accepted(self):
+        validate_config(json.dumps({**SMALL, "seeds": [2**53 - 1]}))
 
     def test_smallest_accepted_config_runs(self, tmp_path):
         config = validate_config(json.dumps(small(
@@ -396,3 +433,55 @@ class TestRoundTrip:
         again = validate_config(json.dumps(config.to_dict()))
         assert again.to_dict() == config.to_dict()
         assert config_digest(again) == config_digest(config)
+
+
+# BASE with every block, sampling without replacement so that the batch check runs
+FULL = {**BASE,
+        "output_dir": "out",
+        "algorithms": [{"kind": "mt-scl", "w_max": 4.0, "scl": {"beta": 0.5},
+                        "reweight": {"method": "cb"}}],
+        "schedule": {"total_iters": 100, "rampup_iters": 10, "base_lr": 0.1,
+                     "lr_decay": [[50, 0.5], [80, 0.2]]},
+        "training": {"labeled_batch": 4, "unlabeled_batch": 8, "sample_with_replacement": False},
+        "report": {"grids": True, "grid_resolution": [20, 30]},
+        "gap_curve": {"delta": 0.5, "gamma": 0.9, "max_lag": 50}}
+
+_scalars = (st.none() | st.booleans() | st.floats() | st.integers() | st.text(max_size=4)
+            | st.sampled_from([2**53, -2**63, 10**300, 10**400, "twomoons", "mt-scl"]))
+_json_values = _scalars | st.recursive(
+    _scalars, lambda inner: (st.lists(inner, max_size=3)
+                             | st.dictionaries(st.sampled_from(["kind", "x"]) | st.text(max_size=4),
+                                               inner, max_size=3)),
+    max_leaves=6)
+
+
+def _slots(node):
+    """(container, key) of every value inside node."""
+    items = enumerate(node) if isinstance(node, list) else node.items()
+    for key, child in items:
+        yield node, key
+        if isinstance(child, (dict, list)):
+            yield from _slots(child)
+
+
+@st.composite
+def edited_configs(draw):
+    """FULL with one to three of its values replaced by arbitrary JSON values."""
+    config = copy.deepcopy(FULL)
+    for _ in range(draw(st.integers(1, 3))):
+        target, key = draw(st.sampled_from(list(_slots(config))))
+        target[key] = draw(_json_values)
+    return config
+
+
+class TestArbitraryValues:
+    def test_full_is_valid(self):
+        validate_config(json.dumps(FULL))
+
+    @given(raw=edited_configs())
+    @settings(max_examples=1000, deadline=None)
+    def test_any_json_gives_a_config_or_config_errors(self, raw):
+        try:
+            validate_config(json.dumps(raw))
+        except ConfigError:
+            pass
