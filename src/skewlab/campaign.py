@@ -127,14 +127,6 @@ def execute_run(config: CampaignConfig, spec: RunSpec) -> RunRecord:
                      student_grid=student_grid, ema_grid=ema_grid)
 
 
-def run_one(config: CampaignConfig, run_id: str) -> RunRecord:
-    """Reproduce a single run by manifest id, bypassing the rest of the grid."""
-    for spec in build_runs(config):
-        if spec.run_id == run_id:
-            return execute_run(config, spec)
-    raise KeyError(f"run id {run_id!r} is not in this campaign")
-
-
 def _execute_payload(payload: tuple[CampaignConfig, RunSpec]):
     config, spec = payload
     try:

@@ -1,4 +1,5 @@
-"""Per-class error grouping, multi-seed aggregation, and report files.
+"""Per-class validation errors, their grouping, multi-seed aggregation,
+decision-boundary grids, and report files.
 
 Groups: "all" is the unweighted mean over classes, "major" the error of the
 single most frequent class, "minor" the single least frequent; frequency ties
@@ -14,6 +15,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
+from .datasets import Dataset2D
 from .ioutil import FLOAT, fmt, read_csv, write_csv, write_text
 from .mlp import MlpParams, forward, layer_buffers, row_blocks, softmax
 
@@ -34,6 +36,46 @@ class AggregateResult:
     mean: GroupErrors
     std: GroupErrors | None
     n_runs: int
+
+
+def _block_logits(params: MlpParams, points: np.ndarray):
+    """Yield (start, stop, logits) over row blocks that keep the bits of one
+    whole forward over ``points`` (see mlp.row_blocks).
+
+    The hidden layers run through ``forward`` on a view of the hidden
+    sub-network, in inner blocks of each block, into one set of buffers; the
+    class layer runs once per block with the two calls ``forward`` makes for
+    it.  Where the class layer needs many rows at once (fourspins validation
+    sets) only the last-hidden array and the logits span them.
+    """
+    sizes = params.layer_sizes
+    hidden = MlpParams(sizes[:-1], params.flat[:params.n_params - (sizes[-2] + 1) * sizes[-1]])
+    blocks = [(start, stop, row_blocks(sizes[:-1], stop - start))
+              for start, stop in row_blocks(sizes, len(points))]
+    inner = max(hi - lo for _, _, inner_blocks in blocks for lo, hi in inner_blocks)
+    early = layer_buffers(sizes[:-2], inner)  # hidden layers before the last
+    last = np.empty((max(stop - start for start, stop, _ in blocks), sizes[-2]))
+    for start, stop, inner_blocks in blocks:
+        for lo, hi in inner_blocks:
+            z, _ = forward(hidden, points[start + lo:start + hi],
+                           out=tuple(a[:hi - lo] for a in early) + (last[lo:hi],))
+            np.tanh(z, out=z)
+        logits = np.matmul(last[:stop - start], params.weights[-1])
+        logits += params.biases[-1]
+        yield start, stop, logits
+
+
+def evaluate(params: MlpParams, dataset: Dataset2D) -> np.ndarray:
+    """Per-class error rates under argmax prediction; NaN for absent classes."""
+    predicted = np.empty(len(dataset), dtype=np.intp)
+    for start, stop, logits in _block_logits(params, dataset.points):
+        logits.argmax(axis=1, out=predicted[start:stop])
+    errors = np.full(dataset.n_classes, np.nan, dtype=np.float64)
+    for cls in range(dataset.n_classes):
+        mask = dataset.labels == cls
+        if mask.any():
+            errors[cls] = float(np.mean(predicted[mask] != cls))
+    return errors
 
 
 def group_errors(per_class_errors: np.ndarray, counts: np.ndarray) -> GroupErrors:
@@ -108,11 +150,7 @@ def boundary_grid(params: MlpParams, bbox: tuple[float, float, float, float],
     nodes = np.column_stack((grid_x.ravel(), grid_y.ravel()))
     max_prob = np.empty(nodes.shape[0])
     argmax = np.empty(nodes.shape[0], dtype=np.int64)
-    # row blocks that keep the bits of one whole forward (see mlp.row_blocks)
-    blocks = row_blocks(params.layer_sizes, nodes.shape[0])
-    out = layer_buffers(params.layer_sizes, max(stop - start for start, stop in blocks))
-    for start, stop in blocks:
-        logits, _ = forward(params, nodes[start:stop], out=tuple(z[:stop - start] for z in out))
+    for start, stop, logits in _block_logits(params, nodes):
         probs = softmax(logits)
         probs.max(axis=1, out=max_prob[start:stop])
         probs.argmax(axis=1, out=argmax[start:stop])

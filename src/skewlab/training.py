@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import CisslSplit, Dataset2D
+from .datasets import CisslSplit
 from .ioutil import FLOAT, read_csv, write_text
 from .losses import (
     ReweightSpec,
@@ -40,10 +40,10 @@ from .mlp import (
     layer_buffers,
     param_add,
     param_scale,
-    row_blocks,
     softmax,
 )
 from .optim import Schedule, ema_update, lr_at, rampup_weight, sgd_step
+from .report import evaluate
 from .schema import Settings, setting
 
 # kind -> (default w_max, unlabeled term, keeps an EMA target); the "l2" and "scl"
@@ -148,41 +148,6 @@ def perturb(x: np.ndarray, noise_std: float, rng: np.random.Generator) -> np.nda
     if noise_std == 0.0:
         return x
     return x + rng.normal(0.0, noise_std, x.shape)
-
-
-def evaluate(params: MlpParams, dataset: Dataset2D) -> np.ndarray:
-    """Per-class error rates under argmax prediction; NaN for absent classes."""
-    points = dataset.points
-    sizes = params.layer_sizes
-    # the hidden layers and the class layer as two networks over views of
-    # params.flat: run in turn, they make the numpy calls of one whole forward
-    cut = params.n_params - (sizes[-2] + 1) * sizes[-1]
-    hidden = MlpParams(sizes[:-1], params.flat[:cut])
-    head = MlpParams(sizes[-2:], params.flat[cut:])
-    # row blocks that keep the bits of one whole forward (see mlp.row_blocks):
-    # the class layer runs per outer block and the hidden layers per inner
-    # block of it, so where the class layer needs all rows at once (fourspins)
-    # only the last-hidden array and the logits span them
-    blocks = [(start, stop, row_blocks(hidden.layer_sizes, stop - start))
-              for start, stop in row_blocks(sizes, points.shape[0])]
-    outer = max(stop - start for start, stop, _ in blocks)
-    inner = max(hi - lo for _, _, inner_blocks in blocks for lo, hi in inner_blocks)
-    early = layer_buffers(sizes[:-2], inner)  # hidden layers before the last
-    last = np.empty((outer, sizes[-2]))
-    predicted = np.empty(points.shape[0], dtype=np.intp)
-    for start, stop, inner_blocks in blocks:
-        for lo, hi in inner_blocks:
-            z, _ = forward(hidden, points[start + lo:start + hi],
-                           out=tuple(a[:hi - lo] for a in early) + (last[lo:hi],))
-            np.tanh(z, out=z)
-        logits, _ = forward(head, last[:stop - start])
-        logits.argmax(axis=1, out=predicted[start:stop])
-    errors = np.full(dataset.n_classes, np.nan, dtype=np.float64)
-    for cls in range(dataset.n_classes):
-        mask = dataset.labels == cls
-        if mask.any():
-            errors[cls] = float(np.mean(predicted[mask] != cls))
-    return errors
 
 
 def _pseudo_label_loss(logits: np.ndarray, threshold: float) -> tuple[float, np.ndarray | None]:

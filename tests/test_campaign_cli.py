@@ -19,9 +19,9 @@ from skewlab import campaign
 from skewlab.campaign import (
     WORKERS_ENV,
     build_runs,
+    execute_run,
     prepare_split,
     run_campaign,
-    run_one,
 )
 from skewlab.cli import main
 from skewlab.config import validate_config
@@ -127,16 +127,13 @@ class TestRunCampaign:
 
     def test_single_run_reproduces_campaign_history(self, tiny_config, tmp_path):
         outcome = quiet_run(tiny_config, out_dir=tmp_path / "out")
-        record = run_one(tiny_config, "moons__mean-teacher__seed1")
+        spec, = [s for s in build_runs(tiny_config) if s.run_id == "moons__mean-teacher__seed1"]
+        record = execute_run(tiny_config, spec)
         from skewlab.training import write_history_csv
         solo = tmp_path / "solo.csv"
         write_history_csv(record.result, solo)
         campaign_file = outcome.out_dir / "runs" / "moons__mean-teacher__seed1.csv"
         assert solo.read_bytes() == campaign_file.read_bytes()
-
-    def test_run_one_rejects_unknown_id(self, tiny_config):
-        with pytest.raises(KeyError, match="not in this campaign"):
-            run_one(tiny_config, "moons__dreamt-up__seed0")
 
     def test_tables_aggregate_both_parameter_sets(self, tiny_config, tmp_path):
         outcome = quiet_run(tiny_config, out_dir=tmp_path / "out")

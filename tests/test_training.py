@@ -299,38 +299,40 @@ class TestPerturb:
 
 
 # Evaluates the presets' 6,000-row validation sets at width 64 and prints, per
-# set, whether the class-layer logits of evaluate's row blocks have the bits
-# of one whole forward, whether its errors are the argmax errors of that
-# forward, and the errors' bytes.
+# set, whether the logits of report's row blocks have the bits of one whole
+# forward, whether evaluate's errors are the argmax errors of that forward,
+# and the errors' bytes.
 EVALUATE_SCRIPT = """
 import json
 import numpy as np
-import skewlab.training
 from skewlab.datasets import gen_four_spins, gen_two_moons
 from skewlab.mlp import forward, init_params
+from skewlab.report import _block_logits, evaluate
 
-class_layer = []
-
-def recording(params, x, out=None):
-    logits, trace = forward(params, x, out)
-    if params.layer_sizes[-1] == n_classes:  # a call that ends in the class layer
-        class_layer.append(logits.copy())
-    return logits, trace
-
-skewlab.training.forward = recording
 runs = {}
 for generate, n_classes, per_class in [(gen_two_moons, 2, 3000), (gen_four_spins, 4, 1500)]:
     data = generate(per_class, 0.1, seed=6)
     params = init_params(64, n_classes, seed=7)
-    class_layer.clear()
-    errors = skewlab.training.evaluate(params, data)
+    errors = evaluate(params, data)
     logits = forward(params, data.points)[0]
+    blocked = np.concatenate([block for _, _, block in _block_logits(params, data.points)])
     predicted = logits.argmax(axis=1)
     expected = [np.mean(predicted[data.labels == c] != c) for c in range(n_classes)]
-    runs[generate.__name__] = [bool(np.array_equal(np.concatenate(class_layer), logits)),
+    runs[generate.__name__] = [bool(np.array_equal(blocked, logits)),
                                bool(np.array_equal(errors, expected)), errors.tobytes().hex()]
 print(json.dumps(runs))
 """
+
+# the presets' validation sets: 3,000 points per class on twomoons, whose
+# 64 x 2 class layer is on the small-matrix kernel at 6,000 rows, and 1,500
+# per class on fourspins, whose 64 x 4 class layer is not; 4,000 and 4,996
+# fourspins rows keep the class layer whole too, and 4,996 leaves the hidden
+# layers' last row block 4 rows past its alignment; at 1 hidden layer no
+# layer runs before the last hidden one, at 3 two do
+EVALUATE_CASES = [(2, gen_two_moons, 3000, 2), (4, gen_four_spins, 1500, 2),
+                  (4, gen_four_spins, 1000, 2), (4, gen_four_spins, 1249, 2),
+                  (2, gen_two_moons, 3000, 1), (4, gen_four_spins, 1500, 1),
+                  (2, gen_two_moons, 3000, 3), (4, gen_four_spins, 1500, 3)]
 
 
 class TestEvaluate:
@@ -352,24 +354,20 @@ class TestEvaluate:
         assert errors[1] == 1.0
         assert np.isnan(errors[2])
 
-    # the presets' validation sets: 3,000 points per class on twomoons, whose
-    # 64 x 2 class layer is on the small-matrix kernel at 6,000 rows, and
-    # 1,500 per class on fourspins, whose 64 x 4 class layer is not; 4,000 and
-    # 4,996 fourspins rows keep the class layer whole too, and 4,996 leaves
-    # the hidden layers' last row block 4 rows past its alignment
-    @pytest.mark.parametrize("n_classes, generate, per_class",
-                             [(2, gen_two_moons, 3000), (4, gen_four_spins, 1500),
-                              (4, gen_four_spins, 1000), (4, gen_four_spins, 1249)])
-    def test_errors_match_the_argmax_of_one_forward(self, n_classes, generate, per_class):
+    @pytest.mark.parametrize("n_classes, generate, per_class, hidden_layers", EVALUATE_CASES,
+                             ids=[f"{n}-{g.__name__}-{p}" + ("" if h == 2 else f"-{h}-hidden")
+                                  for n, g, p, h in EVALUATE_CASES])
+    def test_errors_match_the_argmax_of_one_forward(self, n_classes, generate, per_class,
+                                                   hidden_layers):
         data = generate(per_class, 0.1, seed=6)
-        params = init_params(64, n_classes, seed=7)
+        params = init_params(64, n_classes, seed=7, hidden_layers=hidden_layers)
         predicted = forward(params, data.points)[0].argmax(axis=1)
         expected = [np.mean(predicted[data.labels == c] != c) for c in range(n_classes)]
         assert np.array_equal(evaluate(params, data), expected)
         assert len(row_blocks(params.layer_sizes, len(data))) == (23 if n_classes == 2 else 1)
 
     # measured peaks at width 64: 0.39 MB on 6,000 twomoons rows, where one
-    # full-size 6,000 x 64 hidden array alone is 3.1 MB; 3.64 MB on 6,000
+    # full-size 6,000 x 64 hidden array alone is 3.1 MB; 3.52 MB on 6,000
     # fourspins rows, whose 64 x 4 class layer runs over all rows at once and
     # so keeps that 3.1 MB last-hidden array (one whole forward: 6.45 MB)
     @pytest.mark.parametrize("n_classes, generate, per_class, bound",
