@@ -22,17 +22,18 @@ def fmt(value: float) -> str:
     return format(float(value), _FLOAT_SPEC)
 
 
-def write_text(path: str | os.PathLike[str], text: str) -> None:
-    """Write text in one call as UTF-8 with unix newlines, whatever the platform.
+def write_text(path: str | os.PathLike[str], text: str | Iterable[str]) -> None:
+    """Write text, one string or an iterable of chunks written in turn, as
+    UTF-8 with unix newlines, whatever the platform.
 
     The text goes to ``<path>.tmp``, which then replaces path, so path holds
-    its old bytes or all of the new ones; a write that raises leaves no
-    temporary file behind.
+    its old bytes or all of the new ones; a write that raises, or an iterable
+    that raises, leaves no temporary file behind.
     """
     tmp = os.fspath(path) + ".tmp"
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            fh.writelines((text,) if isinstance(text, str) else text)
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

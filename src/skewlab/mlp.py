@@ -250,6 +250,8 @@ def load_params(path: str) -> MlpParams:
         if not header.startswith("layers="):
             raise ValueError(f"{path}: missing layer header")
         sizes = tuple(int(s) for s in header[len("layers="):].split(","))
+        if len(sizes) < 3:
+            raise ValueError(f"{path}: {header}: the network has no hidden layer")
         values = np.array([float(line) for line in fh if line.strip()], dtype=np.float64)
     try:
         return MlpParams(sizes, values)

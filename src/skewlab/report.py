@@ -17,7 +17,7 @@ import numpy as np
 
 from .datasets import Dataset2D
 from .ioutil import FLOAT, fmt, read_csv, write_csv, write_text
-from .mlp import MlpParams, forward, layer_buffers, row_blocks, softmax
+from .mlp import MlpParams, forward, layer_views, row_blocks, softmax
 
 GROUP_NAMES = ("all", "major", "minor")
 
@@ -42,24 +42,37 @@ def _block_logits(params: MlpParams, points: np.ndarray):
     """Yield (start, stop, logits) over row blocks that keep the bits of one
     whole forward over ``points`` (see mlp.row_blocks).
 
-    The hidden layers run through ``forward`` on a view of the hidden
-    sub-network, in inner blocks of each block, into one set of buffers; the
-    class layer runs once per block with the two calls ``forward`` makes for
-    it.  Where the class layer needs many rows at once (fourspins validation
-    sets) only the last-hidden array and the logits span them.
+    One block-sized array holds the hidden activations.  Within each block
+    the first hidden layer runs through ``forward`` on a view of it as a
+    (inputs, width) network, in pieces, straight into that array; each later
+    hidden layer then runs in place over it in row chunks, through one
+    chunk-sized buffer, and the class layer once per block, each with the
+    calls ``forward`` makes for a layer.  Where the class layer needs many
+    rows at once (fourspins validation sets) only the hidden array and the
+    logits span them.
     """
     sizes = params.layer_sizes
-    hidden = MlpParams(sizes[:-1], params.flat[:params.n_params - (sizes[-2] + 1) * sizes[-1]])
-    blocks = [(start, stop, row_blocks(sizes[:-1], stop - start))
+    if len(sizes) < 3 or len(set(sizes[1:-1])) > 1:
+        raise ValueError(f"layers={','.join(map(str, sizes))}: the blocked pass "
+                         "needs one or more hidden layers of one width")
+    cut = (sizes[0] + 1) * sizes[1]
+    first = MlpParams(sizes[:2], params.flat[:cut])
+    weights, biases = layer_views(sizes[1:-1], params.flat[cut:])
+    blocks = [(start, stop, [(lo, hi, row_blocks(sizes[1:-1], hi - lo))
+                             for lo, hi in row_blocks(sizes[:-1], stop - start)])
               for start, stop in row_blocks(sizes, len(points))]
-    inner = max(hi - lo for _, _, inner_blocks in blocks for lo, hi in inner_blocks)
-    early = layer_buffers(sizes[:-2], inner)  # hidden layers before the last
     last = np.empty((max(stop - start for start, stop, _ in blocks), sizes[-2]))
-    for start, stop, inner_blocks in blocks:
-        for lo, hi in inner_blocks:
-            z, _ = forward(hidden, points[start + lo:start + hi],
-                           out=tuple(a[:hi - lo] for a in early) + (last[lo:hi],))
-            np.tanh(z, out=z)
+    z = np.empty((max(b - a for _, _, pieces in blocks for _, _, chunks in pieces
+                      for a, b in chunks), sizes[-2]))
+    for start, stop, pieces in blocks:
+        for lo, hi, chunks in pieces:
+            h, _ = forward(first, points[start + lo:start + hi], out=(last[lo:hi],))
+            np.tanh(h, out=h)
+            for a, b in chunks:
+                for w, bias in zip(weights, biases):
+                    np.matmul(last[lo + a:lo + b], w, out=z[:b - a])
+                    z[:b - a] += bias
+                    np.tanh(z[:b - a], out=last[lo + a:lo + b])
         logits = np.matmul(last[:stop - start], params.weights[-1])
         logits += params.biases[-1]
         yield start, stop, logits
@@ -163,12 +176,14 @@ def write_grid_csv(grid: BoundaryGrid, path: str | Path) -> None:
     nx = grid.xs.size
     cells: list = [None] * (3 * nx)
     cells[0::3] = [fmt(x) for x in grid.xs]
-    parts = ["x,y,max_prob,argmax\n"]
-    for y, probs, labels in zip(grid.ys, grid.max_prob.tolist(), grid.argmax.tolist()):
-        cells[1::3] = probs
-        cells[2::3] = labels
-        parts.append((f"%s,{fmt(y)},{FLOAT},%d\n" * nx) % tuple(cells))
-    write_text(path, "".join(parts))
+
+    def lines():  # one chunk per grid row, so no whole-file string is built
+        yield "x,y,max_prob,argmax\n"
+        for y, probs, labels in zip(grid.ys, grid.max_prob, grid.argmax):
+            cells[1::3] = probs.tolist()
+            cells[2::3] = labels.tolist()
+            yield (f"%s,{fmt(y)},{FLOAT},%d\n" * nx) % tuple(cells)
+    write_text(path, lines())
 
 
 def _format_cell(mean: float, std: float | None) -> str:

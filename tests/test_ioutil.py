@@ -4,6 +4,7 @@ against a cell-by-cell rendering through fmt and write_csv."""
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
 import pytest
@@ -86,6 +87,32 @@ class TestAtomicWrite:
         write_text(path, "old\n")
         with pytest.raises(UnicodeEncodeError):
             write_text(path, self.UNWRITABLE)
+        assert path.read_bytes() == b"old\n"
+        assert list(tmp_path.iterdir()) == [path]
+
+    @staticmethod
+    def chunks_then_failure(path):
+        yield "new\n" * 1000
+        assert os.path.exists(f"{path}.tmp")  # the failure comes mid-write
+        raise RuntimeError("chunk source failed")
+
+    def test_chunks_give_the_bytes_of_the_joined_text(self, tmp_path):
+        chunks = ["x,y\n", "", "1,\u00e9\n" * 3000, "2,3\r\n"]
+        write_text(tmp_path / "chunks.csv", iter(chunks))
+        write_text(tmp_path / "joined.csv", "".join(chunks))
+        assert (tmp_path / "chunks.csv").read_bytes() == (tmp_path / "joined.csv").read_bytes()
+
+    def test_failed_chunks_leave_no_new_file(self, tmp_path):
+        path = tmp_path / "fresh.csv"
+        with pytest.raises(RuntimeError, match="chunk source failed"):
+            write_text(path, self.chunks_then_failure(path))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_failed_chunks_keep_the_old_bytes(self, tmp_path):
+        path = tmp_path / "kept.csv"
+        write_text(path, "old\n")
+        with pytest.raises(RuntimeError, match="chunk source failed"):
+            write_text(path, self.chunks_then_failure(path))
         assert path.read_bytes() == b"old\n"
         assert list(tmp_path.iterdir()) == [path]
 

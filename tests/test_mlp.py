@@ -319,6 +319,12 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="missing layer header"):
             load_params(path)
 
+    def test_rejects_network_without_a_hidden_layer(self, tmp_path):
+        path = tmp_path / "params.txt"
+        save_params(MlpParams((2, 3), np.ones(9)), path)
+        with pytest.raises(ValueError, match="params.txt: layers=2,3: .*no hidden layer"):
+            load_params(path)
+
     def test_snapshot_is_stable_text(self, tmp_path, params):
         first = tmp_path / "a.txt"
         second = tmp_path / "b.txt"

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab.mlp import forward, init_params, param_scale, row_blocks, softmax
+from skewlab.mlp import MlpParams, forward, init_params, param_scale, row_blocks, softmax
 from skewlab.report import (
     AggregateResult,
     GroupErrors,
@@ -144,8 +144,9 @@ class TestBoundaryGrid:
         self.assert_matches_one_forward(params, (200, 200))
 
     def test_grid_memory_stays_below_one_full_size_hidden_array(self):
-        # measured peak 10.6 MB for a 200 x 200 grid at width 64; one full-size
-        # 40,000 x 64 hidden array alone is 20.5 MB
+        # measured peak 6.7 MB for a 200 x 200 grid at width 64 (10.6 MB with
+        # a second block-sized hidden array); one full-size 40,000 x 64 hidden
+        # array alone is 20.5 MB
         params = init_params(64, 2, seed=26)
         tracemalloc.start()
         try:
@@ -154,6 +155,29 @@ class TestBoundaryGrid:
         finally:
             tracemalloc.stop()
         assert peak < 13e6
+
+    def test_grid_memory_keeps_one_block_sized_hidden_array_at_three_hidden_layers(self):
+        # the later hidden layers run in place over the block's one hidden
+        # array: measured peak 6.7 MB, as at two hidden layers; with a
+        # block-sized array per hidden layer but the last it was 14.7 MB
+        params = init_params(64, 2, seed=26, hidden_layers=3)
+        tracemalloc.start()
+        try:
+            boundary_grid(params, (-2.0, 2.0, -2.0, 2.0))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5e6
+
+    def test_network_without_a_hidden_layer_is_rejected(self):
+        params = MlpParams((2, 3), np.ones(9))
+        with pytest.raises(ValueError, match="layers=2,3: .*hidden layer"):
+            boundary_grid(params, (-1.0, 1.0, -1.0, 1.0), resolution=(5, 5))
+
+    def test_hidden_layers_of_different_widths_are_rejected(self):
+        params = MlpParams((2, 8, 4, 3), np.ones(3 * 8 + 9 * 4 + 5 * 3))
+        with pytest.raises(ValueError, match="layers=2,8,4,3: .*one width"):
+            boundary_grid(params, (-1.0, 1.0, -1.0, 1.0), resolution=(5, 5))
 
     def test_degenerate_inputs_rejected(self, params):
         with pytest.raises(ValueError):
@@ -241,3 +265,16 @@ class TestReportFiles:
         # rows iterate y-outer, x-inner
         first, second = lines[1].split(","), lines[2].split(",")
         assert first[1] == second[1] and first[0] != second[0]
+
+    def test_grid_csv_memory_stays_at_one_grid_row(self, tmp_path):
+        # rows are written as they are formatted: measured peak 0.06 MB for a
+        # 200 x 200 grid, whose whole file (1.8 MB) used to be built as one
+        # string first (peak 7.4 MB)
+        grid = boundary_grid(init_params(64, 4, seed=27), (-2.0, 2.0, -2.0, 2.0))
+        tracemalloc.start()
+        try:
+            write_grid_csv(grid, tmp_path / "grid.csv")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
