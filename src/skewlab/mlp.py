@@ -131,47 +131,6 @@ def layer_buffers(layer_sizes: tuple[int, ...], rows: int) -> tuple[np.ndarray, 
     return tuple(np.empty((rows, fan_out)) for fan_out in layer_sizes[1:])
 
 
-# Row blocks that give every row the bits of one whole forward (measured on
-# numpy 2.4.6's OpenBLAS 0.3.31, SkylakeX core).  Its float64 matmul switches
-# to a small-matrix kernel, which rounds differently, exactly when
-# rows * fan_in * fan_out <= SMALL_MATMUL; that kernel also rounds the rows of
-# a block's last partial group of 4 differently.  BLOCK_MIN_ROWS bounds the
-# number of forward calls.
-SMALL_MATMUL = 10**6
-BLOCK_ALIGN = 8
-BLOCK_MIN_ROWS = 256
-
-
-def row_blocks(layer_sizes: tuple[int, ...], rows: int) -> list[tuple[int, int]]:
-    """(start, stop) of the smallest row blocks whose forward passes give the
-    same bits as one forward over all ``rows``.
-
-    Every block but the last starts and stops on a multiple of BLOCK_ALIGN
-    rows, and the last ends at ``rows``, so the small-matrix kernel groups
-    each row as it would in the whole batch.  Every block has at least
-    BLOCK_MIN_ROWS rows, and for each layer whose whole-batch matmul is above
-    SMALL_MATMUL, more than SMALL_MATMUL / (fan_in * fan_out) rows, so that
-    layer stays off the small-matrix kernel.  Block sizes differ by at most
-    BLOCK_ALIGN rows plus the last block's leftover; inputs too short for two
-    such blocks stay one block.
-    """
-    need = BLOCK_MIN_ROWS
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        if rows * fan_in * fan_out > SMALL_MATMUL:
-            need = max(need, SMALL_MATMUL // (fan_in * fan_out) + 1)
-    groups = rows // BLOCK_ALIGN
-    n_blocks = max(1, groups // -(-need // BLOCK_ALIGN))
-    per_block, extra = divmod(groups, n_blocks)
-    blocks = []
-    start = 0
-    for i in range(n_blocks):
-        stop = start + (per_block + (i < extra)) * BLOCK_ALIGN
-        blocks.append((start, stop))
-        start = stop
-    blocks[-1] = (blocks[-1][0], rows)
-    return blocks
-
-
 def forward(params: MlpParams, x: np.ndarray, out: tuple[np.ndarray, ...] | None = None
             ) -> tuple[np.ndarray, ForwardTrace]:
     """Compute logits for a batch of points; returns the trace for backward.

@@ -1,6 +1,9 @@
 """Per-class validation errors, their grouping, multi-seed aggregation,
 decision-boundary grids, and report files.
 
+Validation errors and grids come from one pass of the network over row
+blocks (``row_blocks``) that keep the bits of one whole forward.
+
 Groups: "all" is the unweighted mean over classes, "major" the error of the
 single most frequent class, "minor" the single least frequent; frequency ties
 resolve to the lowest class index.
@@ -17,7 +20,7 @@ import numpy as np
 
 from .datasets import Dataset2D
 from .ioutil import FLOAT, fmt, read_csv, write_csv, write_text
-from .mlp import MlpParams, forward, layer_views, row_blocks, softmax
+from .mlp import MlpParams, forward, softmax
 
 GROUP_NAMES = ("all", "major", "minor")
 
@@ -38,42 +41,73 @@ class AggregateResult:
     n_runs: int
 
 
-def _block_logits(params: MlpParams, points: np.ndarray):
-    """Yield (start, stop, logits) over row blocks that keep the bits of one
-    whole forward over ``points`` (see mlp.row_blocks).
+# Row blocks that give every row the bits of one whole forward (measured on
+# numpy 2.4.6's OpenBLAS 0.3.31, SkylakeX core).  Its float64 matmul switches
+# to a small-matrix kernel, which rounds differently, exactly when
+# rows * fan_in * fan_out <= SMALL_MATMUL; that kernel also rounds the rows of
+# a block's last partial group of 4 differently.  BLOCK_MIN_ROWS bounds the
+# number of blocks and chunks.
+SMALL_MATMUL = 10**6
+BLOCK_ALIGN = 8
+BLOCK_MIN_ROWS = 256
 
-    One block-sized array holds the hidden activations.  Within each block
-    the first hidden layer runs through ``forward`` on a view of it as a
-    (inputs, width) network, in pieces, straight into that array; each later
-    hidden layer then runs in place over it in row chunks, through one
-    chunk-sized buffer, and the class layer once per block, each with the
-    calls ``forward`` makes for a layer.  Where the class layer needs many
-    rows at once (fourspins validation sets) only the hidden array and the
-    logits span them.
+
+def row_blocks(layer_sizes: tuple[int, ...], rows: int) -> list[tuple[int, int]]:
+    """(start, stop) of the smallest row blocks whose forward passes give the
+    same bits as one forward over all ``rows``.
+
+    Every block but the last starts and stops on a multiple of BLOCK_ALIGN
+    rows, and the last ends at ``rows``, so the small-matrix kernel groups
+    each row as it would in the whole batch.  Every block has at least
+    BLOCK_MIN_ROWS rows, and for each layer whose whole-batch matmul is above
+    SMALL_MATMUL, more than SMALL_MATMUL / (fan_in * fan_out) rows, so that
+    layer stays off the small-matrix kernel.  Block sizes differ by at most
+    BLOCK_ALIGN rows plus the last block's leftover; inputs too short for two
+    such blocks stay one block.
+    """
+    need = BLOCK_MIN_ROWS
+    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        if rows * fan_in * fan_out > SMALL_MATMUL:
+            need = max(need, SMALL_MATMUL // (fan_in * fan_out) + 1)
+    groups = rows // BLOCK_ALIGN
+    n_blocks = max(1, groups // -(-need // BLOCK_ALIGN))
+    per_block, extra = divmod(groups, n_blocks)
+    blocks = []
+    start = 0
+    for i in range(n_blocks):
+        stop = start + (per_block + (i < extra)) * BLOCK_ALIGN
+        blocks.append((start, stop))
+        start = stop
+    blocks[-1] = (blocks[-1][0], rows)
+    return blocks
+
+
+def _block_logits(params: MlpParams, points: np.ndarray):
+    """Yield (start, stop, logits) per block of ``row_blocks``, with the bits
+    of one whole forward over ``points``.
+
+    The first hidden layer runs through ``forward`` on an (inputs, width) view
+    of the network, straight into one block-sized hidden array; each later
+    hidden layer runs in place over it in row chunks, and the class layer
+    once per block, each with the calls ``forward`` makes for a layer.
     """
     sizes = params.layer_sizes
     if len(sizes) < 3 or len(set(sizes[1:-1])) > 1:
         raise ValueError(f"layers={','.join(map(str, sizes))}: the blocked pass "
                          "needs one or more hidden layers of one width")
-    cut = (sizes[0] + 1) * sizes[1]
-    first = MlpParams(sizes[:2], params.flat[:cut])
-    weights, biases = layer_views(sizes[1:-1], params.flat[cut:])
-    blocks = [(start, stop, [(lo, hi, row_blocks(sizes[1:-1], hi - lo))
-                             for lo, hi in row_blocks(sizes[:-1], stop - start)])
-              for start, stop in row_blocks(sizes, len(points))]
-    last = np.empty((max(stop - start for start, stop, _ in blocks), sizes[-2]))
-    z = np.empty((max(b - a for _, _, pieces in blocks for _, _, chunks in pieces
-                      for a, b in chunks), sizes[-2]))
-    for start, stop, pieces in blocks:
-        for lo, hi, chunks in pieces:
-            h, _ = forward(first, points[start + lo:start + hi], out=(last[lo:hi],))
-            np.tanh(h, out=h)
-            for a, b in chunks:
-                for w, bias in zip(weights, biases):
-                    np.matmul(last[lo + a:lo + b], w, out=z[:b - a])
-                    z[:b - a] += bias
-                    np.tanh(z[:b - a], out=last[lo + a:lo + b])
-        logits = np.matmul(last[:stop - start], params.weights[-1])
+    first = MlpParams(sizes[:2], params.flat[:(sizes[0] + 1) * sizes[1]])
+    blocks = row_blocks(sizes, len(points))
+    hidden = np.empty((max(stop - start for start, stop in blocks), sizes[1]))
+    for start, stop in blocks:
+        h, _ = forward(first, points[start:stop], out=(hidden[:stop - start],))
+        np.tanh(h, out=h)
+        for a, b in row_blocks(sizes[1:-1], stop - start):
+            for w, bias in zip(params.weights[1:-1], params.biases[1:-1]):
+                # an output that overlaps the input reads a copy of it
+                z = np.matmul(h[a:b], w, out=h[a:b])
+                z += bias
+                np.tanh(z, out=z)
+        logits = np.matmul(h, params.weights[-1])
         logits += params.biases[-1]
         yield start, stop, logits
 
@@ -83,12 +117,10 @@ def evaluate(params: MlpParams, dataset: Dataset2D) -> np.ndarray:
     predicted = np.empty(len(dataset), dtype=np.intp)
     for start, stop, logits in _block_logits(params, dataset.points):
         logits.argmax(axis=1, out=predicted[start:stop])
-    errors = np.full(dataset.n_classes, np.nan, dtype=np.float64)
-    for cls in range(dataset.n_classes):
-        mask = dataset.labels == cls
-        if mask.any():
-            errors[cls] = float(np.mean(predicted[mask] != cls))
-    return errors
+    labels = dataset.labels
+    with np.errstate(invalid="ignore"):  # 0 / 0 for an absent class
+        return (np.bincount(labels[predicted != labels], minlength=dataset.n_classes)
+                / dataset.class_counts())
 
 
 def group_errors(per_class_errors: np.ndarray, counts: np.ndarray) -> GroupErrors:

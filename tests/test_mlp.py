@@ -6,14 +6,9 @@ import pickle
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from skewlab.losses import ReweightSpec, supervised_loss
 from skewlab.mlp import (
-    BLOCK_ALIGN,
-    BLOCK_MIN_ROWS,
-    SMALL_MATMUL,
     MlpParams,
     backward,
     forward,
@@ -22,7 +17,6 @@ from skewlab.mlp import (
     load_params,
     param_add,
     param_scale,
-    row_blocks,
     save_params,
     softmax,
 )
@@ -122,39 +116,6 @@ class TestForward:
             forward(params, np.array([[np.nan, 0.0]]))
         with pytest.raises(ValueError):
             forward(params, np.zeros((3, 4)))
-
-
-class TestRowBlocks:
-    @given(rows=st.integers(0, 200_000), width=st.integers(1, 64),
-           n_classes=st.integers(2, 5), hidden_layers=st.integers(1, 3))
-    @settings(max_examples=200, deadline=None)
-    def test_blocks_tile_the_rows_within_the_bit_rules(self, rows, width, n_classes,
-                                                       hidden_layers):
-        sizes = init_params(width, n_classes, seed=0, hidden_layers=hidden_layers).layer_sizes
-        blocks = row_blocks(sizes, rows)
-        assert blocks[0][0] == 0 and blocks[-1][1] == rows
-        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
-        assert all(stop % BLOCK_ALIGN == 0 for _, stop in blocks[:-1])
-        lengths = [stop - start for start, stop in blocks]
-        assert max(lengths[:-1], default=0) - min(lengths[:-1], default=0) <= BLOCK_ALIGN
-        need = max([BLOCK_MIN_ROWS] + [SMALL_MATMUL // (i * o) + 1
-                                       for i, o in zip(sizes[:-1], sizes[1:])
-                                       if rows * i * o > SMALL_MATMUL])
-        if len(blocks) > 1:
-            assert min(lengths) >= need
-        # the smallest such blocks: none could be split in two
-        assert len(blocks) == 1 or max(lengths) < 2 * need + 4 * BLOCK_ALIGN
-        assert len(blocks) > 1 or rows < 2 * need + 2 * BLOCK_ALIGN
-
-    def test_preset_shapes(self):
-        assert row_blocks((2, 64, 64, 2), 40_000) == [(i * 8000, (i + 1) * 8000)
-                                                      for i in range(5)]
-        assert row_blocks((2, 64, 64, 4), 40_000) == row_blocks((2, 64, 64, 2), 40_000)
-        assert row_blocks((2, 64, 64, 4), 6000) == [(0, 6000)]
-        validation = row_blocks((2, 64, 64, 2), 6000)
-        assert len(validation) == 23 and validation[-1] == (5744, 6000)
-        assert row_blocks((2, 64, 64, 2), 300) == [(0, 300)]
-        assert row_blocks((2, 64, 64, 2), 0) == [(0, 0)]
 
 
 class TestBackward:

@@ -1,4 +1,4 @@
-"""Error grouping, seed aggregation, boundary grids, and report files."""
+"""Error grouping, seed aggregation, row blocks, boundary grids, and report files."""
 
 from __future__ import annotations
 
@@ -9,8 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab.mlp import MlpParams, forward, init_params, param_scale, row_blocks, softmax
+from skewlab.mlp import MlpParams, forward, init_params, param_scale, softmax
 from skewlab.report import (
+    BLOCK_ALIGN,
+    BLOCK_MIN_ROWS,
+    SMALL_MATMUL,
     AggregateResult,
     GroupErrors,
     aggregate_runs,
@@ -18,6 +21,7 @@ from skewlab.report import (
     default_bbox,
     group_errors,
     read_table,
+    row_blocks,
     write_grid_csv,
     write_report,
 )
@@ -76,6 +80,39 @@ class TestAggregateRuns:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             aggregate_runs([])
+
+
+class TestRowBlocks:
+    @given(rows=st.integers(0, 200_000), width=st.integers(1, 64),
+           n_classes=st.integers(2, 5), hidden_layers=st.integers(1, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_blocks_tile_the_rows_within_the_bit_rules(self, rows, width, n_classes,
+                                                       hidden_layers):
+        sizes = init_params(width, n_classes, seed=0, hidden_layers=hidden_layers).layer_sizes
+        blocks = row_blocks(sizes, rows)
+        assert blocks[0][0] == 0 and blocks[-1][1] == rows
+        assert all(a[1] == b[0] for a, b in zip(blocks, blocks[1:]))
+        assert all(stop % BLOCK_ALIGN == 0 for _, stop in blocks[:-1])
+        lengths = [stop - start for start, stop in blocks]
+        assert max(lengths[:-1], default=0) - min(lengths[:-1], default=0) <= BLOCK_ALIGN
+        need = max([BLOCK_MIN_ROWS] + [SMALL_MATMUL // (i * o) + 1
+                                       for i, o in zip(sizes[:-1], sizes[1:])
+                                       if rows * i * o > SMALL_MATMUL])
+        if len(blocks) > 1:
+            assert min(lengths) >= need
+        # the smallest such blocks: none could be split in two
+        assert len(blocks) == 1 or max(lengths) < 2 * need + 4 * BLOCK_ALIGN
+        assert len(blocks) > 1 or rows < 2 * need + 2 * BLOCK_ALIGN
+
+    def test_preset_shapes(self):
+        assert row_blocks((2, 64, 64, 2), 40_000) == [(i * 8000, (i + 1) * 8000)
+                                                      for i in range(5)]
+        assert row_blocks((2, 64, 64, 4), 40_000) == row_blocks((2, 64, 64, 2), 40_000)
+        assert row_blocks((2, 64, 64, 4), 6000) == [(0, 6000)]
+        validation = row_blocks((2, 64, 64, 2), 6000)
+        assert len(validation) == 23 and validation[-1] == (5744, 6000)
+        assert row_blocks((2, 64, 64, 2), 300) == [(0, 300)]
+        assert row_blocks((2, 64, 64, 2), 0) == [(0, 0)]
 
 
 class TestBoundaryGrid:
@@ -144,7 +181,7 @@ class TestBoundaryGrid:
         self.assert_matches_one_forward(params, (200, 200))
 
     def test_grid_memory_stays_below_one_full_size_hidden_array(self):
-        # measured peak 6.7 MB for a 200 x 200 grid at width 64 (10.6 MB with
+        # measured peak 6.6 MB for a 200 x 200 grid at width 64 (10.6 MB with
         # a second block-sized hidden array); one full-size 40,000 x 64 hidden
         # array alone is 20.5 MB
         params = init_params(64, 2, seed=26)
@@ -158,7 +195,7 @@ class TestBoundaryGrid:
 
     def test_grid_memory_keeps_one_block_sized_hidden_array_at_three_hidden_layers(self):
         # the later hidden layers run in place over the block's one hidden
-        # array: measured peak 6.7 MB, as at two hidden layers; with a
+        # array: measured peak 6.6 MB, as at two hidden layers; with a
         # block-sized array per hidden layer but the last it was 14.7 MB
         params = init_params(64, 2, seed=26, hidden_layers=3)
         tracemalloc.start()
@@ -178,6 +215,11 @@ class TestBoundaryGrid:
         params = MlpParams((2, 8, 4, 3), np.ones(3 * 8 + 9 * 4 + 5 * 3))
         with pytest.raises(ValueError, match="layers=2,8,4,3: .*one width"):
             boundary_grid(params, (-1.0, 1.0, -1.0, 1.0), resolution=(5, 5))
+
+    def test_overflowing_nodes_are_rejected_by_forwards_input_check(self, params):
+        # the nodes of this bbox overflow to inf and nan
+        with np.errstate(all="ignore"), pytest.raises(ValueError, match="input must be finite"):
+            boundary_grid(params, (-1e308, 1e308, -1.0, 1.0))
 
     def test_degenerate_inputs_rejected(self, params):
         with pytest.raises(ValueError):

@@ -18,8 +18,9 @@ import pytest
 import skewlab.training
 from skewlab.datasets import gen_four_spins, gen_two_moons, imbalance_counts, make_cissl_split
 from skewlab.losses import SclShape
-from skewlab.mlp import forward, init_params, row_blocks
+from skewlab.mlp import forward, init_params
 from skewlab.optim import Schedule
+from skewlab.report import row_blocks
 from skewlab.training import (
     AlgorithmSpec,
     HistoryPoint,
@@ -366,8 +367,8 @@ class TestEvaluate:
         assert np.array_equal(evaluate(params, data), expected)
         assert len(row_blocks(params.layer_sizes, len(data))) == (23 if n_classes == 2 else 1)
 
-    # measured peaks at width 64: 0.39 MB on 6,000 twomoons rows, where one
-    # full-size 6,000 x 64 hidden array alone is 3.1 MB; 3.52 MB on 6,000
+    # measured peaks at width 64: 0.33 MB on 6,000 twomoons rows, where one
+    # full-size 6,000 x 64 hidden array alone is 3.1 MB; 3.38 MB on 6,000
     # fourspins rows, whose 64 x 4 class layer runs over all rows at once and
     # so keeps that 3.1 MB last-hidden array (one whole forward: 6.45 MB)
     @pytest.mark.parametrize("n_classes, generate, per_class, bound",
