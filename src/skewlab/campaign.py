@@ -11,7 +11,7 @@ soon as that run's result reaches it, in grid order, and then keeps only the
 run's final grouped errors.  Tables, dataset dumps, the gap curve and the
 manifest come last, so a directory without ``manifest.json`` is an
 incomplete campaign that holds the files of every run finished before it
-stopped.
+stopped.  The directory is the campaign's only record.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .datasets import (
 from .ioutil import write_text
 from .mlp import save_params
 from .report import (
-    AggregateResult,
     BoundaryGrid,
     aggregate_runs,
     boundary_grid,
@@ -72,19 +71,6 @@ class RunRecord:
     result: RunResult
     student_grid: BoundaryGrid | None
     ema_grid: BoundaryGrid | None
-
-
-@dataclass(frozen=True, eq=False)
-class CampaignOutcome:
-    out_dir: Path
-    files: tuple[Path, ...]
-    failures: dict[str, str]
-    student_table: dict[str, dict[str, AggregateResult]]
-    ema_table: dict[str, dict[str, AggregateResult]]
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
 
 
 def build_runs(config: CampaignConfig) -> list[RunSpec]:
@@ -207,16 +193,19 @@ def prepare_outputs(config: CampaignConfig, out: Path) -> None:
 
 def run_campaign(config: CampaignConfig, *, workers: int | None = None,
                  out_dir: str | Path | None = None,
-                 log=sys.stderr) -> CampaignOutcome:
+                 log=sys.stderr) -> dict[str, str]:
     """Execute every run, writing its files as it completes; then the tables,
-    dataset dumps, gap curve and manifest.
+    dataset dumps, gap curve and manifest.  Returns each failed run's
+    traceback by run id, in grid order.
 
     Results are taken in grid order whatever the worker count, so the log
-    lines and ``CampaignOutcome.files`` are deterministic.  Run failures are
-    isolated: a run that raises, or whose pool worker dies, gets its traceback
-    in ``failures/<run_id>.txt``, a ``"failure"`` entry in the manifest and
-    the outcome, and only healthy runs feed the tables.  All writes happen in
-    this process; workers only compute.
+    lines are deterministic.  Run failures are isolated: a run that raises, or
+    whose pool worker dies, gets its traceback in ``failures/<run_id>.txt``
+    and a ``"failure"`` entry in the manifest, and only healthy runs feed the
+    tables.  A directory that holds an earlier campaign of the same config
+    ends as a fresh one would: each run removes the files of the other
+    outcome, a table with no cells and an empty ``failures/`` go.  All writes
+    happen in this process; workers only compute.
     """
     n_workers = resolve_workers(workers)
     out = Path(out_dir if out_dir is not None else config.output_dir)
@@ -226,18 +215,17 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
     # student and EMA target: dataset -> algorithm -> final grouped errors per seed
     finals: tuple[dict, dict] = ({}, {})
     failures: dict[str, str] = {}
-    files: list[Path] = []
     with closing(_outcomes(config, runs, n_workers)) as outcomes:
         for run_id, record, error in outcomes:
             if error is not None:
                 failures[run_id] = error
+                for path in _run_paths(out, run_id):
+                    path.unlink(missing_ok=True)
                 (out / "failures").mkdir(exist_ok=True)
-                failure_path = out / _failure_name(run_id)
-                write_text(failure_path, error)
-                files.append(failure_path)
+                write_text(out / _failure_name(run_id), error)
                 print(f"[skewlab] FAILED {run_id}\n{error}", file=log)
                 continue
-            files.extend(_write_run(record, out))
+            _write_run(record, out)
             # all the tables need of a run: its final errors, grouped; runs
             # arrive in grid order, so each cell lists its seeds in order
             last = record.result.history[-1]
@@ -250,6 +238,8 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
             print(f"[skewlab] done {run_id} "
                   f"({record.result.wall_seconds:.1f}s)", file=log)
             del record  # free its parameters and grids before the next run
+    if (out / "failures").is_dir() and not any((out / "failures").iterdir()):
+        (out / "failures").rmdir()
 
     if config.report.dump_datasets:
         for di, dataset in enumerate(config.datasets):
@@ -259,61 +249,53 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
                 except Exception:
                     # already recorded as per-run failures; nothing to dump
                     continue
-                split_path = out / "datasets" / f"{dataset.name}_seed{seed}.csv"
-                write_split_csv(split, split_path)
-                files.append(split_path)
+                write_split_csv(split, out / "datasets" / f"{dataset.name}_seed{seed}.csv")
 
-    student_table, ema_table = (
-        {dataset: {algo: aggregate_runs(per_seed) for algo, per_seed in per_algo.items()}
-         for dataset, per_algo in cells.items()} for cells in finals)
-    for table, table_name in ((student_table, "table.csv"), (ema_table, "table_ema.csv")):
-        if table:
-            columns = [a.name for a in config.algorithms
-                       if any(a.name in per_algo for per_algo in table.values())]
-            files.extend(write_report(table, out, columns, table_name=table_name))
+    for cells, table_name in zip(finals, ("table.csv", "table_ema.csv")):
+        if cells:
+            aggregates = {dataset: {algo: aggregate_runs(per_seed)
+                                    for algo, per_seed in per_algo.items()}
+                          for dataset, per_algo in cells.items()}
+            write_report(out / table_name, aggregates, [a.name for a in config.algorithms])
+        else:
+            (out / table_name).unlink(missing_ok=True)
 
     if config.gap_curve is not None:
         gc = config.gap_curve
-        curve_path = out / "gap_curve.csv"
-        write_gap_curve(curve_path, gc.max_lag, gc.delta, gc.gamma)
-        files.append(curve_path)
+        write_gap_curve(out / "gap_curve.csv", gc.max_lag, gc.delta, gc.gamma)
 
-    manifest_path = out / "manifest.json"
     manifest = {
         "name": config.name,
         "config_sha256": config_digest(config),
         "config": config.to_dict(),
         "runs": [_manifest_entry(config, spec, spec.run_id in failures) for spec in runs],
     }
-    write_text(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    files.append(manifest_path)
-
-    return CampaignOutcome(out_dir=out, files=tuple(files), failures=failures,
-                           student_table=student_table, ema_table=ema_table)
+    write_text(out / "manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    return failures
 
 
 def _failure_name(run_id: str) -> str:
     return f"failures/{run_id}.txt"
 
 
-def _write_run(record: RunRecord, out: Path) -> list[Path]:
+def _run_paths(out: Path, run_id: str) -> tuple[Path, ...]:
+    """A finished run's history, snapshot, EMA snapshot, grid and EMA grid."""
+    return (out / "runs" / f"{run_id}.csv", out / "params" / f"{run_id}.txt",
+            out / "params" / f"{run_id}_ema.txt", out / f"grid_{run_id}.csv",
+            out / f"grid_{run_id}_ema.csv")
+
+
+def _write_run(record: RunRecord, out: Path) -> None:
     """Write one finished run's history, parameter snapshots and grids."""
-    run_id = record.spec.run_id
     result = record.result
-    history_path = out / "runs" / f"{run_id}.csv"
-    write_history_csv(result, history_path)
-    written = [history_path]
-    snapshots = [(result.params, run_id), (result.ema_params, f"{run_id}_ema")]
-    for params, name in snapshots:
-        if params is not None:
-            written.append(out / "params" / f"{name}.txt")
-            save_params(params, written[-1])
-    grids = [(record.student_grid, run_id), (record.ema_grid, f"{run_id}_ema")]
-    for grid, name in grids:
-        if grid is not None:
-            written.append(out / f"grid_{name}.csv")
-            write_grid_csv(grid, written[-1])
-    return written
+    history, *paths = _run_paths(out, record.spec.run_id)
+    write_history_csv(result, history)
+    outputs = [(result.params, save_params), (result.ema_params, save_params),
+               (record.student_grid, write_grid_csv), (record.ema_grid, write_grid_csv)]
+    for (value, write), path in zip(outputs, paths):
+        if value is not None:
+            write(value, path)
+    (out / _failure_name(record.spec.run_id)).unlink(missing_ok=True)
 
 
 def _manifest_entry(config: CampaignConfig, spec: RunSpec, failed: bool) -> dict:

@@ -101,13 +101,12 @@ def main(argv: list[str] | None = None) -> int:
         prepare_outputs(config, out_dir)
     except OSError as exc:
         return _cannot_write(out_dir, exc)
-    outcome = run_campaign(config, workers=workers, out_dir=out_dir)
+    failures = run_campaign(config, workers=workers, out_dir=out_dir)
     n_runs = len(config.datasets) * len(config.algorithms) * len(config.seeds)
-    n_failed = len(outcome.failures)
-    print(f"{config.name}: {n_runs - n_failed}/{n_runs} runs succeeded; "
-          f"outputs in {outcome.out_dir}")
-    if outcome.failures:
-        for run_id in sorted(outcome.failures):
+    print(f"{config.name}: {n_runs - len(failures)}/{n_runs} runs succeeded; "
+          f"outputs in {out_dir}")
+    if failures:
+        for run_id in sorted(failures):
             print(f"  failed: {run_id}", file=sys.stderr)
         return 1
     return 0

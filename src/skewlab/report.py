@@ -38,7 +38,6 @@ class AggregateResult:
 
     mean: GroupErrors
     std: GroupErrors | None
-    n_runs: int
 
 
 # Row blocks that give every row the bits of one whole forward (measured on
@@ -145,9 +144,9 @@ def aggregate_runs(results: list[GroupErrors]) -> AggregateResult:
     mean = stacked.mean(axis=0)
     mean_ge = GroupErrors(*map(float, mean))
     if len(results) == 1:
-        return AggregateResult(mean=mean_ge, std=None, n_runs=1)
+        return AggregateResult(mean=mean_ge, std=None)
     std = stacked.std(axis=0, ddof=1)
-    return AggregateResult(mean=mean_ge, std=GroupErrors(*map(float, std)), n_runs=len(results))
+    return AggregateResult(mean=mean_ge, std=GroupErrors(*map(float, std)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -233,23 +232,22 @@ def _parse_cell(cell: str) -> tuple[float, float | None]:
     return float(cell), None
 
 
-def write_report(aggregates: Mapping[str, Mapping[str, AggregateResult]],
-                 destination: str | Path, algorithms: Sequence[str], *,
-                 table_name: str = "table.csv") -> list[Path]:
-    """Write the summary table.
+def write_report(path: str | Path,
+                 aggregates: Mapping[str, Mapping[str, AggregateResult]],
+                 algorithms: Sequence[str]) -> None:
+    """Write one summary table to path.
 
     aggregates maps dataset name -> algorithm name -> AggregateResult; the
-    table has one row per dataset x group and one column per algorithm named
-    in algorithms, in order, cells holding mean±std at full precision or
-    nothing.  Returns the files written.
+    table has one row per dataset x group and one column per algorithm of
+    algorithms that has a cell, in the order given, cells holding mean±std at
+    full precision or nothing.
     """
-    destination = Path(destination)
-    destination.mkdir(parents=True, exist_ok=True)
+    columns = [a for a in algorithms if any(a in per_algo for per_algo in aggregates.values())]
     rows = []
     for dataset, per_algo in aggregates.items():
         for group in GROUP_NAMES:
             row = [dataset, group]
-            for algo in algorithms:
+            for algo in columns:
                 agg = per_algo.get(algo)
                 if agg is None:
                     row.append("")
@@ -257,9 +255,7 @@ def write_report(aggregates: Mapping[str, Mapping[str, AggregateResult]],
                     std = None if agg.std is None else getattr(agg.std, group)
                     row.append(_format_cell(getattr(agg.mean, group), std))
             rows.append(row)
-    table_path = destination / table_name
-    write_csv(table_path, ["dataset", "group", *algorithms], rows)
-    return [table_path]
+    write_csv(path, ["dataset", "group", *columns], rows)
 
 
 def read_table(path: str | Path) -> dict[str, dict[str, dict[str, tuple[float, float | None]]]]:

@@ -39,8 +39,10 @@ from skewlab.losses import (
 )
 from skewlab.mlp import backward, forward, init_params, softmax
 from skewlab.optim import Schedule
+from skewlab.report import read_table
 from skewlab.training import AlgorithmSpec, TrainConfig, train
 
+from campaign_helpers import written
 from mlp_helpers import grad_check, params_equal
 
 
@@ -62,22 +64,25 @@ class TestCriterion1ToyCampaign:
     def test_error_orderings_and_runtime(self, tmp_path, verdict):
         config = preset_config("toy-table1")
         started = time.perf_counter()
-        outcome = run_campaign(config, workers=1, out_dir=tmp_path / "toy",
-                               log=io.StringIO())
+        failures = run_campaign(config, workers=1, out_dir=tmp_path / "toy",
+                                log=io.StringIO())
         elapsed = time.perf_counter() - started
-        assert outcome.ok, sorted(outcome.failures)
+        assert not failures, sorted(failures)
 
-        spins = {a: agg.mean for a, agg in outcome.student_table["fourspins"].items()}
-        moons = {a: agg.mean for a, agg in outcome.student_table["twomoons"].items()}
-        ordering = spins["mt-scl"].all < spins["mean-teacher"].all < spins["pi-model"].all
-        minor_gap = spins["pi-model"].minor - spins["mt-scl"].minor
-        moons_ok = moons["mt-scl"].all <= moons["mean-teacher"].all
+        # the table's 17-digit cells read back the aggregated means exactly
+        table = read_table(tmp_path / "toy" / "table.csv")
+        spins, moons = ({algo: {group: mean for group, (mean, _) in cells.items()}
+                         for algo, cells in table[dataset].items()}
+                        for dataset in ("fourspins", "twomoons"))
+        ordering = spins["mt-scl"]["all"] < spins["mean-teacher"]["all"] < spins["pi-model"]["all"]
+        minor_gap = spins["pi-model"]["minor"] - spins["mt-scl"]["minor"]
+        moons_ok = moons["mt-scl"]["all"] <= moons["mean-teacher"]["all"]
         in_budget = elapsed < 900.0
 
         verdict(1, ordering and minor_gap >= 0.10 and moons_ok and in_budget,
-                f"spins all {spins['mt-scl'].all:.4f} < {spins['mean-teacher'].all:.4f}"
-                f" < {spins['pi-model'].all:.4f}; minor gap {minor_gap:.3f} >= 0.10; "
-                f"moons all {moons['mt-scl'].all:.4f} <= {moons['mean-teacher'].all:.4f}; "
+                f"spins all {spins['mt-scl']['all']:.4f} < {spins['mean-teacher']['all']:.4f}"
+                f" < {spins['pi-model']['all']:.4f}; minor gap {minor_gap:.3f} >= 0.10; "
+                f"moons all {moons['mt-scl']['all']:.4f} <= {moons['mean-teacher']['all']:.4f}; "
                 f"{elapsed:.0f}s on one worker")
 
 
@@ -269,16 +274,19 @@ class TestCriterion9Determinism:
                          "hidden_width": 8, "eval_every": 20},
         })
         config = validate_config(text)
-        first = run_campaign(config, workers=1, out_dir=tmp_path / "a", log=io.StringIO())
-        second = run_campaign(config, workers=1, out_dir=tmp_path / "b", log=io.StringIO())
-        assert first.ok and second.ok
-        histories_a = sorted((tmp_path / "a" / "runs").glob("*.csv"))
-        histories_b = sorted((tmp_path / "b" / "runs").glob("*.csv"))
+        a, b = tmp_path / "a", tmp_path / "b"
+        assert run_campaign(config, workers=1, out_dir=a, log=io.StringIO()) == {}
+        assert run_campaign(config, workers=1, out_dir=b, log=io.StringIO()) == {}
+        histories_a = sorted((a / "runs").glob("*.csv"))
+        histories_b = sorted((b / "runs").glob("*.csv"))
         same = (len(histories_a) == 10
                 and all(fa.read_bytes() == fb.read_bytes()
                         for fa, fb in zip(histories_a, histories_b)))
-        all_files_same = all(fa.read_bytes() == fb.read_bytes()
-                             for fa, fb in zip(sorted(first.files), sorted(second.files)))
+        # the same listing first, so a missing, extra or leftover .tmp file fails
+        names = written(a)
+        all_files_same = (names == written(b)
+                          and all((a / name).read_bytes() == (b / name).read_bytes()
+                                  for name in names))
         verdict(9, same and all_files_same,
                 f"{len(histories_a)} history files byte-identical across reruns "
                 "(all five regimes, two seeds); every other output file matches too")

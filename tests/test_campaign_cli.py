@@ -28,6 +28,8 @@ from skewlab.config import validate_config
 from skewlab.report import aggregate_runs, group_errors, read_table
 from skewlab.training import read_history_csv
 
+from campaign_helpers import written
+
 
 def tiny_config_text(**overrides):
     base = {
@@ -68,8 +70,19 @@ def tiny_config():
 
 
 def quiet_run(config, **kwargs):
+    """run_campaign with its log discarded; returns the failures."""
     import io
     return run_campaign(config, log=io.StringIO(), **kwargs)
+
+
+def assert_same_tree(a, b):
+    """As ``diff -r``: the same directories and files, the files byte-identical."""
+    assert ([p.relative_to(a) for p in sorted(a.rglob("*")) if p.is_dir()]
+            == [p.relative_to(b) for p in sorted(b.rglob("*")) if p.is_dir()])
+    names = written(a)
+    assert names == written(b)
+    for name in names:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
 class TestBuildRuns:
@@ -92,10 +105,9 @@ class TestBuildRuns:
 
 class TestRunCampaign:
     def test_outputs_and_manifest(self, tiny_config, tmp_path):
-        outcome = quiet_run(tiny_config, out_dir=tmp_path / "out")
-        assert outcome.ok
-        names = sorted(p.relative_to(outcome.out_dir).as_posix() for p in outcome.files)
-        assert names == [
+        out = tmp_path / "out"
+        assert quiet_run(tiny_config, out_dir=out) == {}
+        assert written(out) == [
             "manifest.json",
             "params/moons__mean-teacher__seed0.txt",
             "params/moons__mean-teacher__seed0_ema.txt",
@@ -110,44 +122,68 @@ class TestRunCampaign:
             "table.csv",
             "table_ema.csv",
         ]
-        manifest = json.loads((outcome.out_dir / "manifest.json").read_text())
+        manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["name"] == "tiny"
         assert len(manifest["config_sha256"]) == 64
         assert [r["status"] for r in manifest["runs"]] == ["ok"] * 4
         assert all("failure" not in r for r in manifest["runs"])
-        assert not (outcome.out_dir / "failures").exists()
+        assert not (out / "failures").exists()
         assert manifest["config"]["schedule"]["total_iters"] == 40
 
     def test_reruns_are_byte_identical(self, tiny_config, tmp_path):
-        first = quiet_run(tiny_config, out_dir=tmp_path / "a")
-        second = quiet_run(tiny_config, out_dir=tmp_path / "b")
-        for fa, fb in zip(sorted(first.files), sorted(second.files)):
-            assert fa.name == fb.name
-            assert fa.read_bytes() == fb.read_bytes(), fa.name
+        quiet_run(tiny_config, out_dir=tmp_path / "a")
+        quiet_run(tiny_config, out_dir=tmp_path / "b")
+        assert_same_tree(tmp_path / "a", tmp_path / "b")
+
+    @pytest.mark.parametrize("failing", ["earlier", "later"])
+    def test_rerun_into_a_used_directory_matches_a_fresh_one(self, tmp_path, monkeypatch,
+                                                             failing):
+        # every mean-teacher run fails in one of two campaigns into the same
+        # directory; either way it ends as a fresh run of the later campaign
+        # leaves it, with no stale history, snapshot, grid, EMA table, failure
+        # file or empty failures/
+        config = grid_config()
+        train = campaign.train
+
+        def mean_teacher_fails(split, algo, *args):
+            if algo.kind == "mean-teacher":
+                raise RuntimeError("mean-teacher fails")
+            return train(split, algo, *args)
+
+        def run(out, fails):
+            with monkeypatch.context() as patch:
+                if fails:
+                    patch.setattr(campaign, "train", mean_teacher_fails)
+                return quiet_run(config, out_dir=out, workers=1)
+
+        run(tmp_path / "used", failing == "earlier")
+        failures = run(tmp_path / "used", failing == "later")
+        fresh_failures = run(tmp_path / "fresh", failing == "later")
+        assert_same_tree(tmp_path / "used", tmp_path / "fresh")
+        assert failures == fresh_failures
 
     def test_single_run_reproduces_campaign_history(self, tiny_config, tmp_path):
-        outcome = quiet_run(tiny_config, out_dir=tmp_path / "out")
+        quiet_run(tiny_config, out_dir=tmp_path / "out")
         spec, = [s for s in build_runs(tiny_config) if s.run_id == "moons__mean-teacher__seed1"]
         record = execute_run(tiny_config, spec)
         from skewlab.training import write_history_csv
         solo = tmp_path / "solo.csv"
         write_history_csv(record.result, solo)
-        campaign_file = outcome.out_dir / "runs" / "moons__mean-teacher__seed1.csv"
+        campaign_file = tmp_path / "out" / "runs" / "moons__mean-teacher__seed1.csv"
         assert solo.read_bytes() == campaign_file.read_bytes()
 
     def test_tables_aggregate_both_parameter_sets(self, tiny_config, tmp_path):
-        outcome = quiet_run(tiny_config, out_dir=tmp_path / "out")
-        assert set(outcome.student_table["moons"]) == {"supervised", "mean-teacher"}
+        quiet_run(tiny_config, out_dir=tmp_path / "out")
+        student = read_table(tmp_path / "out" / "table.csv")
+        assert set(student["moons"]) == {"supervised", "mean-teacher"}
         # only EMA-tracking algorithms can land in the EMA table
-        assert set(outcome.ema_table["moons"]) == {"mean-teacher"}
-        agg = outcome.student_table["moons"]["supervised"]
-        assert agg.n_runs == 2 and agg.std is not None
+        assert set(read_table(tmp_path / "out" / "table_ema.csv")["moons"]) == {"mean-teacher"}
+        assert student["moons"]["supervised"]["all"][1] is not None  # a std: both seeds
 
     def test_worker_pool_matches_serial_output(self, tiny_config, tmp_path):
-        serial = quiet_run(tiny_config, out_dir=tmp_path / "serial", workers=1)
-        pooled = quiet_run(tiny_config, out_dir=tmp_path / "pooled", workers=2)
-        for fa, fb in zip(sorted(serial.files), sorted(pooled.files)):
-            assert fa.read_bytes() == fb.read_bytes(), fa.name
+        quiet_run(tiny_config, out_dir=tmp_path / "serial", workers=1)
+        quiet_run(tiny_config, out_dir=tmp_path / "pooled", workers=2)
+        assert_same_tree(tmp_path / "serial", tmp_path / "pooled")
 
     def test_bad_worker_count_is_rejected(self, tiny_config, tmp_path):
         with pytest.raises(ValueError, match="workers must be a positive integer"):
@@ -156,8 +192,7 @@ class TestRunCampaign:
 
     def test_workers_env_fallback(self, tiny_config, tmp_path, monkeypatch):
         monkeypatch.setenv(WORKERS_ENV, "2")
-        outcome = quiet_run(tiny_config, out_dir=tmp_path / "out")
-        assert outcome.ok
+        assert quiet_run(tiny_config, out_dir=tmp_path / "out") == {}
 
     def test_pool_has_at_most_one_worker_per_run(self, tiny_config, tmp_path, monkeypatch):
         # a pool starts all of its workers at the first submit, so a larger
@@ -170,36 +205,33 @@ class TestRunCampaign:
                 super().__init__(max_workers, **kwargs)
 
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recording)
-        serial = quiet_run(tiny_config, out_dir=tmp_path / "serial", workers=1)
-        pooled = quiet_run(tiny_config, out_dir=tmp_path / "pooled", workers=6)
+        quiet_run(tiny_config, out_dir=tmp_path / "serial", workers=1)
+        quiet_run(tiny_config, out_dir=tmp_path / "pooled", workers=6)
         assert sizes == [4]  # one worker per run of the 4-run campaign
-        for fa, fb in zip(sorted(serial.files), sorted(pooled.files)):
-            assert fa.read_bytes() == fb.read_bytes(), fa.name
+        assert_same_tree(tmp_path / "serial", tmp_path / "pooled")
 
     def test_failures_are_isolated_and_recorded(self, tmp_path):
         # second dataset's pool cannot cover its split: every run on it fails,
         # the healthy dataset still aggregates and is the only one dumped
         config = with_cramped_dataset(
             validate_config(tiny_config_text(report={"dump_datasets": True})))
-        outcome = quiet_run(config, out_dir=tmp_path / "out")
-        assert not outcome.ok
-        assert len(outcome.failures) == 4
-        assert all(run_id.startswith("cramped") for run_id in outcome.failures)
-        assert all("SplitCapacityError" in tb for tb in outcome.failures.values())
-        manifest = json.loads((outcome.out_dir / "manifest.json").read_text())
+        out = tmp_path / "out"
+        failures = quiet_run(config, out_dir=out)
+        assert len(failures) == 4
+        assert all(run_id.startswith("cramped") for run_id in failures)
+        assert all("SplitCapacityError" in tb for tb in failures.values())
+        manifest = json.loads((out / "manifest.json").read_text())
         entries = {r["run_id"]: r for r in manifest["runs"]}
         assert entries["cramped__supervised__seed0"]["status"] == "failed"
         assert entries["moons__supervised__seed0"]["status"] == "ok"
         assert "failure" not in entries["moons__supervised__seed0"]
-        for run_id, traceback_text in outcome.failures.items():
+        for run_id, traceback_text in failures.items():
             assert entries[run_id]["failure"] == f"failures/{run_id}.txt"
-            failure_file = outcome.out_dir / entries[run_id]["failure"]
-            assert failure_file in outcome.files
-            saved = failure_file.read_text()
+            assert entries[run_id]["failure"] in written(out)
+            saved = (out / entries[run_id]["failure"]).read_text()
             assert saved == traceback_text and "SplitCapacityError" in saved
-        assert "moons" in outcome.student_table
-        assert "cramped" not in outcome.student_table
-        dumped = sorted(p.name for p in (outcome.out_dir / "datasets").glob("*.csv"))
+        assert set(read_table(out / "table.csv")) == {"moons"}
+        dumped = sorted(p.name for p in (out / "datasets").glob("*.csv"))
         assert dumped == ["moons_seed0.csv", "moons_seed1.csv"]
 
     def test_table_columns_follow_the_config(self, tmp_path, monkeypatch):
@@ -218,22 +250,23 @@ class TestRunCampaign:
             return train(*args)
 
         monkeypatch.setattr(campaign, "train", first_fails)
-        outcome = quiet_run(config, out_dir=tmp_path / "out", workers=1)
-        assert list(outcome.failures) == ["a__supervised__seed0"]
-        header = (outcome.out_dir / "table.csv").read_text().split("\n")[0]
+        assert list(quiet_run(config, out_dir=tmp_path / "out", workers=1)) == [
+            "a__supervised__seed0"]
+        header = (tmp_path / "out" / "table.csv").read_text().split("\n")[0]
         assert header == "dataset,group,supervised,mean-teacher"
 
     def test_tables_match_the_run_histories(self, tmp_path):
         config = with_cramped_dataset(validate_config(tiny_config_text()))
-        outcome = quiet_run(config, out_dir=tmp_path / "out")
+        out = tmp_path / "out"
+        quiet_run(config, out_dir=out)
         for table_name, prefix in (("table.csv", "student_err_"), ("table_ema.csv", "ema_err_")):
-            table = read_table(outcome.out_dir / table_name)
+            table = read_table(out / table_name)
             assert set(table) == {"moons"}
             for algo in table["moons"]:
                 finals = []
                 for seed in config.seeds:
                     header, matrix = read_history_csv(
-                        str(outcome.out_dir / "runs" / f"moons__{algo}__seed{seed}.csv"))
+                        str(out / "runs" / f"moons__{algo}__seed{seed}.csv"))
                     errors = matrix[-1, [i for i, h in enumerate(header) if h.startswith(prefix)]]
                     counts = prepare_split(config, 0, seed)[1].labeled_counts
                     finals.append(group_errors(errors, counts))
@@ -246,9 +279,8 @@ class TestRunCampaign:
         config = validate_config(json.dumps(
             {"name": "gap", "seeds": [0],
              "gap_curve": {"delta": 0.9, "gamma": 0.95, "max_lag": 20}}))
-        outcome = quiet_run(config, out_dir=tmp_path / "out")
-        assert outcome.ok
-        assert [p.name for p in outcome.files] == ["gap_curve.csv", "manifest.json"]
+        assert quiet_run(config, out_dir=tmp_path / "out") == {}
+        assert written(tmp_path / "out") == ["gap_curve.csv", "manifest.json"]
 
     def test_grids_and_dataset_dumps(self, tmp_path):
         text = tiny_config_text(
@@ -256,18 +288,18 @@ class TestRunCampaign:
             algorithms=[{"name": "mean-teacher", "kind": "mean-teacher", "w_max": 4.0}],
             report={"grids": True, "grid_resolution": [5, 4], "dump_datasets": True})
         config = validate_config(text)
-        outcome = quiet_run(config, out_dir=tmp_path / "out")
-        names = {p.relative_to(outcome.out_dir).as_posix() for p in outcome.files}
+        quiet_run(config, out_dir=tmp_path / "out")
+        names = written(tmp_path / "out")
         assert "grid_moons__mean-teacher__seed0.csv" in names
         assert "grid_moons__mean-teacher__seed0_ema.csv" in names
         assert "datasets/moons_seed0.csv" in names
-        grid_file = outcome.out_dir / "grid_moons__mean-teacher__seed0.csv"
+        grid_file = tmp_path / "out" / "grid_moons__mean-teacher__seed0.csv"
         assert len(grid_file.read_text().strip().split("\n")) == 1 + 5 * 4
 
     def test_history_files_parse_back(self, tiny_config, tmp_path):
-        outcome = quiet_run(tiny_config, out_dir=tmp_path / "out")
+        quiet_run(tiny_config, out_dir=tmp_path / "out")
         header, matrix = read_history_csv(
-            str(outcome.out_dir / "runs" / "moons__mean-teacher__seed0.csv"))
+            str(tmp_path / "out" / "runs" / "moons__mean-teacher__seed0.csv"))
         assert header[:5] == ["iteration", "lr", "w", "sup_loss", "con_loss"]
         assert list(matrix[:, 0]) == [20.0, 40.0]
 
@@ -299,13 +331,12 @@ class TestStreaming:
             return original(config, spec)
 
         monkeypatch.setattr(campaign, "execute_run", checked)
-        outcome = quiet_run(config, out_dir=out, workers=1)
-        assert outcome.ok
+        assert quiet_run(config, out_dir=out, workers=1) == {}
         assert started == [spec.run_id for spec in build_runs(config)]
 
     def test_interrupted_campaign_keeps_finished_runs(self, tmp_path, monkeypatch):
         config = grid_config()
-        full = quiet_run(config, out_dir=tmp_path / "full")
+        quiet_run(config, out_dir=tmp_path / "full")
         third = build_runs(config)[2].run_id
         original = campaign.execute_run
 
@@ -321,10 +352,9 @@ class TestStreaming:
         finished = [spec.run_id for spec in build_runs(config)[:2]]
         expected = {path.relative_to(cut).as_posix() for run_id in finished
                     for path in run_files(cut, run_id, "mean-teacher" in run_id)}
-        written = {p.relative_to(cut).as_posix() for p in cut.rglob("*") if p.is_file()}
-        assert written == expected
+        assert set(written(cut)) == expected
         for name in expected:
-            assert (cut / name).read_bytes() == (full.out_dir / name).read_bytes(), name
+            assert (cut / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
         assert not (cut / "manifest.json").exists()
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
@@ -368,7 +398,7 @@ class TestStreaming:
         # is retried alone, and only the run that kills its worker fails
         config = validate_config(tiny_config_text())
         runs = [spec.run_id for spec in build_runs(config)]
-        full = quiet_run(config, out_dir=tmp_path / "full", workers=1)
+        quiet_run(config, out_dir=tmp_path / "full", workers=1)
         original = campaign.execute_run
 
         def dies_first(config, spec):
@@ -378,14 +408,13 @@ class TestStreaming:
 
         monkeypatch.setattr(campaign, "execute_run", dies_first)
         out = tmp_path / "out"
-        outcome = quiet_run(config, out_dir=out, workers=2)
-        assert list(outcome.failures) == [runs[0]]
+        assert list(quiet_run(config, out_dir=out, workers=2)) == [runs[0]]
         assert "BrokenProcessPool" in (out / "failures" / f"{runs[0]}.txt").read_text()
         manifest = json.loads((out / "manifest.json").read_text())
         assert [r["status"] for r in manifest["runs"]] == ["failed", "ok", "ok", "ok"]
         for run_id in runs[1:]:
             name = f"runs/{run_id}.csv"
-            assert (out / name).read_bytes() == (full.out_dir / name).read_bytes(), name
+            assert (out / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
         table = read_table(out / "table.csv")
         assert table["moons"]["supervised"]["all"][1] is None  # seed 1 only
         assert table["moons"]["mean-teacher"]["all"][1] is not None  # both seeds

@@ -331,8 +331,8 @@ class TestValidConfigsCanRun:
         config = validate_config(json.dumps(small(
             datasets={"val_per_class": 1, "n_pool_per_class": 15},
             training=WITHOUT_REPLACEMENT)))
-        outcome = run_campaign(config, out_dir=tmp_path, workers=1, log=io.StringIO())
-        assert outcome.ok, outcome.failures
+        failures = run_campaign(config, out_dir=tmp_path, workers=1, log=io.StringIO())
+        assert not failures, failures
 
 
 def _finite(lo, hi, **kwargs):

@@ -64,7 +64,6 @@ class TestAggregateRuns:
     def test_mean_and_sample_std(self):
         runs = [GroupErrors(0.2, 0.1, 0.3), GroupErrors(0.4, 0.1, 0.5)]
         agg = aggregate_runs(runs)
-        assert agg.n_runs == 2
         assert agg.mean.all == pytest.approx(0.3)
         assert agg.std.all == pytest.approx(STD_OF_02_04, rel=1e-15)
         assert agg.std.major == 0.0
@@ -75,7 +74,7 @@ class TestAggregateRuns:
 
     def test_single_run_has_no_std(self):
         agg = aggregate_runs([GroupErrors(0.2, 0.1, 0.3)])
-        assert agg.std is None and agg.n_runs == 1
+        assert agg.std is None
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -263,7 +262,7 @@ class TestReportFiles:
         def agg(base):
             mean = GroupErrors(base, base / 2, base * 2)
             std = GroupErrors(0.01, 0.02, 0.03)
-            return AggregateResult(mean=mean, std=std, n_runs=5)
+            return AggregateResult(mean=mean, std=std)
 
         return {
             "twomoons": {"supervised": agg(0.10), "pi-model": agg(0.08),
@@ -273,9 +272,11 @@ class TestReportFiles:
         }
 
     def test_table_layout_and_round_trip(self, aggregates, tmp_path):
-        files = write_report(aggregates, tmp_path, ALGORITHMS)
-        assert [f.name for f in files] == ["table.csv"]
-        table = read_table(files[0])
+        # an algorithm with no cell gets no column; the rest keep their order
+        path = tmp_path / "table.csv"
+        write_report(path, aggregates, ["pseudo-label", *ALGORITHMS])
+        assert path.read_text().split("\n")[0] == "dataset,group," + ",".join(ALGORITHMS)
+        table = read_table(path)
         assert set(table) == {"twomoons", "fourspins"}
         assert set(table["twomoons"]) == {"supervised", "pi-model",
                                           "mean-teacher", "mt-scl"}
@@ -286,15 +287,11 @@ class TestReportFiles:
 
     def test_single_run_cells_have_no_spread(self, tmp_path):
         aggs = {"twomoons": {"supervised": AggregateResult(
-            mean=GroupErrors(0.1, 0.05, 0.2), std=None, n_runs=1)}}
-        files = write_report(aggs, tmp_path, ["supervised"])
-        table = read_table(files[0])
-        assert table["twomoons"]["supervised"]["all"] == (0.1, None)
-        assert "±" not in files[0].read_text()
-
-    def test_custom_table_name(self, aggregates, tmp_path):
-        files = write_report(aggregates, tmp_path, ALGORITHMS, table_name="table_ema.csv")
-        assert files[0].name == "table_ema.csv"
+            mean=GroupErrors(0.1, 0.05, 0.2), std=None)}}
+        path = tmp_path / "table.csv"
+        write_report(path, aggs, ["supervised"])
+        assert read_table(path)["twomoons"]["supervised"]["all"] == (0.1, None)
+        assert "±" not in path.read_text()
 
     def test_grid_files_written_per_run(self, tmp_path):
         params = init_params(4, 2, seed=22)
