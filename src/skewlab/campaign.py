@@ -109,7 +109,7 @@ def execute_run(config: CampaignConfig, spec: RunSpec) -> RunRecord:
         student_grid = boundary_grid(result.params, bbox, config.report.grid_resolution)
         if result.ema_params is not None:
             ema_grid = boundary_grid(result.ema_params, bbox, config.report.grid_resolution)
-    return RunRecord(spec=spec, labeled_counts=split.labeled_counts, result=result,
+    return RunRecord(spec=spec, labeled_counts=split.labeled.class_counts(), result=result,
                      student_grid=student_grid, ema_grid=ema_grid)
 
 

@@ -3,9 +3,9 @@
 For a fixed gradient sequence g_0 .. g_{t-1} and unit base step, both the
 directly updated parameters and their exponential-moving-average shadow are
 linear in the gradients.  This module gives each gradient's coefficient in
-closed form and an independently coded literal unroll to check against.
+closed form; the tests check it against a literal unroll of the loop.
 
-Reference points.  The unrolled loop performs, per iteration,
+Reference points.  The loop performs, per iteration,
     v <- delta * v + g;  theta <- theta - v;  target <- gamma * target + (1 - gamma) * theta
 so after t iterations the target has absorbed theta_1 .. theta_t.
 
@@ -126,30 +126,6 @@ def write_gap_curve(path: str, max_lag: int, delta: float, gamma: float) -> None
     gaps = gap_curve(max_lag, delta, gamma)
     rows = [(str(m + 1), fmt(g)) for m, g in enumerate(gaps)]
     write_csv(path, ("iteration", "gap"), rows)
-
-
-def brute_force_unroll(t: int, gamma: float, delta: float,
-                       grad_sequence: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Literally iterate the training loop on a supplied gradient sequence.
-
-    Unit base step.  Returns (student displacement, target displacement) from
-    the shared start, i.e. theta_t - theta_0 and target_t - theta_0 after t
-    full iterations.
-    """
-    _check_momentum_args(t, delta, gamma)
-    grads = np.asarray(grad_sequence, dtype=np.float64)
-    if grads.ndim == 1:
-        grads = grads[:, None]
-    if grads.shape[0] < t:
-        raise ValueError("grad_sequence must supply at least t gradients")
-    theta = np.zeros(grads.shape[1], dtype=np.float64)
-    target = np.zeros(grads.shape[1], dtype=np.float64)
-    velocity = np.zeros(grads.shape[1], dtype=np.float64)
-    for step in range(t):
-        velocity = delta * velocity + grads[step]
-        theta = theta - velocity
-        target = gamma * target + (1.0 - gamma) * theta
-    return theta, target
 
 
 @dataclass(frozen=True, eq=False)

@@ -4,7 +4,9 @@ A campaign is datasets x algorithms x seeds.  Each setting is declared once,
 on the dataclass field that carries it (see skewlab.schema); validation reads
 those declarations, applies defaults, rejects unknown and repeated keys at
 every level, checks that every run can carve its split and draw its batches,
-and reports all problems at once with field paths.
+and reports all problems at once with field paths.  A config that passes
+those checks must also keep every array a run allocates within
+MAX_ARRAY_ELEMENTS (see largest_arrays).
 """
 
 from __future__ import annotations
@@ -23,6 +25,12 @@ from .training import REGIMES, AlgorithmSpec, TrainConfig
 # a name goes into run ids, file names and CSV cells, whose "__" joins and
 # commas it must not hold; nor may it hold a path separator or start with "."
 _NAME = re.compile(r"[A-Za-z0-9]+([._-][A-Za-z0-9]+)*")
+
+
+# The most elements one array of a run may hold: 2**27 float64 values are 1 GiB.
+# A fixed number, not the machine's memory, so that validity stays a function
+# of the config.
+MAX_ARRAY_ELEMENTS = 2**27
 
 
 class ConfigError(ValueError):
@@ -164,7 +172,47 @@ def validate_config(text: str) -> CampaignConfig:
     top.setdefault("output_dir", f"{top['name']}-out" if top["name"] else "campaign-out")
     top["schedule"] = Schedule(**schedule)
     top["training"] = TrainConfig(schedule=top["schedule"], **top["training"])
-    return CampaignConfig(**top)
+    config = CampaignConfig(**top)
+    errors = [f"{path}: {array} would hold {count} elements, more than the "
+              f"{MAX_ARRAY_ELEMENTS} one array of a run may hold"
+              for path, array, count in largest_arrays(config) if count > MAX_ARRAY_ELEMENTS]
+    if errors:
+        raise ConfigError(errors)
+    return config
+
+
+def largest_arrays(config: CampaignConfig) -> list[tuple[str, str, int]]:
+    """(setting path, array, element count) of the largest arrays a run allocates.
+
+    Per dataset: the pool's points and the validation pass's hidden array
+    (bounded by the whole validation set); per campaign: the parameter vector
+    of the widest class layer, a batch's layer output and, with grids on, the
+    grid's nodes.  An array sized by several settings is named by the one
+    behind its largest dimension.  A campaign without runs allocates none.
+    """
+    if not (config.datasets and config.algorithms):
+        return []
+    t = config.training
+    width, hidden = t.hidden_width, ("training.hidden_width", t.hidden_width)
+    batch = max(("training.labeled_batch", t.labeled_batch),
+                ("training.unlabeled_batch", t.unlabeled_batch), key=lambda dim: dim[1])
+    n_classes = max(KINDS[d.kind][1] for d in config.datasets)
+    # layers 2 -> width -> ... -> width -> classes, each (fan_in + 1) * fan_out
+    n_params = 3 * width + (t.hidden_layers - 1) * (width + 1) * width + (width + 1) * n_classes
+    sized = [("the parameter vector", n_params, hidden,
+              ("training.hidden_layers", t.hidden_layers)),
+             ("a batch's layer output", batch[1] * width, batch, hidden)]
+    for i, d in enumerate(config.datasets):
+        n_classes = KINDS[d.kind][1]
+        rows = n_classes * d.val_per_class
+        sized += [("the pool's points", n_classes * d.n_pool_per_class * 2,
+                   (f"datasets[{i}].n_pool_per_class", d.n_pool_per_class)),
+                  ("the validation pass's hidden array", rows * width,
+                   (f"datasets[{i}].val_per_class", rows), hidden)]
+    if config.report.grids:
+        nx, ny = config.report.grid_resolution
+        sized.append(("the grid's nodes", nx * ny * 2, ("report.grid_resolution", nx * ny)))
+    return [(max(dims, key=lambda dim: dim[1])[0], array, count) for array, count, *dims in sized]
 
 
 def load_config(path: str) -> CampaignConfig:

@@ -78,19 +78,15 @@ class Dataset2D:
 class CisslSplit:
     """Labeled / unlabeled / validation partitions of one generated pool.
 
-    ``unlabeled`` keeps its labels purely for bookkeeping (dumps, audits);
-    trainers must consume :meth:`unlabeled_points` only.  The idx arrays are
-    row indices into the originating pool and are pairwise disjoint.
+    The partitions are disjoint row sets of the pool; each one's class counts
+    are its ``class_counts()``.  ``unlabeled`` keeps its labels purely for
+    bookkeeping (dumps, audits); trainers must consume
+    :meth:`unlabeled_points` only.
     """
 
     labeled: Dataset2D
     unlabeled: Dataset2D
     validation: Dataset2D
-    labeled_counts: np.ndarray
-    unlabeled_counts: np.ndarray
-    labeled_idx: np.ndarray
-    unlabeled_idx: np.ndarray
-    validation_idx: np.ndarray
 
     def unlabeled_points(self) -> np.ndarray:
         """Trainer-facing view of the unlabeled partition: points only."""
@@ -118,13 +114,17 @@ def spin_arm_points(label: int, theta: np.ndarray) -> np.ndarray:
     return np.column_stack((radius * np.cos(angle), radius * np.sin(angle)))
 
 
-def _finish_generation(base: np.ndarray, labels: np.ndarray, noise_std: float,
-                       rng: np.random.Generator, n_classes: int) -> Dataset2D:
+def perturb(x: np.ndarray, noise_std: float, rng: np.random.Generator) -> np.ndarray:
+    """Additive isotropic Gaussian noise; identity when noise_std == 0.
+
+    The generators add their noise through it, and training perturbs its
+    unlabeled inputs with it.
+    """
     if not noise_std >= 0.0:  # also rejects NaN
         raise ValueError("noise_std must be nonnegative")
-    if noise_std > 0.0:
-        base = base + rng.normal(0.0, noise_std, base.shape)
-    return Dataset2D(base, labels, n_classes)
+    if noise_std == 0.0:
+        return x
+    return x + rng.normal(0.0, noise_std, x.shape)
 
 
 def gen_two_moons(n_per_class: int, noise_std: float, seed: int) -> Dataset2D:
@@ -136,7 +136,7 @@ def gen_two_moons(n_per_class: int, noise_std: float, seed: int) -> Dataset2D:
     t1 = rng.uniform(0.0, math.pi, n_per_class)
     base = np.vstack((moon_arc_points(0, t0), moon_arc_points(1, t1)))
     labels = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
-    return _finish_generation(base, labels, noise_std, rng, 2)
+    return Dataset2D(perturb(base, noise_std, rng), labels, 2)
 
 
 def gen_four_spins(n_per_class: int, noise_std: float, seed: int) -> Dataset2D:
@@ -148,7 +148,7 @@ def gen_four_spins(n_per_class: int, noise_std: float, seed: int) -> Dataset2D:
             for k in range(4)]
     base = np.vstack(arms)
     labels = np.repeat(np.arange(4, dtype=np.int64), n_per_class)
-    return _finish_generation(base, labels, noise_std, rng, 4)
+    return Dataset2D(perturb(base, noise_std, rng), labels, 4)
 
 
 # kind -> (generator, number of classes)
@@ -212,14 +212,10 @@ def make_cissl_split(pool: Dataset2D, labeled_counts: np.ndarray, unlabeled_type
     rank_to_class = rng.permutation(n_classes)
     labeled_by_class = np.empty(n_classes, dtype=np.int64)
     unlabeled_by_class = np.empty(n_classes, dtype=np.int64)
-    for rank in range(n_classes):
-        cls = int(rank_to_class[rank])
-        labeled_by_class[cls] = labeled_counts[rank]
-        unlabeled_by_class[cls] = unlabeled_rank_counts[rank]
+    labeled_by_class[rank_to_class] = labeled_counts
+    unlabeled_by_class[rank_to_class] = unlabeled_rank_counts
 
-    labeled_idx: list[np.ndarray] = []
-    unlabeled_idx: list[np.ndarray] = []
-    validation_idx: list[np.ndarray] = []
+    parts: tuple[list[np.ndarray], ...] = ([], [], [])
     for cls in range(n_classes):
         rows = np.flatnonzero(pool.labels == cls)
         n_lab = int(labeled_by_class[cls])
@@ -230,23 +226,9 @@ def make_cissl_split(pool: Dataset2D, labeled_counts: np.ndarray, unlabeled_type
                 f"class {cls}: pool holds {rows.size} samples but the split needs {need} "
                 f"(labeled {n_lab}, unlabeled {n_unl}, validation {val_per_class})")
         order = rng.permutation(rows)
-        labeled_idx.append(order[:n_lab])
-        unlabeled_idx.append(order[n_lab:n_lab + n_unl])
-        validation_idx.append(order[n_lab + n_unl:need])
-
-    lab = np.concatenate(labeled_idx)
-    unl = np.concatenate(unlabeled_idx)
-    val = np.concatenate(validation_idx)
-    return CisslSplit(
-        labeled=pool.subset(lab),
-        unlabeled=pool.subset(unl),
-        validation=pool.subset(val),
-        labeled_counts=labeled_by_class,
-        unlabeled_counts=unlabeled_by_class,
-        labeled_idx=lab,
-        unlabeled_idx=unl,
-        validation_idx=val,
-    )
+        for part, chunk in zip(parts, np.split(order[:need], [n_lab, n_lab + n_unl])):
+            part.append(chunk)
+    return CisslSplit(*(pool.subset(np.concatenate(part)) for part in parts))
 
 
 def write_split_csv(split: CisslSplit, path: str) -> None:

@@ -199,8 +199,8 @@ def backward(trace: ForwardTrace, d_logits: np.ndarray,
 def save_params(params: MlpParams, path: str) -> None:
     """Write parameters as a text snapshot: a shape header then one value per line."""
     sizes = ",".join(str(s) for s in params.layer_sizes)
-    line = FLOAT + "\n"
-    write_text(path, "".join([f"layers={sizes}\n"] + [line % v for v in params.flat.tolist()]))
+    rows = (FLOAT + "\n") * params.n_params % tuple(params.flat.tolist())
+    write_text(path, f"layers={sizes}\n" + rows)
 
 
 def load_params(path: str) -> MlpParams:

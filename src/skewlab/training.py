@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import CisslSplit
+from .datasets import CisslSplit, perturb
 from .ioutil import FLOAT, read_csv, write_text
 from .losses import (
     ReweightSpec,
@@ -141,15 +141,6 @@ def _draw_rows(rng: np.random.Generator, n: int, size: int, replace: bool) -> np
     return rng.choice(n, size=size, replace=False)
 
 
-def perturb(x: np.ndarray, noise_std: float, rng: np.random.Generator) -> np.ndarray:
-    """Additive isotropic Gaussian input noise; identity when noise_std == 0."""
-    if not noise_std >= 0.0:  # also rejects NaN
-        raise ValueError("noise_std must be nonnegative")
-    if noise_std == 0.0:
-        return x
-    return x + rng.normal(0.0, noise_std, x.shape)
-
-
 def _pseudo_label_loss(logits: np.ndarray, threshold: float) -> tuple[float, np.ndarray | None]:
     """CE of confident samples against their own argmax, averaged over the
     whole batch; samples below the confidence threshold contribute nothing."""
@@ -209,7 +200,7 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int
     lab_out = layer_buffers(params.layer_sizes, config.labeled_batch)
     student_out = layer_buffers(params.layer_sizes, config.unlabeled_batch)
     target_out = layer_buffers(params.layer_sizes, config.unlabeled_batch)
-    counts = split.labeled_counts
+    counts = split.labeled.class_counts()
     weights = class_weights(algo.reweight, counts)
 
     history: list[HistoryPoint] = []

@@ -19,7 +19,6 @@ import pytest
 
 from skewlab.campaign import run_campaign
 from skewlab.coeffs import (
-    brute_force_unroll,
     gap_curve,
     gradient_gap_estimate,
     momentum_coefficients,
@@ -43,6 +42,7 @@ from skewlab.report import read_table
 from skewlab.training import AlgorithmSpec, TrainConfig, train
 
 from campaign_helpers import written
+from coeffs_helpers import brute_force_unroll
 from mlp_helpers import grad_check, params_equal
 
 

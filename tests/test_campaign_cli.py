@@ -98,7 +98,7 @@ class TestBuildRuns:
         _, a = prepare_split(tiny_config, 0, 0)
         _, b = prepare_split(tiny_config, 0, 0)
         assert np.array_equal(a.labeled.points, b.labeled.points)
-        assert np.array_equal(a.labeled_counts, b.labeled_counts)
+        assert np.array_equal(a.labeled.labels, b.labeled.labels)
         _, other_seed = prepare_split(tiny_config, 0, 1)
         assert not np.array_equal(a.labeled.points, other_seed.labeled.points)
 
@@ -268,7 +268,7 @@ class TestRunCampaign:
                     header, matrix = read_history_csv(
                         str(out / "runs" / f"moons__{algo}__seed{seed}.csv"))
                     errors = matrix[-1, [i for i, h in enumerate(header) if h.startswith(prefix)]]
-                    counts = prepare_split(config, 0, seed)[1].labeled_counts
+                    counts = prepare_split(config, 0, seed)[1].labeled.class_counts()
                     finals.append(group_errors(errors, counts))
                 agg = aggregate_runs(finals)
                 for group in ("all", "major", "minor"):
@@ -435,6 +435,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config is invalid:" in err
         assert "seeds" in err
+
+    def test_validate_rejects_a_pool_too_large_to_allocate(self, tmp_path, capsys):
+        config = json.loads(tiny_config_text())
+        config["datasets"][0]["n_pool_per_class"] = 4503599627370496
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps(config))
+        assert main(["validate", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert "\n  datasets[0].n_pool_per_class: the pool's points would hold" in err
 
     def test_validate_missing_file(self, tmp_path, capsys):
         assert main(["validate", str(tmp_path / "nope.json")]) == 2

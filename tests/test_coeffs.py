@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlab.coeffs import (
-    brute_force_unroll,
     coefficient_gap,
     gap_curve,
     gradient_gap_estimate,
@@ -19,6 +18,8 @@ from skewlab.coeffs import (
     write_gap_curve,
 )
 from skewlab.mlp import backward, forward, init_params, softmax
+
+from coeffs_helpers import brute_force_unroll
 
 GAMMAS = (0.5, 0.95, 0.999)
 DELTAS = (0.0, 0.5, 0.9)

@@ -7,9 +7,11 @@ import json
 import pytest
 
 from skewlab.config import (
+    MAX_ARRAY_ELEMENTS,
     PRESET_NAMES,
     ConfigError,
     config_digest,
+    largest_arrays,
     load_config,
     preset_config,
     preset_dict,
@@ -122,6 +124,44 @@ class TestValidation:
     def test_exception_message_lists_fields(self):
         with pytest.raises(ConfigError, match="invalid config:"):
             validate_config(minimal(seeds=[]))
+
+
+class TestArraySizes:
+    CAP = f"more than the {MAX_ARRAY_ELEMENTS} one array of a run may hold"
+
+    def paths_of(self, errors):
+        assert all(error.endswith(self.CAP) for error in errors)
+        return [error.split(":")[0] for error in errors]
+
+    def test_a_pool_too_large_to_allocate_names_its_setting(self):
+        dataset = {"kind": "twomoons", "labeled_max": 10, "unlabeled_max": 40,
+                   "val_per_class": 20, "n_pool_per_class": 4503599627370496}
+        errors = errors_of(minimal(datasets=[dataset]))
+        assert errors == ["datasets[0].n_pool_per_class: the pool's points would hold "
+                          f"18014398509481984 elements, {self.CAP}"]
+
+    def test_a_width_and_grid_too_large_to_allocate_name_their_settings(self):
+        errors = errors_of(minimal(training={"hidden_width": 4503599627370495},
+                                   report={"grids": True,
+                                           "grid_resolution": [4503599627370495, 2]}))
+        assert self.paths_of(errors) == ["training.hidden_width"] * 3 + ["report.grid_resolution"]
+
+    def test_a_deep_network_names_its_depth(self):
+        errors = errors_of(minimal(training={"hidden_width": 1, "hidden_layers": 2**27}))
+        assert self.paths_of(errors) == ["training.hidden_layers"]
+
+    def test_an_unused_grid_resolution_is_not_counted(self):
+        validate_config(minimal(report={"grid_resolution": [4503599627370495, 2]}))
+
+    def test_the_cap_itself_is_accepted(self):
+        # 8192 x 8192 nodes of two coordinates are exactly the cap
+        validate_config(minimal(report={"grids": True, "grid_resolution": [8192, 8192]}))
+        errors = errors_of(minimal(report={"grids": True, "grid_resolution": [8193, 8192]}))
+        assert self.paths_of(errors) == ["report.grid_resolution"]
+
+    def test_a_campaign_without_runs_allocates_nothing(self):
+        config = validate_config(json.dumps({"name": "gap", "seeds": [0], "gap_curve": {}}))
+        assert largest_arrays(config) == []
 
 
 class TestDefaults:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -10,10 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skewlab.datasets import (
+    KINDS,
     MOON_LOWER_OFFSET,
     SPIN_RADIUS_MAX,
     SPIN_THETA_MAX,
     SPIN_THETA_MIN,
+    UNLABELED_TYPES,
     CisslSplit,
     Dataset2D,
     SplitCapacityError,
@@ -23,6 +26,7 @@ from skewlab.datasets import (
     make_cissl_split,
     moon_arc_points,
     spin_arm_points,
+    unlabeled_rho,
     write_split_csv,
 )
 
@@ -212,59 +216,98 @@ def moon_pool():
     return gen_two_moons(800, 0.1, 21)
 
 
+def pool_rows(pool: Dataset2D, part: Dataset2D) -> np.ndarray:
+    """The pool row of each point of part, matched by point and label."""
+    row_of = {tuple(point): row for row, point in enumerate(pool.points.tolist())}
+    assert len(row_of) == len(pool)  # noisy pool points are distinct
+    rows = np.array([row_of[tuple(point)] for point in part.points.tolist()], dtype=np.int64)
+    assert np.array_equal(pool.labels[rows], part.labels)
+    return rows
+
+
+def same_partitions(a: CisslSplit, b: CisslSplit) -> bool:
+    return all(np.array_equal(x.points, y.points) and np.array_equal(x.labels, y.labels)
+               for x, y in ((a.labeled, b.labeled), (a.unlabeled, b.unlabeled),
+                            (a.validation, b.validation)))
+
+
 class TestMakeCisslSplit:
     def test_partitions_disjoint_and_sized(self, moon_pool):
         split = make_cissl_split(moon_pool, np.array([10, 2]), "same", 5.0, 250, 100, 3)
-        all_idx = np.concatenate([split.labeled_idx, split.unlabeled_idx,
-                                  split.validation_idx])
-        assert len(np.unique(all_idx)) == all_idx.size
-        assert len(split.labeled) == 12
-        assert len(split.unlabeled) == int(split.unlabeled_counts.sum())
+        rows = np.concatenate([pool_rows(moon_pool, part)
+                               for part in (split.labeled, split.unlabeled, split.validation)])
+        assert len(np.unique(rows)) == rows.size
+        assert sorted(split.labeled.class_counts().tolist()) == [2, 10]
+        assert sorted(split.unlabeled.class_counts().tolist()) == [50, 250]
         assert len(split.validation) == 200
         assert split.validation.class_counts().tolist() == [100, 100]
 
-    def test_counts_describe_partitions(self, moon_pool):
-        split = make_cissl_split(moon_pool, np.array([10, 2]), "same", 5.0, 250, 100, 3)
-        assert split.labeled.class_counts().tolist() == split.labeled_counts.tolist()
-        assert split.unlabeled.class_counts().tolist() == split.unlabeled_counts.tolist()
-
     def test_uniform_profile(self, moon_pool):
         split = make_cissl_split(moon_pool, np.array([10, 2]), "uniform", 5.0, 250, 0, 3)
-        assert np.all(split.unlabeled_counts == 250)
+        assert np.all(split.unlabeled.class_counts() == 250)
 
     def test_same_profile_follows_labeled_ranking(self, moon_pool):
         split = make_cissl_split(moon_pool, np.array([10, 2]), "same", 5.0, 1500 // 3, 0, 3)
         # whichever class got the 10 labeled samples also gets the larger
         # unlabeled allocation
-        major = int(np.argmax(split.labeled_counts))
-        assert split.unlabeled_counts[major] == split.unlabeled_counts.max()
+        major = int(np.argmax(split.labeled.class_counts()))
+        unlabeled_counts = split.unlabeled.class_counts()
+        assert unlabeled_counts[major] == unlabeled_counts.max()
 
     def test_same_profile_sizes(self, moon_pool):
         split = make_cissl_split(moon_pool, np.array([10, 2]), "same", 5.0, 500, 100, 3)
-        assert sorted(split.unlabeled_counts.tolist()) == [100, 500]
+        assert sorted(split.unlabeled.class_counts().tolist()) == [100, 500]
 
     def test_half_profile(self, moon_pool):
         split = make_cissl_split(moon_pool, np.array([10, 2]), "half", 5.0, 500, 0, 3)
-        assert sorted(split.unlabeled_counts.tolist()) == [200, 500]
+        assert sorted(split.unlabeled.class_counts().tolist()) == [200, 500]
 
     def test_deterministic_and_seed_sensitive(self, moon_pool):
         a = make_cissl_split(moon_pool, np.array([10, 2]), "same", 5.0, 250, 100, 3)
         b = make_cissl_split(moon_pool, np.array([10, 2]), "same", 5.0, 250, 100, 3)
-        assert np.array_equal(a.labeled_idx, b.labeled_idx)
-        assert np.array_equal(a.unlabeled_idx, b.unlabeled_idx)
+        assert same_partitions(a, b)
         differing = [seed for seed in range(8)
                      if not np.array_equal(
                          make_cissl_split(moon_pool, np.array([10, 2]), "same",
-                                          5.0, 250, 100, seed).labeled_idx,
-                         a.labeled_idx)]
+                                          5.0, 250, 100, seed).labeled.points,
+                         a.labeled.points)]
         assert differing
 
     def test_rank_permutation_varies_with_seed(self, moon_pool):
         majors = {
             int(np.argmax(make_cissl_split(moon_pool, np.array([10, 2]), "same",
-                                           5.0, 250, 0, seed).labeled_counts))
+                                           5.0, 250, 0, seed).labeled.class_counts()))
             for seed in range(16)}
         assert majors == {0, 1}
+
+    @given(kind=st.sampled_from(["twomoons", "fourspins"]),
+           labeled_max=st.integers(1, 20), unlabeled_max=st.integers(1, 40),
+           rho_l=st.floats(1.0, 50.0), unlabeled_type=st.sampled_from(UNLABELED_TYPES),
+           val_per_class=st.integers(0, 10), spare=st.integers(0, 10),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_split_property(self, kind, labeled_max, unlabeled_max, rho_l, unlabeled_type,
+                            val_per_class, spare, seed):
+        generator, n_classes = KINDS[kind]
+        pool = generator(labeled_max + unlabeled_max + val_per_class + spare, 0.1, seed % 97)
+        labeled_ranks = imbalance_counts(labeled_max, rho_l, n_classes)
+        unlabeled_ranks = imbalance_counts(unlabeled_max, unlabeled_rho(unlabeled_type, rho_l),
+                                           n_classes)
+        split = make_cissl_split(pool, labeled_ranks, unlabeled_type, rho_l, unlabeled_max,
+                                 val_per_class, seed)
+
+        rows = np.concatenate([pool_rows(pool, part)
+                               for part in (split.labeled, split.unlabeled, split.validation)])
+        assert len(np.unique(rows)) == rows.size
+        labeled, unlabeled = split.labeled.class_counts(), split.unlabeled.class_counts()
+        # rank r goes to class perm[r] in both partitions, for one permutation
+        assert any(np.array_equal(labeled[list(perm)], labeled_ranks)
+                   and np.array_equal(unlabeled[list(perm)], unlabeled_ranks)
+                   for perm in itertools.permutations(range(n_classes)))
+        assert np.all(split.validation.class_counts() == val_per_class)
+        again = make_cissl_split(pool, labeled_ranks, unlabeled_type, rho_l, unlabeled_max,
+                                 val_per_class, seed)
+        assert same_partitions(split, again)
 
     def test_capacity_error_names_the_short_class(self, moon_pool):
         with pytest.raises(SplitCapacityError, match=r"class \d: pool holds 800"):

@@ -150,10 +150,7 @@ class TestBulkWritersMatchFmt:
             return Dataset2D(points, np.arange(n, dtype=np.int64) % 2, 2)
 
         labeled, unlabeled, validation = part(0, 3), part(3, 5), part(5, 2)
-        index = np.arange(1, dtype=np.int64)
-        split = CisslSplit(labeled=labeled, unlabeled=unlabeled, validation=validation,
-                           labeled_counts=np.array([2, 1]), unlabeled_counts=np.array([3, 2]),
-                           labeled_idx=index, unlabeled_idx=index, validation_idx=index)
+        split = CisslSplit(labeled=labeled, unlabeled=unlabeled, validation=validation)
         path = tmp_path / "split.csv"
         write_split_csv(split, path)
         rows = [(fmt(x), fmt(y), str(int(label)), name)
