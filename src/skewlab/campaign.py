@@ -22,7 +22,7 @@ import re
 import sys
 import traceback
 from collections import deque
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -127,8 +127,8 @@ def _outcomes(config: CampaignConfig, runs: list[RunSpec], n_workers: int):
     Serially each run executes when the next outcome is asked for.  On a pool
     every run is submitted up front and results are taken in submission
     order.  A dead worker breaks the pool; each run it left without a result
-    (in flight or queued) is then retried once, alone on a fresh one-worker
-    pool, so only a run whose own worker dies comes back as a failure.
+    (in flight, queued or never submitted) then runs alone on a fresh
+    one-worker pool, so only a run whose own worker dies fails.
     Closing the generator cancels the runs that have not started.  A pool
     gets at most one worker per run, since it starts them all at once; its
     stack (multiprocessing, sockets, logging) is imported on that path only.
@@ -141,31 +141,30 @@ def _outcomes(config: CampaignConfig, runs: list[RunSpec], n_workers: int):
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
+    def alone(spec: RunSpec):
+        """The run on its own one-worker pool; a failure if that worker dies too."""
+        with ProcessPoolExecutor(max_workers=1) as solo:
+            try:
+                return solo.submit(_execute_payload, (config, spec)).result()
+            except BrokenProcessPool:
+                return spec.run_id, None, traceback.format_exc()
+
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        pending = deque(pool.submit(_execute_payload, (config, spec)) for spec in runs)
+        pending = deque()
+        with suppress(BrokenProcessPool):  # once a worker dies, every later submit raises
+            for spec in runs:
+                pending.append(pool.submit(_execute_payload, (config, spec)))
         try:
             for spec in runs:
                 # popped, so a consumed result is not kept alive by its future
-                future = pending.popleft()
+                future = pending.popleft() if pending else None
                 try:
-                    yield future.result()
+                    yield alone(spec) if future is None else future.result()
                 except BrokenProcessPool:
-                    yield _execute_alone(config, spec)
+                    yield alone(spec)
         finally:
             for future in pending:
                 future.cancel()
-
-
-def _execute_alone(config: CampaignConfig, spec: RunSpec):
-    """One run on its own one-worker pool; a failure if that worker dies too."""
-    from concurrent.futures import ProcessPoolExecutor
-    from concurrent.futures.process import BrokenProcessPool
-
-    with ProcessPoolExecutor(max_workers=1) as pool:
-        try:
-            return pool.submit(_execute_payload, (config, spec)).result()
-        except BrokenProcessPool:
-            return spec.run_id, None, traceback.format_exc()
 
 
 def resolve_workers(workers: int | None) -> int:

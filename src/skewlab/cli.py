@@ -2,7 +2,7 @@
 
 Verbs:
   run <config.json> [--workers N] [--out DIR]   execute a campaign
-  validate <config.json>                        check a config, print problems
+  validate <config.json>                        check a config, print problems or cost
   preset <name> --out <dir>                     write a built-in config file
 
 Exit codes: 0 success, 1 one or more runs failed, 2 invalid config or bad
@@ -18,8 +18,8 @@ import json
 import sys
 from pathlib import Path
 
-from .campaign import prepare_outputs, resolve_workers, run_campaign
-from .config import PRESET_NAMES, ConfigError, load_config, preset_dict
+from .campaign import build_runs, prepare_outputs, resolve_workers, run_campaign
+from .config import PRESET_NAMES, ConfigError, largest_arrays, load_config, preset_dict
 from .ioutil import write_text
 
 
@@ -76,6 +76,14 @@ def main(argv: list[str] | None = None) -> int:
             return 2
         print(f"OK: {config.name} ({len(config.datasets)} datasets x "
               f"{len(config.algorithms)} algorithms x {len(config.seeds)} seeds)")
+        n_runs = len(build_runs(config))
+        cost = f"{n_runs} runs, {n_runs * config.schedule.total_iters} steps"
+        largest = max(largest_arrays(config), key=lambda array: array[2], default=None)
+        if largest is not None:
+            path, array, count = largest
+            cost += (f"; the largest array is {array} of {count} elements "
+                     f"({8 * count} bytes), set by {path}")  # all float64
+        print(cost)
         return 0
 
     if args.verb == "preset":
@@ -102,7 +110,7 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         return _cannot_write(out_dir, exc)
     failures = run_campaign(config, workers=workers, out_dir=out_dir)
-    n_runs = len(config.datasets) * len(config.algorithms) * len(config.seeds)
+    n_runs = len(build_runs(config))
     print(f"{config.name}: {n_runs - len(failures)}/{n_runs} runs succeeded; "
           f"outputs in {out_dir}")
     if failures:

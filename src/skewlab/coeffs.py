@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .losses import consistency_l2, grad_through_softmax
-from .mlp import ForwardTrace, MlpParams, backward, forward, layer_views, softmax
+from .mlp import ForwardTrace, MlpParams, backward, forward, softmax
 
 
 @dataclass(frozen=True, eq=False)
@@ -53,10 +53,7 @@ def sgd_coefficients(t: int, gamma: float) -> CoefficientTable:
     student_coeff(k) = 1, target_coeff(k) = 1 - gamma^(t-k-1); the target has
     not yet absorbed the most recent step, so g_{t-1} carries zero.
     """
-    if t < 1:
-        raise ValueError("t must be positive")
-    if not 0.0 < gamma <= 1.0:
-        raise ValueError("gamma must lie in (0,1]")
+    _check_momentum_args(t, 0.0, gamma)
     k = np.arange(t, dtype=np.float64)
     student = np.ones(t, dtype=np.float64)
     target = 1.0 - gamma ** (t - k - 1.0)
@@ -144,11 +141,11 @@ def _probability_tangent(trace: ForwardTrace, probs: np.ndarray,
     the flat parameters at trace.params: one forward-mode pass that carries
     each layer's tangent alongside the activations the trace stored."""
     params = trace.params
-    d_weights, d_biases = layer_views(params.layer_sizes, direction)
+    d = MlpParams(params.layer_sizes, direction)
     layer_inputs = (trace.inputs,) + trace.activations
     d_h = None  # the input does not depend on the parameters
     for i, w in enumerate(params.weights):
-        d_z = layer_inputs[i] @ d_weights[i] + d_biases[i]
+        d_z = layer_inputs[i] @ d.weights[i] + d.biases[i]
         if d_h is not None:
             d_z += d_h @ w
         if i < len(trace.activations):

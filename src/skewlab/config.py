@@ -18,6 +18,7 @@ import re
 from dataclasses import dataclass
 
 from .datasets import KINDS, UNLABELED_TYPES, imbalance_counts, unlabeled_rho
+from .mlp import vector_size
 from .optim import Schedule
 from .schema import Settings, dump, read, setting
 from .training import REGIMES, AlgorithmSpec, TrainConfig
@@ -197,8 +198,9 @@ def largest_arrays(config: CampaignConfig) -> list[tuple[str, str, int]]:
     batch = max(("training.labeled_batch", t.labeled_batch),
                 ("training.unlabeled_batch", t.unlabeled_batch), key=lambda dim: dim[1])
     n_classes = max(KINDS[d.kind][1] for d in config.datasets)
-    # layers 2 -> width -> ... -> width -> classes, each (fan_in + 1) * fan_out
-    n_params = 3 * width + (t.hidden_layers - 1) * (width + 1) * width + (width + 1) * n_classes
+    # one hidden layer, then each further one (there may be too many to list)
+    n_params = (vector_size((2, width, n_classes))
+                + (t.hidden_layers - 1) * vector_size((width, width)))
     sized = [("the parameter vector", n_params, hidden,
               ("training.hidden_layers", t.hidden_layers)),
              ("a batch's layer output", batch[1] * width, batch, hidden)]

@@ -1,4 +1,4 @@
-"""Supervised and consistency losses with class-frequency reweighting.
+"""Every regime's loss: reweighted supervised, pseudo-label and consistency.
 
 Every loss returns (scalar value, gradient with respect to the student's
 pre-softmax logits), so trainers chain straight into the network's backward
@@ -13,6 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .mlp import softmax_parts
 from .schema import Settings, setting
 
 
@@ -98,12 +99,8 @@ def supervised_loss(logits: np.ndarray, labels: np.ndarray, spec: ReweightSpec,
         raise ValueError("weights must hold one entry per column of logits")
     sample_w = weights[labels]
     rows = np.arange(batch)
-    # one shift, exp and row sum serve both the softmax and the log-softmax
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    row_sum = probs.sum(axis=1, keepdims=True)
+    shifted, probs, row_sum = softmax_parts(logits)
     log_p = shifted[rows, labels] - np.log(row_sum[:, 0])
-    probs /= row_sum
 
     if spec.method == "focal":
         gamma = spec.focal_gamma
@@ -131,6 +128,26 @@ def supervised_loss(logits: np.ndarray, labels: np.ndarray, spec: ReweightSpec,
 
     # the bits of .mean(), without its Python-level overhead
     loss = float((sample_w * loss_terms).sum() / batch)
+    return loss, d_logits
+
+
+def pseudo_label_loss(logits: np.ndarray, threshold: float) -> tuple[float, np.ndarray | None]:
+    """CE of confident samples against their own argmax over the whole batch;
+    the others contribute nothing, and with none confident it is (0.0, None)."""
+    shifted, probs, row_sum = softmax_parts(logits)
+    batch = probs.shape[0]
+    mask = probs.max(axis=1) >= threshold
+    if not mask.any():
+        return 0.0, None
+    rows = np.flatnonzero(mask)
+    hard = probs.argmax(axis=1)[rows]
+    log_confidence = shifted[rows, hard] - np.log(row_sum[rows, 0])
+    loss = float(np.sum(-log_confidence) / batch)
+    # probs - onehot(hard) on the confident rows, zero elsewhere, in place
+    d_logits = probs
+    d_logits[~mask] = 0.0
+    d_logits[rows, hard] -= 1.0
+    d_logits /= batch
     return loss, d_logits
 
 

@@ -2,7 +2,8 @@
 
 The network is input(2) -> tanh hidden layers -> linear output, float64
 throughout.  All parameters live in one flat vector, laid out weight then bias,
-layer by layer; the per-layer weights and biases are views into it.
+layer by layer; ``MlpParams`` alone builds the per-layer views into it.  Passes
+of the network share ``layer_step`` and losses ``softmax_parts``, bit for bit.
 Training owns its parameter vectors for the whole run and updates them in
 place (``skewlab.optim``).  ``forward``, ``backward``, ``param_add`` and
 ``param_scale`` never modify their inputs.  Each takes an optional ``out=``:
@@ -21,24 +22,9 @@ import numpy as np
 from .ioutil import FLOAT, write_text
 
 
-def _vector_size(layer_sizes: tuple[int, ...]) -> int:
-    return sum((fan_in + 1) * fan_out
-               for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]))
-
-
-def layer_views(layer_sizes: tuple[int, ...], values: np.ndarray
-                ) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-    """Per-layer (fan_in, fan_out) weight and bias views into the vector
-    ``values``, laid out weight then bias, layer by layer."""
-    weights = []
-    biases = []
-    pos = 0
-    for fan_in, fan_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-        weights.append(values[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
-        pos += fan_in * fan_out
-        biases.append(values[pos:pos + fan_out])
-        pos += fan_out
-    return tuple(weights), tuple(biases)
+def vector_size(layer_sizes: tuple[int, ...]) -> int:
+    """Length of the flat parameter vector of a network with these layer sizes."""
+    return sum((fan_in + 1) * fan_out for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]))
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,7 +40,7 @@ class MlpParams:
     flat: np.ndarray
 
     def __post_init__(self) -> None:
-        expected = _vector_size(self.layer_sizes)
+        expected = vector_size(self.layer_sizes)
         if self.flat.shape != (expected,):
             raise ValueError(f"expected {expected} values, got shape {self.flat.shape}")
 
@@ -64,7 +50,13 @@ class MlpParams:
 
     @cached_property
     def _views(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
-        return layer_views(self.layer_sizes, self.flat)
+        weights, biases, pos = [], [], 0
+        for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
+            weights.append(self.flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
+            pos += fan_in * fan_out
+            biases.append(self.flat[pos:pos + fan_out])
+            pos += fan_out
+        return tuple(weights), tuple(biases)
 
     @property
     def weights(self) -> tuple[np.ndarray, ...]:
@@ -119,7 +111,7 @@ def init_params(hidden_width: int, n_classes: int, seed: int, *,
     if hidden_width < 1 or hidden_layers < 1 or n_classes < 2:
         raise ValueError("hidden_width and hidden_layers must be positive, n_classes >= 2")
     sizes = (2,) + (hidden_width,) * hidden_layers + (n_classes,)
-    params = MlpParams(sizes, np.zeros(_vector_size(sizes)))
+    params = MlpParams(sizes, np.zeros(vector_size(sizes)))
     rng = np.random.default_rng(seed)
     for w in params.weights:
         w[...] = rng.normal(0.0, 1.0 / math.sqrt(w.shape[0]), w.shape)
@@ -154,19 +146,32 @@ def forward(params: MlpParams, x: np.ndarray, out: tuple[np.ndarray, ...] | None
     for w, b, z in zip(params.weights[:-1], params.biases[:-1], out):
         # tanh in place over the pre-activation: the same values as
         # np.tanh(h @ w + b) without a second batch x width array
-        np.matmul(h, w, out=z)
-        z += b
-        h = np.tanh(z, out=z)
-    logits = np.matmul(h, params.weights[-1], out=out[-1])
-    logits += params.biases[-1]
+        h = np.tanh(layer_step(h, w, b, out=z), out=z)
+    logits = layer_step(h, params.weights[-1], params.biases[-1], out=out[-1])
     return logits, ForwardTrace(params, x, tuple(out[:-1]), logits)
+
+
+def layer_step(h: np.ndarray, w: np.ndarray, b: np.ndarray,
+               out: np.ndarray | None = None) -> np.ndarray:
+    """h @ w + b, into ``out`` if given: every pass's calls for one layer."""
+    z = np.matmul(h, w, out=out)
+    z += b
+    return z
+
+
+def softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Shifted logits (minus their row max), normalised rows and the (rows, 1)
+    sums of exp(shifted): a log-softmax is then shifted - log(row sum)."""
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    row_sum = probs.sum(axis=1, keepdims=True)
+    probs /= row_sum
+    return shifted, probs, row_sum
 
 
 def softmax(logits: np.ndarray) -> np.ndarray:
     """Row-wise stable softmax."""
-    e = np.exp(logits - logits.max(axis=1, keepdims=True))
-    e /= e.sum(axis=1, keepdims=True)
-    return e
+    return softmax_parts(logits)[1]
 
 
 def backward(trace: ForwardTrace, d_logits: np.ndarray,

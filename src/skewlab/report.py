@@ -20,7 +20,7 @@ import numpy as np
 
 from .datasets import Dataset2D
 from .ioutil import FLOAT, fmt, read_csv, write_csv, write_text
-from .mlp import MlpParams, forward, softmax
+from .mlp import MlpParams, forward, layer_step, softmax, vector_size
 
 GROUP_NAMES = ("all", "major", "minor")
 
@@ -88,27 +88,24 @@ def _block_logits(params: MlpParams, points: np.ndarray):
     The first hidden layer runs through ``forward`` on an (inputs, width) view
     of the network, straight into one block-sized hidden array; each later
     hidden layer runs in place over it in row chunks, and the class layer
-    once per block, each with the calls ``forward`` makes for a layer.
+    once per block, each through ``forward``'s ``layer_step``.
     """
     sizes = params.layer_sizes
     if len(sizes) < 3 or len(set(sizes[1:-1])) > 1:
         raise ValueError(f"layers={','.join(map(str, sizes))}: the blocked pass "
                          "needs one or more hidden layers of one width")
-    first = MlpParams(sizes[:2], params.flat[:(sizes[0] + 1) * sizes[1]])
+    first = MlpParams(sizes[:2], params.flat[:vector_size(sizes[:2])])
     blocks = row_blocks(sizes, len(points))
     hidden = np.empty((max(stop - start for start, stop in blocks), sizes[1]))
     for start, stop in blocks:
         h, _ = forward(first, points[start:stop], out=(hidden[:stop - start],))
         np.tanh(h, out=h)
         for a, b in row_blocks(sizes[1:-1], stop - start):
+            chunk = h[a:b]
             for w, bias in zip(params.weights[1:-1], params.biases[1:-1]):
                 # an output that overlaps the input reads a copy of it
-                z = np.matmul(h[a:b], w, out=h[a:b])
-                z += bias
-                np.tanh(z, out=z)
-        logits = np.matmul(h, params.weights[-1])
-        logits += params.biases[-1]
-        yield start, stop, logits
+                np.tanh(layer_step(chunk, w, bias, out=chunk), out=chunk)
+        yield start, stop, layer_step(h, params.weights[-1], params.biases[-1])
 
 
 def evaluate(params: MlpParams, dataset: Dataset2D) -> np.ndarray:

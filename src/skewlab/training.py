@@ -29,6 +29,7 @@ from .losses import (
     SclShape,
     class_weights,
     consistency_l2,
+    pseudo_label_loss,
     scl_consistency,
     supervised_loss,
 )
@@ -141,31 +142,6 @@ def _draw_rows(rng: np.random.Generator, n: int, size: int, replace: bool) -> np
     return rng.choice(n, size=size, replace=False)
 
 
-def _pseudo_label_loss(logits: np.ndarray, threshold: float) -> tuple[float, np.ndarray | None]:
-    """CE of confident samples against their own argmax, averaged over the
-    whole batch; samples below the confidence threshold contribute nothing."""
-    # one shift, exp and row sum serve both the softmax and the log-softmax
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    probs = np.exp(shifted)
-    row_sum = probs.sum(axis=1, keepdims=True)
-    probs /= row_sum
-    batch = probs.shape[0]
-    mask = probs.max(axis=1) >= threshold
-    if not mask.any():
-        return 0.0, None
-    rows = np.flatnonzero(mask)
-    hard = probs.argmax(axis=1)[rows]
-    log_confidence = shifted[rows, hard] - np.log(row_sum[rows, 0])
-    loss = float(np.sum(-log_confidence) / batch)
-    # probs - onehot(hard) on the confident rows, zero elsewhere, built on
-    # the probability array
-    d_logits = probs
-    d_logits[~mask] = 0.0
-    d_logits[rows, hard] -= 1.0
-    d_logits /= batch
-    return loss, d_logits
-
-
 def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int) -> RunResult:
     """Run one training session and return final parameters plus history.
 
@@ -174,7 +150,6 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int
     """
     started = time.perf_counter()
     sched = config.schedule
-    n_classes = split.labeled.n_classes
     if not config.sample_with_replacement:
         if config.labeled_batch > len(split.labeled):
             raise ValueError("labeled_batch exceeds the labeled set without replacement")
@@ -182,7 +157,7 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int
             raise ValueError("unlabeled_batch exceeds the unlabeled set without replacement")
 
     derived = np.random.SeedSequence(seed).generate_state(3)
-    params = init_params(config.hidden_width, n_classes, int(derived[0]),
+    params = init_params(config.hidden_width, split.labeled.n_classes, int(derived[0]),
                          hidden_layers=config.hidden_layers)
     batch_rng = np.random.default_rng(int(derived[1]))
     noise_rng = np.random.default_rng(int(derived[2]))
@@ -217,7 +192,7 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int
         unlabeled = term is not None and w > 0.0
         if unlabeled and term == "pseudo-label":
             u_logits, u_trace = forward(params, x_unl, out=student_out)
-            con_loss, d_con = _pseudo_label_loss(u_logits, algo.pl_threshold)
+            con_loss, d_con = pseudo_label_loss(u_logits, algo.pl_threshold)
         elif unlabeled:
             x_student = perturb(x_unl, config.perturb_std, noise_rng)
             x_target = perturb(x_unl, config.perturb_std, noise_rng)

@@ -419,6 +419,37 @@ class TestStreaming:
         assert table["moons"]["supervised"]["all"][1] is None  # seed 1 only
         assert table["moons"]["mean-teacher"]["all"][1] is not None  # both seeds
 
+    @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                        reason="workers must inherit the patched execute_run")
+    def test_worker_dead_before_the_last_submission_fails_its_run_only(self, tmp_path,
+                                                                       monkeypatch):
+        # the first run's worker dies before the second run is submitted, as
+        # when the parent stalls between submissions (a long garbage
+        # collection, a loaded machine): every later submission then raises
+        # BrokenProcessPool, and each of those runs is retried alone
+        config = validate_config(tiny_config_text())
+        runs = [spec.run_id for spec in build_runs(config)]
+        original = campaign.execute_run
+
+        def dies_first(config, spec):
+            if spec.run_id == runs[0]:
+                os._exit(1)
+            return original(config, spec)
+
+        class StallsAfterEachSubmit(concurrent.futures.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                future = super().submit(*args, **kwargs)
+                concurrent.futures.wait([future], timeout=60.0)
+                return future
+
+        monkeypatch.setattr(campaign, "execute_run", dies_first)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", StallsAfterEachSubmit)
+        out = tmp_path / "out"
+        assert list(quiet_run(config, out_dir=out, workers=2)) == [runs[0]]
+        assert "BrokenProcessPool" in (out / "failures" / f"{runs[0]}.txt").read_text()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert [r["status"] for r in manifest["runs"]] == ["failed", "ok", "ok", "ok"]
+
 
 class TestCli:
     def test_validate_accepts_good_config(self, tmp_path, capsys):
@@ -427,6 +458,17 @@ class TestCli:
         assert main(["validate", str(path)]) == 0
         out = capsys.readouterr().out
         assert "OK: tiny (1 datasets x 2 algorithms x 2 seeds)" in out
+        # 4 runs of 40 steps; 2 classes x 30 validation rows x width 8 outgrow
+        # the pool's 2 x 98 points of 2 coordinates and the 114 parameters
+        assert out.splitlines()[1] == (
+            "4 runs, 160 steps; the largest array is the validation pass's hidden array "
+            "of 480 elements (3840 bytes), set by datasets[0].val_per_class")
+
+    def test_validate_of_a_campaign_without_runs_counts_none(self, tmp_path, capsys):
+        path = tmp_path / "c.json"
+        path.write_text(json.dumps({"name": "gap", "seeds": [0], "gap_curve": {}}))
+        assert main(["validate", str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == "0 runs, 0 steps"
 
     def test_validate_reports_problems(self, tmp_path, capsys):
         path = tmp_path / "c.json"

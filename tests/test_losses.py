@@ -107,6 +107,63 @@ class TestSupervisedLoss:
             supervised_loss(rows([0.0, 0.0]), np.array([1]), ReweightSpec(), np.ones(3))
 
 
+def reference_supervised_loss(logits, labels, spec, weights):
+    """The loss's arithmetic written out in one place: one shift, exp and row
+    sum, the log-probability of the true class, then the focal or plain
+    terms and the reweighted probs - onehot gradient."""
+    batch = logits.shape[0]
+    sample_w = weights[labels]
+    rows_ = np.arange(batch)
+    shifted = logits - logits.max(axis=1, keepdims=True)
+    probs = np.exp(shifted)
+    row_sum = probs.sum(axis=1, keepdims=True)
+    log_p = shifted[rows_, labels] - np.log(row_sum[:, 0])
+    probs /= row_sum
+    if spec.method == "focal":
+        gamma = spec.focal_gamma
+        p_true = probs[rows_, labels]
+        one_minus = 1.0 - p_true
+        loss_terms = np.power(one_minus, gamma) * (-log_p)
+        factor = np.zeros(batch, dtype=np.float64)
+        interior = one_minus > 0.0
+        om = one_minus[interior]
+        factor[interior] = (np.power(om, gamma)
+                            - gamma * np.power(om, gamma - 1.0) * log_p[interior]
+                            * p_true[interior])
+        row_scale = sample_w * factor / batch
+    else:
+        loss_terms = -log_p
+        row_scale = sample_w / batch
+    d_logits = probs
+    d_logits[rows_, labels] -= 1.0
+    d_logits *= row_scale[:, None]
+    return float((sample_w * loss_terms).sum() / batch), d_logits
+
+
+class TestSupervisedLossBits:
+    """The loss gives the bits of its written-out arithmetic exactly."""
+
+    @pytest.mark.parametrize("method", ["ce", "in", "focal", "cb"])
+    @pytest.mark.parametrize("n_classes", [2, 4])
+    @pytest.mark.parametrize("batch", [7, 32])
+    def test_matches_reference_bit_for_bit(self, method, n_classes, batch):
+        rng = np.random.default_rng([batch, n_classes])
+        spec = ReweightSpec(method=method)
+        weights = class_weights(spec, np.array([40, 9, 3, 1][:n_classes]))
+        for trial in range(20):
+            # row scales from nearly uniform to saturated, with tied rows
+            scale = rng.choice([0.1, 1.0, 8.0, 60.0, 800.0], size=(batch, 1))
+            logits = rng.normal(size=(batch, n_classes)) * scale
+            logits[rng.random(batch) < 0.2] = 0.0
+            labels = rng.integers(0, n_classes, batch)
+            expected_loss, expected_d = reference_supervised_loss(logits.copy(), labels,
+                                                                  spec, weights)
+            loss, d_logits = supervised_loss(logits.copy(), labels, spec, weights)
+            assert loss == expected_loss
+            assert np.array_equal(d_logits, expected_d)
+            assert np.array_equal(np.signbit(d_logits), np.signbit(expected_d))
+
+
 class TestClassWeights:
     def test_inverse_frequency_example(self):
         w = class_weights(ReweightSpec(method="in"), np.array([10, 2]))

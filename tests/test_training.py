@@ -17,7 +17,7 @@ import pytest
 
 import skewlab.training
 from skewlab.datasets import gen_four_spins, gen_two_moons, imbalance_counts, make_cissl_split
-from skewlab.losses import SclShape
+from skewlab.losses import SclShape, pseudo_label_loss
 from skewlab.mlp import forward, init_params
 from skewlab.optim import Schedule
 from skewlab.report import row_blocks
@@ -538,7 +538,7 @@ class TestPseudoLabelLoss:
             if trial % 2:
                 logits[:, 1] = logits[:, 0]
             expected_loss, expected_d = reference_pseudo_label_loss(logits.copy(), threshold)
-            loss, d_logits = skewlab.training._pseudo_label_loss(logits.copy(), threshold)
+            loss, d_logits = pseudo_label_loss(logits.copy(), threshold)
             assert loss == expected_loss
             assert (d_logits is None) == (expected_d is None)
             if d_logits is not None:
@@ -550,5 +550,5 @@ class TestPseudoLabelLoss:
     @pytest.mark.parametrize("batch", [1, 7, 32, 50])
     def test_no_confident_row_gives_no_gradient(self, batch):
         uniform = np.zeros((batch, 4))
-        assert skewlab.training._pseudo_label_loss(uniform, 0.5) == (0.0, None)
+        assert pseudo_label_loss(uniform, 0.5) == (0.0, None)
         assert reference_pseudo_label_loss(uniform, 0.5) == (0.0, None)
