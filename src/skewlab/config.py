@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .datasets import KINDS, UNLABELED_TYPES, imbalance_counts, unlabeled_rho
 from .mlp import vector_size
-from .optim import Schedule
+from .optim import Schedule, decay_points_increase
 from .schema import Settings, dump, read, setting
 from .training import REGIMES, AlgorithmSpec, TrainConfig
 
@@ -158,9 +158,8 @@ def validate_config(text: str) -> CampaignConfig:
     top["algorithms"] = _entries(top, raw, "algorithms", AlgorithmConfig, errors)
     schedule = top["schedule"]
     schedule.setdefault("rampup_iters", round(0.4 * schedule["total_iters"]))
-    points = [point for point, _ in schedule["lr_decay"]]
-    errors.extend("schedule.lr_decay: iterations must be strictly increasing"
-                  for last, point in zip(points, points[1:]) if point <= last)
+    if not decay_points_increase(schedule["lr_decay"]):
+        errors.append("schedule.lr_decay: iterations must be strictly increasing")
     _check_batches(top["training"], top["datasets"], errors)
 
     if not top["datasets"] and not top["algorithms"] and top["gap_curve"] is None:

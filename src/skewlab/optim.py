@@ -28,8 +28,13 @@ class Schedule(Settings):
 
     def __post_init__(self) -> None:
         super().__post_init__()
-        if any(b[0] <= a[0] for a, b in zip(self.lr_decay, self.lr_decay[1:])):
+        if not decay_points_increase(self.lr_decay):
             raise ValueError("lr_decay points must be strictly increasing")
+
+
+def decay_points_increase(lr_decay) -> bool:
+    """Whether the iterations of the (iteration, factor) decay points strictly increase."""
+    return all(a[0] < b[0] for a, b in zip(lr_decay, lr_decay[1:]))
 
 
 def sgd_step(params: np.ndarray, grad: np.ndarray, velocity: np.ndarray,

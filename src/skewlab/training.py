@@ -8,9 +8,10 @@ EMA-parameter branch ("mean-teacher"); confidence-thresholded self-labeling
 
 RNG discipline: three streams derived from one seed cover init, batch
 sampling, and input perturbation.  Batch sampling always draws labeled and
-unlabeled indices in the same order regardless of the regime, and the
-perturbation stream is consumed only when the consistency term actually
-runs, so regimes whose extra terms vanish reproduce the supervised
+unlabeled indices in the same order regardless of the regime, a chunk of
+steps per call, on the same stream and with the same values as one call per
+step; the perturbation stream is consumed only when the consistency term
+actually runs, so regimes whose extra terms vanish reproduce the supervised
 trajectory bit for bit.
 """
 
@@ -56,6 +57,10 @@ REGIMES = {
     "pseudo-label": (1.0, "pseudo-label", False),
     "mt-scl": (8.0, "scl", True),
 }
+
+# about the rows, labeled and unlabeled together, that train draws per
+# sample_batch call (at least one step's), whatever the batch sizes
+DRAW_ROWS = 2048
 
 
 class TrainingDiverged(RuntimeError):
@@ -119,27 +124,31 @@ class RunResult:
     wall_seconds: float
 
 
-def sample_batch(split: CisslSplit, config: TrainConfig,
-                 rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw one labeled batch (with labels) and one unlabeled batch (points only).
+def sample_batch(split: CisslSplit, config: TrainConfig, rng: np.random.Generator,
+                 steps: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the labeled batch (with labels) and unlabeled batch (points only) of
+    one step, or with `steps` those of that many steps, stacked on a leading axis.
 
     Uniform over each partition, independently; with replacement unless the
-    config turns it off.  The labeled draw always precedes the unlabeled one
-    so every regime consumes the stream identically.
+    config turns it off.  Each step's labeled draw precedes its unlabeled one,
+    so every regime consumes the stream identically, and k steps drawn at once
+    leave the same rows and generator state as k one-step calls.
     """
-    replace = config.sample_with_replacement
-    rows_lab = _draw_rows(rng, len(split.labeled), config.labeled_batch, replace)
-    unlabeled = split.unlabeled_points()
-    rows_unl = _draw_rows(rng, unlabeled.shape[0], config.unlabeled_batch, replace)
-    return (split.labeled.points[rows_lab], split.labeled.labels[rows_lab],
-            unlabeled[rows_unl])
-
-
-def _draw_rows(rng: np.random.Generator, n: int, size: int, replace: bool) -> np.ndarray:
-    if replace:
-        # the same stream as rng.choice(n, size), without its argument handling
-        return rng.integers(0, n, size)
-    return rng.choice(n, size=size, replace=False)
+    labeled, unlabeled = split.labeled, split.unlabeled_points()
+    n_lab, n_unl = config.labeled_batch, config.unlabeled_batch
+    n_steps = 1 if steps is None else steps
+    if config.sample_with_replacement:
+        # one call, step by step in row order; the same stream as
+        # rng.choice(n, size) per partition, without its argument handling
+        high = np.repeat((len(labeled), unlabeled.shape[0]), (n_lab, n_unl))
+        rows = rng.integers(0, np.broadcast_to(high, (n_steps, n_lab + n_unl)))
+    else:
+        rows = np.array([np.concatenate((rng.choice(len(labeled), n_lab, replace=False),
+                                         rng.choice(unlabeled.shape[0], n_unl, replace=False)))
+                         for _ in range(n_steps)])
+    rows_lab, rows_unl = rows[:, :n_lab], rows[:, n_lab:]
+    batches = labeled.points[rows_lab], labeled.labels[rows_lab], unlabeled[rows_unl]
+    return batches if steps is not None else tuple(batch[0] for batch in batches)
 
 
 def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int) -> RunResult:
@@ -178,11 +187,16 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int
     counts = split.labeled.class_counts()
     weights = class_weights(algo.reweight, counts)
 
+    chunk = max(1, DRAW_ROWS // (config.labeled_batch + config.unlabeled_batch))
+
     history: list[HistoryPoint] = []
     for t in range(sched.total_iters):
         lr = lr_at(t, sched)
         w = rampup_weight(t, sched, algo.w_max)
-        x_lab, y_lab, x_unl = sample_batch(split, config, batch_rng)
+        if t % chunk == 0:
+            xs_lab, ys_lab, xs_unl = sample_batch(split, config, batch_rng,
+                                                  min(chunk, sched.total_iters - t))
+        x_lab, y_lab, x_unl = xs_lab[t % chunk], ys_lab[t % chunk], xs_unl[t % chunk]
 
         logits, trace = forward(params, x_lab, out=lab_out)
         sup_loss, d_sup = supervised_loss(logits, y_lab, algo.reweight, weights)

@@ -16,12 +16,19 @@ import numpy as np
 import pytest
 
 import skewlab.training
-from skewlab.datasets import gen_four_spins, gen_two_moons, imbalance_counts, make_cissl_split
+from skewlab.datasets import (
+    Dataset2D,
+    gen_four_spins,
+    gen_two_moons,
+    imbalance_counts,
+    make_cissl_split,
+)
 from skewlab.losses import SclShape, pseudo_label_loss
 from skewlab.mlp import forward, init_params
 from skewlab.optim import Schedule
 from skewlab.report import row_blocks
 from skewlab.training import (
+    REGIMES,
     AlgorithmSpec,
     HistoryPoint,
     TrainConfig,
@@ -75,6 +82,20 @@ class TestDeterminism:
         a = train(split, algo, small_config(), 0)
         b = train(split, algo, small_config(), 1)
         assert not params_equal(a.params, b.params)
+
+    # 150 steps of 16 rows: one step per draw, 9-step chunks (the last one 6
+    # steps), and one chunk for the whole run, against the default 128-step
+    # chunks (the last one 22 steps)
+    @pytest.mark.parametrize("draw_rows", [1, 9 * 16, 10**6])
+    @pytest.mark.parametrize("replace", [True, False])
+    @pytest.mark.parametrize("kind", sorted(REGIMES))
+    def test_draw_chunk_size_leaves_the_run_unchanged(self, split, monkeypatch, kind, replace,
+                                                      draw_rows):
+        algo = AlgorithmSpec(kind=kind, w_max=4.0)
+        config = small_config(total=150, rampup=50, sample_with_replacement=replace)
+        default = train(split, algo, config, 5)
+        monkeypatch.setattr(skewlab.training, "DRAW_ROWS", draw_rows)
+        assert trajectory_digests(train(split, algo, config, 5)) == trajectory_digests(default)
 
 
 def trajectory_digests(result) -> tuple[str, str | None, str]:
@@ -269,6 +290,26 @@ class TestSampleBatch:
             assert np.array_equal(x_lab, split.labeled.points[rows_lab])
             assert np.array_equal(y, split.labeled.labels[rows_lab])
             assert np.array_equal(x_unl, unlabeled[rows_unl])
+        assert rng.random() == reference.random()
+
+    @pytest.mark.parametrize("one_labeled_row", [False, True])
+    @pytest.mark.parametrize("replace", [True, False])
+    @pytest.mark.parametrize("steps", [1, 7, 33])
+    def test_steps_at_once_match_one_step_calls(self, split, steps, replace, one_labeled_row):
+        # the batches of k one-step calls, stacked, and the generator left in
+        # the same state; a one-row partition draws no random numbers
+        if one_labeled_row:
+            labeled = Dataset2D(split.labeled.points[:1], split.labeled.labels[:1], 2)
+            split = dataclasses.replace(split, labeled=labeled)
+        labeled_batch = 1 if one_labeled_row and not replace else 5
+        config = small_config(labeled_batch=labeled_batch, unlabeled_batch=7,
+                              sample_with_replacement=replace)
+        rng = np.random.default_rng(3)
+        reference = np.random.default_rng(3)
+        stacked = sample_batch(split, config, rng, steps)
+        one_by_one = [sample_batch(split, config, reference) for _ in range(steps)]
+        for got, want in zip(stacked, zip(*one_by_one), strict=True):
+            assert np.array_equal(got, np.stack(want))
         assert rng.random() == reference.random()
 
     def test_oversized_batch_without_replacement_is_rejected(self, split):
