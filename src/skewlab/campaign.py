@@ -40,6 +40,7 @@ from .datasets import (
 )
 from .ioutil import write_text
 from .mlp import save_params
+from .numerics import blas_threads
 from .report import (
     BoundaryGrid,
     aggregate_runs,
@@ -115,10 +116,13 @@ def execute_run(config: CampaignConfig, spec: RunSpec) -> RunRecord:
 
 def _execute_payload(payload: tuple[CampaignConfig, RunSpec]):
     config, spec = payload
+    threads = blas_threads(1)  # one per run, serial or pooled: more threads only contend
     try:
         return spec.run_id, execute_run(config, spec), None
     except Exception:
         return spec.run_id, None, traceback.format_exc()
+    finally:
+        blas_threads(threads)
 
 
 def _outcomes(config: CampaignConfig, runs: list[RunSpec], n_workers: int):

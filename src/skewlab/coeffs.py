@@ -16,7 +16,7 @@ so after t iterations the target has absorbed theta_1 .. theta_t.
   iteration t-1, which is why the most recent gradient carries coefficient
   zero and target_coeff(k) = 1 - gamma^(t-k-1).  In the momentum-free limit
   the two conventions sit one step apart:
-      momentum_coefficients(t, k, 0, gamma).target == sgd_coefficients(t + 1, gamma).target[k].
+      momentum_coefficients(t, k, 0, gamma)[1] == sgd_coefficients(t + 1, gamma)[1][k].
 
 coefficient_gap follows the end-of-iteration (momentum) convention for both
 terms; it is nonnegative over the whole domain, meaning the EMA target always
@@ -33,22 +33,8 @@ from .losses import consistency_l2, grad_through_softmax
 from .mlp import ForwardTrace, MlpParams, backward, forward, softmax
 
 
-@dataclass(frozen=True, eq=False)
-class CoefficientTable:
-    """Coefficient of gradient g_k (k = 0..t-1) in the student and target
-    displacements from the initial parameters, momentum-free case."""
-
-    t: int
-    student: np.ndarray
-    target: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.student.shape != (self.t,) or self.target.shape != (self.t,):
-            raise ValueError("coefficient arrays must have one entry per step")
-
-
-def sgd_coefficients(t: int, gamma: float) -> CoefficientTable:
-    """Momentum-free coefficients at the start-of-iteration-t reference point.
+def sgd_coefficients(t: int, gamma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Momentum-free (student, target) coefficients at the start of iteration t.
 
     student_coeff(k) = 1, target_coeff(k) = 1 - gamma^(t-k-1); the target has
     not yet absorbed the most recent step, so g_{t-1} carries zero.
@@ -57,7 +43,7 @@ def sgd_coefficients(t: int, gamma: float) -> CoefficientTable:
     k = np.arange(t, dtype=np.float64)
     student = np.ones(t, dtype=np.float64)
     target = 1.0 - gamma ** (t - k - 1.0)
-    return CoefficientTable(t=t, student=student, target=target)
+    return student, target
 
 
 def momentum_coefficients(t: int, k: int, delta: float, gamma: float) -> tuple[float, float]:

@@ -1,11 +1,11 @@
 """Synthetic 2-D benchmarks and class-imbalanced semi-supervised splits.
 
 Two generators are provided: interleaved moons (2 classes) and four spiral
-arms (4 classes).  Both draw arc parameters uniformly at random, then add
-isotropic Gaussian noise.  All angle draws happen before any noise draw, so
-for a fixed seed the noise-free loci are identical across noise levels; a
-generator called with ``noise_std=0`` returns exactly the base points of the
-noisy dataset with the same seed.
+arms (4 classes).  Both run through one skeleton, which draws every class's
+arc parameters uniformly at random, in class order, and only then adds
+isotropic Gaussian noise.  So for a fixed seed the noise-free loci are
+identical across noise levels; a generator called with ``noise_std=0``
+returns exactly the base points of the noisy dataset with the same seed.
 
 Geometry constants (fixed, the generators' contract):
 
@@ -127,28 +127,26 @@ def perturb(x: np.ndarray, noise_std: float, rng: np.random.Generator) -> np.nda
     return x + rng.normal(0.0, noise_std, x.shape)
 
 
-def gen_two_moons(n_per_class: int, noise_std: float, seed: int) -> Dataset2D:
-    """Balanced two-moons sample: n_per_class points on each arc plus noise."""
+def _generate(locus, bounds, n_classes, n_per_class, noise_std, seed) -> Dataset2D:
+    """The generators' one skeleton: per class in order, n_per_class uniform
+    draws within bounds mapped through locus(class, draws); then the noise."""
     if n_per_class < 1:
         raise ValueError("n_per_class must be positive")
     rng = np.random.default_rng(seed)
-    t0 = rng.uniform(0.0, math.pi, n_per_class)
-    t1 = rng.uniform(0.0, math.pi, n_per_class)
-    base = np.vstack((moon_arc_points(0, t0), moon_arc_points(1, t1)))
-    labels = np.repeat(np.arange(2, dtype=np.int64), n_per_class)
-    return Dataset2D(perturb(base, noise_std, rng), labels, 2)
+    base = np.vstack([locus(k, rng.uniform(*bounds, n_per_class)) for k in range(n_classes)])
+    labels = np.repeat(np.arange(n_classes, dtype=np.int64), n_per_class)
+    return Dataset2D(perturb(base, noise_std, rng), labels, n_classes)
+
+
+def gen_two_moons(n_per_class: int, noise_std: float, seed: int) -> Dataset2D:
+    """Balanced two-moons sample: n_per_class points on each arc plus noise."""
+    return _generate(moon_arc_points, (0.0, math.pi), 2, n_per_class, noise_std, seed)
 
 
 def gen_four_spins(n_per_class: int, noise_std: float, seed: int) -> Dataset2D:
     """Balanced four-spins sample: n_per_class points on each arm plus noise."""
-    if n_per_class < 1:
-        raise ValueError("n_per_class must be positive")
-    rng = np.random.default_rng(seed)
-    arms = [spin_arm_points(k, rng.uniform(SPIN_THETA_MIN, SPIN_THETA_MAX, n_per_class))
-            for k in range(4)]
-    base = np.vstack(arms)
-    labels = np.repeat(np.arange(4, dtype=np.int64), n_per_class)
-    return Dataset2D(perturb(base, noise_std, rng), labels, 4)
+    return _generate(spin_arm_points, (SPIN_THETA_MIN, SPIN_THETA_MAX), 4, n_per_class,
+                     noise_std, seed)
 
 
 # kind -> (generator, number of classes)

@@ -2,8 +2,8 @@
 
 The network is input(2) -> tanh hidden layers -> linear output, float64
 throughout.  All parameters live in one flat vector, laid out weight then bias,
-layer by layer; ``MlpParams`` alone builds the per-layer views into it.  Passes
-of the network share ``layer_step`` and losses ``softmax_parts``, bit for bit.
+layer by layer; only ``MlpParams``' constructor builds views into it.  Passes of
+the network share ``layer_step`` and losses ``softmax_parts``, bit for bit.
 Training owns its parameter vectors for the whole run and updates them in
 place (``skewlab.optim``).  ``forward``, ``backward``, ``param_add`` and
 ``param_scale`` never modify their inputs.  Each takes an optional ``out=``:
@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -31,9 +30,10 @@ def vector_size(layer_sizes: tuple[int, ...]) -> int:
 class MlpParams:
     """Layer sizes (inputs, hidden..., classes) and the flat parameter vector.
 
-    The constructor takes ownership of ``flat``; ``with_flat`` copies an
-    outside vector.  Gradients use the same container: backward returns an
-    MlpParams whose vector holds per-parameter partial derivatives.
+    The constructor takes ownership of ``flat`` and builds ``weights`` and
+    ``biases``, its per-layer views; ``with_flat`` copies an outside vector.
+    Gradients use the same container: backward returns an MlpParams whose
+    vector holds per-parameter partial derivatives.
     """
 
     layer_sizes: tuple[int, ...]
@@ -43,30 +43,18 @@ class MlpParams:
         expected = vector_size(self.layer_sizes)
         if self.flat.shape != (expected,):
             raise ValueError(f"expected {expected} values, got shape {self.flat.shape}")
-
-    def __reduce__(self):
-        # Pickle the vector alone; the views are rebuilt on first use.
-        return MlpParams, (self.layer_sizes, self.flat)
-
-    @cached_property
-    def _views(self) -> tuple[tuple[np.ndarray, ...], tuple[np.ndarray, ...]]:
         weights, biases, pos = [], [], 0
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
             weights.append(self.flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
             pos += fan_in * fan_out
             biases.append(self.flat[pos:pos + fan_out])
             pos += fan_out
-        return tuple(weights), tuple(biases)
+        object.__setattr__(self, "weights", tuple(weights))
+        object.__setattr__(self, "biases", tuple(biases))
 
-    @property
-    def weights(self) -> tuple[np.ndarray, ...]:
-        """Per-layer (fan_in, fan_out) weight matrices, views into ``flat``."""
-        return self._views[0]
-
-    @property
-    def biases(self) -> tuple[np.ndarray, ...]:
-        """Per-layer bias vectors, views into ``flat``."""
-        return self._views[1]
+    def __reduce__(self):
+        # Pickle the vector alone; the constructor rebuilds the views.
+        return MlpParams, (self.layer_sizes, self.flat)
 
     @property
     def n_params(self) -> int:

@@ -118,12 +118,12 @@ class TestCriterion3CoefficientIdentity:
             # momentum-free closed form, at its one-step-earlier reference
             grads = np.random.default_rng(7).normal(size=(200, 1))
             for t in range(2, 201):
-                table = sgd_coefficients(t, gamma)
+                s, g = sgd_coefficients(t, gamma)
                 student, _ = brute_force_unroll(t, gamma, 0.0, grads)
                 _, target = brute_force_unroll(t - 1, gamma, 0.0, grads)
                 worst = max(worst,
-                            abs(float(student[0] + table.student @ grads[:t, 0])),
-                            abs(float(target[0] + table.target @ grads[:t, 0])))
+                            abs(float(student[0] + s @ grads[:t, 0])),
+                            abs(float(target[0] + g @ grads[:t, 0])))
         verdict(3, worst < 1e-10,
                 f"max |closed form - unroll| = {worst:.3e} over t<=200, "
                 "gamma in {0.5,0.95,0.999}, delta in {0,0.5,0.9}")

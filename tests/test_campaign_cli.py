@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from skewlab import campaign
+from skewlab import campaign, numerics
 from skewlab.campaign import (
     WORKERS_ENV,
     build_runs,
@@ -25,6 +25,7 @@ from skewlab.campaign import (
 )
 from skewlab.cli import main
 from skewlab.config import validate_config
+from skewlab.numerics import blas_threads
 from skewlab.report import aggregate_runs, group_errors, read_table
 from skewlab.training import read_history_csv
 
@@ -449,6 +450,80 @@ class TestStreaming:
         assert "BrokenProcessPool" in (out / "failures" / f"{runs[0]}.txt").read_text()
         manifest = json.loads((out / "manifest.json").read_text())
         assert [r["status"] for r in manifest["runs"]] == ["failed", "ok", "ok", "ok"]
+
+
+class TestOneBlasThread:
+    """Each run computes at one OpenBLAS thread, whatever the caller's count."""
+
+    @pytest.fixture
+    def two_threads(self):
+        """The test process at two BLAS threads, restored afterwards."""
+        threads = blas_threads(2)
+        if threads is None:
+            pytest.skip("numpy's BLAS is not a bundled scipy-openblas")
+        yield
+        blas_threads(threads)
+
+    @staticmethod
+    def recording_threads(monkeypatch, record):
+        """Make each run write the BLAS thread count it computes at into ``record``."""
+        original, read = campaign.execute_run, numerics._blas("get_num_threads")
+
+        def recorded(config, spec):
+            (record / spec.run_id).write_text(str(read()))
+            return original(config, spec)
+
+        record.mkdir()
+        monkeypatch.setattr(campaign, "execute_run", recorded)
+
+    @pytest.mark.parametrize("workers", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="workers must inherit the patched execute_run")),
+    ])
+    def test_each_run_reads_one_thread_and_the_caller_keeps_its_count(
+            self, tmp_path, monkeypatch, two_threads, workers):
+        config = validate_config(tiny_config_text())
+        self.recording_threads(monkeypatch, tmp_path / "threads")
+        assert quiet_run(config, out_dir=tmp_path / "out", workers=workers) == {}
+        assert {p.read_text() for p in (tmp_path / "threads").iterdir()} == {"1"}
+        assert blas_threads() == 2
+
+    def test_a_missing_symbol_leaves_runs_untouched(self, tmp_path, monkeypatch, two_threads):
+        config = validate_config(tiny_config_text())
+        quiet_run(config, out_dir=tmp_path / "full", workers=1)
+        self.recording_threads(monkeypatch, tmp_path / "threads")
+        real = numerics._blas
+        monkeypatch.setattr(numerics, "_blas", lambda name, *types: real(f"no_such_{name}", *types))
+        assert quiet_run(config, out_dir=tmp_path / "out", workers=1) == {}
+        assert {p.read_text() for p in (tmp_path / "threads").iterdir()} == {"2"}
+        assert_same_tree(tmp_path / "full", tmp_path / "out")
+
+    def test_outputs_do_not_depend_on_the_environment_thread_count(self, tmp_path):
+        # each interpreter starts at its environment's count; every campaign,
+        # serial or on two workers, must write the same bytes
+        (tmp_path / "c.json").write_text(tiny_config_text(
+            report={"grids": True, "grid_resolution": [5, 4]}))
+        script = "\n".join([
+            "import sys",
+            "from skewlab.cli import main",
+            "for workers in ('1', '2'):",
+            "    out = f'{sys.argv[1]}-{workers}'",
+            "    assert main(['run', 'c.json', '--workers', workers, '--out', out]) == 0",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(campaign.__file__).parents[1])}
+        env.pop(WORKERS_ENV, None)
+        for threads in (None, "2", "1"):
+            env.pop("OPENBLAS_NUM_THREADS", None)
+            if threads is not None:
+                env["OPENBLAS_NUM_THREADS"] = threads
+            subprocess.run([sys.executable, "-c", script, f"threads{threads}"], cwd=tmp_path,
+                           env=env, capture_output=True, check=True, timeout=300)
+        outputs = sorted(tmp_path.glob("threads*-*"))
+        assert len(outputs) == 6
+        for out in outputs[1:]:
+            assert_same_tree(outputs[0], out)
 
 
 class TestCli:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 
@@ -162,6 +163,34 @@ class TestFourSpins:
         a = gen_four_spins(64, 0.05, 9)
         b = gen_four_spins(64, 0.05, 9)
         assert np.array_equal(a.points, b.points)
+
+
+class TestPinnedGenerators:
+    """Each generator's points and labels, bit for bit, with and without
+    noise: the order of the draws and of the loci is part of the contract.
+    The digests were taken with numpy 2.4 on x86-64; a build whose sin and
+    cos round differently moves them."""
+
+    PINS = {
+        ("twomoons", 0, 0.0): "0e4db2406387466f4b06de77f5e0b714a3c9e983f297545e3016873e95b3952c",
+        ("twomoons", 0, 0.1): "e48d6c47c1e78ed75e29bf4a8798b4c79bc031df4045e9d1f93e41f0e9ae04e2",
+        ("twomoons", 12345, 0.0):
+            "1a342d3842986ac9202956c782a32c61433b81501adb97791369642a700399e7",
+        ("twomoons", 12345, 0.1):
+            "5713aa426e68efba3189a1b44be508b667c8e2b2f450c67660485743572e62f6",
+        ("fourspins", 0, 0.0): "9bfc810f8f012247bfed6bd99fb12b9b9271c655080908fb0fca27d8b1fb2f6c",
+        ("fourspins", 0, 0.1): "fab46d1cc951443d04f77f59462c31bc8b069883b69914e33962c323bd801f1b",
+        ("fourspins", 12345, 0.0):
+            "3545a423285000c9da79a888dcb8e864173819d09d4ef5d3e1bb0375bf4f0c6d",
+        ("fourspins", 12345, 0.1):
+            "ff2378e4ed41a5d2262aab87561eac38bf255094310ce0d47e069a8e0a40e401",
+    }
+
+    @pytest.mark.parametrize("kind, seed, noise_std", sorted(PINS))
+    def test_points_and_labels_match_pin(self, kind, seed, noise_std):
+        data = KINDS[kind][0](100, noise_std, seed)
+        digest = hashlib.sha256(data.points.tobytes() + data.labels.tobytes()).hexdigest()
+        assert digest == self.PINS[kind, seed, noise_std]
 
 
 class TestImbalanceCounts:

@@ -248,7 +248,7 @@ class TestFlatView:
             params.with_flat(np.zeros(params.n_params - 1))
 
     def test_pickle_keeps_views_and_stores_one_vector(self, params, batch):
-        forward(params, batch)  # builds the per-layer views
+        forward(params, batch)  # reads the per-layer views
         blob = pickle.dumps(params)
         restored = pickle.loads(blob)
         assert params_equal(restored, params)
