@@ -11,7 +11,6 @@ resolve to the lowest class index.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -22,22 +21,8 @@ from .datasets import Dataset2D
 from .ioutil import FLOAT, fmt, read_csv, write_csv, write_text
 from .mlp import MlpParams, forward, layer_step, softmax, vector_size
 
+# The error groups; group errors and their seed aggregates are arrays in this order.
 GROUP_NAMES = ("all", "major", "minor")
-
-
-@dataclass(frozen=True)
-class GroupErrors:
-    all: float
-    major: float
-    minor: float
-
-
-@dataclass(frozen=True)
-class AggregateResult:
-    """Mean and sample standard deviation (absent for a single run)."""
-
-    mean: GroupErrors
-    std: GroupErrors | None
 
 
 # Row blocks that give every row the bits of one whole forward (measured on
@@ -119,8 +104,8 @@ def evaluate(params: MlpParams, dataset: Dataset2D) -> np.ndarray:
                 / dataset.class_counts())
 
 
-def group_errors(per_class_errors: np.ndarray, counts: np.ndarray) -> GroupErrors:
-    """Collapse per-class errors into all/major/minor summaries."""
+def group_errors(per_class_errors: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Collapse per-class errors into their GROUP_NAMES summaries."""
     errors = np.asarray(per_class_errors, dtype=np.float64)
     counts = np.asarray(counts, dtype=np.int64)
     if errors.shape != counts.shape or errors.ndim != 1:
@@ -129,21 +114,16 @@ def group_errors(per_class_errors: np.ndarray, counts: np.ndarray) -> GroupError
         raise ValueError("need at least two classes")
     if not np.all(np.isfinite(errors)):
         raise ValueError("per-class errors must be finite")
-    return GroupErrors(all=float(np.mean(errors)), major=float(errors[int(np.argmax(counts))]),
-                       minor=float(errors[int(np.argmin(counts))]))
+    return np.array([np.mean(errors), errors[np.argmax(counts)], errors[np.argmin(counts)]])
 
 
-def aggregate_runs(results: list[GroupErrors]) -> AggregateResult:
-    """Mean and (n-1)-normalized standard deviation over repeated runs."""
+def aggregate_runs(results: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray | None]:
+    """Mean and (n-1)-normalized standard deviation of group errors over
+    repeated runs; no standard deviation for a single run."""
     if not results:
         raise ValueError("no runs to aggregate")
-    stacked = np.array([[r.all, r.major, r.minor] for r in results], dtype=np.float64)
-    mean = stacked.mean(axis=0)
-    mean_ge = GroupErrors(*map(float, mean))
-    if len(results) == 1:
-        return AggregateResult(mean=mean_ge, std=None)
-    std = stacked.std(axis=0, ddof=1)
-    return AggregateResult(mean=mean_ge, std=GroupErrors(*map(float, std)))
+    stacked = np.array(results, dtype=np.float64)
+    return stacked.mean(axis=0), (stacked.std(axis=0, ddof=1) if len(results) > 1 else None)
 
 
 @dataclass(frozen=True, eq=False)
@@ -221,8 +201,6 @@ def _format_cell(mean: float, std: float | None) -> str:
 
 
 def _parse_cell(cell: str) -> tuple[float, float | None]:
-    if cell == "":
-        return math.nan, None
     if "±" in cell:
         mean_s, std_s = cell.split("±")
         return float(mean_s), float(std_s)
@@ -230,27 +208,26 @@ def _parse_cell(cell: str) -> tuple[float, float | None]:
 
 
 def write_report(path: str | Path,
-                 aggregates: Mapping[str, Mapping[str, AggregateResult]],
+                 aggregates: Mapping[str, Mapping[str, tuple[np.ndarray, np.ndarray | None]]],
                  algorithms: Sequence[str]) -> None:
     """Write one summary table to path.
 
-    aggregates maps dataset name -> algorithm name -> AggregateResult; the
-    table has one row per dataset x group and one column per algorithm of
-    algorithms that has a cell, in the order given, cells holding mean±std at
-    full precision or nothing.
+    aggregates maps dataset name -> algorithm name -> ``aggregate_runs``'
+    (mean, std); the table has one row per dataset x group and one column per
+    algorithm of algorithms that has a cell, in the order given, cells holding
+    mean±std at full precision or nothing.
     """
     columns = [a for a in algorithms if any(a in per_algo for per_algo in aggregates.values())]
     rows = []
     for dataset, per_algo in aggregates.items():
-        for group in GROUP_NAMES:
+        for i, group in enumerate(GROUP_NAMES):
             row = [dataset, group]
             for algo in columns:
-                agg = per_algo.get(algo)
-                if agg is None:
+                if algo not in per_algo:
                     row.append("")
                 else:
-                    std = None if agg.std is None else getattr(agg.std, group)
-                    row.append(_format_cell(getattr(agg.mean, group), std))
+                    mean, std = per_algo[algo]
+                    row.append(_format_cell(mean[i], None if std is None else std[i]))
             rows.append(row)
     write_csv(path, ["dataset", "group", *columns], rows)
 

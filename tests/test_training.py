@@ -25,6 +25,7 @@ from skewlab.datasets import (
 )
 from skewlab.losses import SclShape, pseudo_label_loss
 from skewlab.mlp import forward, init_params
+from skewlab.numerics import platform_record
 from skewlab.optim import Schedule
 from skewlab.report import row_blocks
 from skewlab.training import (
@@ -115,9 +116,12 @@ def trajectory_digests(result) -> tuple[str, str | None, str]:
 
 class TestPinnedTrajectories:
     """Each regime's final vectors and history, bit for bit.  The digests were
-    taken with numpy 2.4 and its bundled OpenBLAS on x86-64; a build that
-    rounds matrix products differently moves them, and so does any change to
-    the order of the floating-point operations in a training step."""
+    taken on PINNED_ON; a build, BLAS core or SIMD level that rounds matrix
+    products or transcendentals differently moves them, and so does any change
+    to the order of the floating-point operations in a training step."""
+
+    PINNED_ON = ("numpy 2.4.6, its OpenBLAS's SkylakeX kernels, "
+                 "and exp, log and tanh dispatched at X86_V4")
 
     RUNS = {
         "supervised": (dict(kind="supervised"), dict()),
@@ -177,7 +181,8 @@ class TestPinnedTrajectories:
         algo_fields, config_fields = self.RUNS[name]
         result = train(split, AlgorithmSpec(**algo_fields, w_max=4.0),
                        small_config(**config_fields), 21)
-        assert trajectory_digests(result) == self.PINS[name]
+        assert trajectory_digests(result) == self.PINS[name], (
+            f"pinned on {self.PINNED_ON}; this process runs on {platform_record()}")
 
 
 class TestRegimeEquivalences:
