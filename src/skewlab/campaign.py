@@ -50,7 +50,7 @@ from .report import (
     write_grid_csv,
     write_report,
 )
-from .training import RunResult, train, write_history_csv
+from .training import HISTORY_SCALARS, RunResult, train, write_history_csv
 
 WORKERS_ENV = "SKEWLAB_WORKERS"
 
@@ -196,13 +196,14 @@ def prepare_outputs(config: CampaignConfig, out: Path) -> None:
 
 def run_campaign(config: CampaignConfig, *, workers: int | None = None,
                  out_dir: str | Path | None = None,
-                 log=sys.stderr) -> dict[str, str]:
+                 log=None) -> dict[str, str]:
     """Execute every run, writing its files as it completes; then the tables,
     dataset dumps, gap curve and manifest.  Returns each failed run's
     traceback by run id, in grid order.
 
     Results are taken in grid order whatever the worker count, so the log
-    lines are deterministic.  Run failures are isolated: a run that raises, or
+    lines (to ``log``, else the ``sys.stderr`` of the call) are
+    deterministic.  Run failures are isolated: a run that raises, or
     whose pool worker dies, gets its traceback in ``failures/<run_id>.txt``
     and a ``"failure"`` entry in the manifest, and only healthy runs feed the
     tables.  A directory that holds an earlier campaign of the same config
@@ -210,6 +211,7 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
     outcome, a table with no cells and an empty ``failures/`` go.  All writes
     happen in this process; workers only compute.
     """
+    log = sys.stderr if log is None else log
     n_workers = resolve_workers(workers)
     out = Path(out_dir if out_dir is not None else config.output_dir)
     prepare_outputs(config, out)
@@ -229,13 +231,15 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
                 print(f"[skewlab] FAILED {run_id}\n{error}", file=log)
                 continue
             _write_run(record, out)
-            # all the tables need of a run: its final errors, grouped; runs
-            # arrive in grid order, so each cell lists its seeds in order
-            last = record.result.history[-1]
+            # all the tables need of a run: its final student and EMA errors
+            # (none without a target), grouped; runs arrive in grid order, so
+            # each cell lists its seeds in order
+            n_classes = record.labeled_counts.size
+            last = record.result.history[-1, len(HISTORY_SCALARS):]
             dataset = config.datasets[record.spec.dataset_index].name
             algo = config.algorithms[record.spec.algorithm_index].name
-            for cells, errors in zip(finals, (last.student_errors, last.ema_errors)):
-                if errors is not None:
+            for cells, errors in zip(finals, (last[:n_classes], last[n_classes:])):
+                if errors.size:
                     cells.setdefault(dataset, {}).setdefault(algo, []).append(
                         group_errors(errors, record.labeled_counts))
             print(f"[skewlab] done {run_id} "

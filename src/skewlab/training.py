@@ -103,24 +103,17 @@ class TrainConfig(Settings):
     sample_with_replacement: bool = setting(True)
 
 
-@dataclass(frozen=True, eq=False)
-class HistoryPoint:
-    """Validation snapshot after `iteration` completed steps."""
-
-    iteration: int
-    lr: float
-    w: float
-    sup_loss: float
-    con_loss: float
-    student_errors: np.ndarray
-    ema_errors: np.ndarray | None
+# the leading columns of a history row: the completed steps, then the
+# learning rate, consistency weight and both losses of the last step; the
+# student's per-class validation errors follow, then the EMA target's
+HISTORY_SCALARS = ("iteration", "lr", "w", "sup_loss", "con_loss")
 
 
 @dataclass(frozen=True, eq=False)
 class RunResult:
     params: MlpParams
     ema_params: MlpParams | None
-    history: tuple[HistoryPoint, ...]
+    history: np.ndarray  # one float64 row per evaluation, in history_header's columns
     wall_seconds: float
 
 
@@ -189,7 +182,7 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int
 
     chunk = max(1, DRAW_ROWS // (config.labeled_batch + config.unlabeled_batch))
 
-    history: list[HistoryPoint] = []
+    history: list[np.ndarray] = []
     for t in range(sched.total_iters):
         lr = lr_at(t, sched)
         w = rampup_weight(t, sched, algo.w_max)
@@ -236,20 +229,18 @@ def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int
             ema_update(ema.flat, params.flat, algo.ema_gamma)
 
         if (t + 1) % config.eval_every == 0 or t + 1 == sched.total_iters:
-            student_errors = evaluate(params, split.validation)
-            ema_errors = evaluate(ema, split.validation) if ema is not None else None
-            history.append(HistoryPoint(t + 1, lr, w, sup_loss, con_loss,
-                                        student_errors, ema_errors))
+            errors = [evaluate(model, split.validation) for model in (params, ema)
+                      if model is not None]
+            history.append(np.concatenate([(t + 1, lr, w, sup_loss, con_loss), *errors]))
 
     return RunResult(params=params,
                      ema_params=ema,
-                     history=tuple(history),
+                     history=np.array(history, dtype=np.float64),
                      wall_seconds=time.perf_counter() - started)
 
 
 def history_header(n_classes: int, with_ema: bool) -> list[str]:
-    header = ["iteration", "lr", "w", "sup_loss", "con_loss"]
-    header += [f"student_err_{c}" for c in range(n_classes)]
+    header = list(HISTORY_SCALARS) + [f"student_err_{c}" for c in range(n_classes)]
     if with_ema:
         header += [f"ema_err_{c}" for c in range(n_classes)]
     return header
@@ -258,24 +249,15 @@ def history_header(n_classes: int, with_ema: bool) -> list[str]:
 def write_history_csv(result: RunResult, path: str) -> None:
     """Serialize the history with full float precision; no timestamps, so the
     file is byte-identical across reruns of the same configuration."""
-    if not result.history:
+    if not len(result.history):
         raise ValueError("history is empty")
-    n_classes = result.history[0].student_errors.size
-    with_ema = result.history[0].ema_errors is not None
-    header = history_header(n_classes, with_ema)
+    header = history_header(result.params.layer_sizes[-1], result.ema_params is not None)
     row = ",".join(["%d"] + [FLOAT] * (len(header) - 1)) + "\n"
-    parts = [",".join(header) + "\n"]
-    for point in result.history:
-        cells = [point.iteration, point.lr, point.w, point.sup_loss, point.con_loss]
-        cells += point.student_errors.tolist()
-        if with_ema:
-            assert point.ema_errors is not None
-            cells += point.ema_errors.tolist()
-        parts.append(row % tuple(cells))
-    write_text(path, "".join(parts))
+    write_text(path, ",".join(header) + "\n"
+               + "".join(row % tuple(cells) for cells in result.history.tolist()))
 
 
 def read_history_csv(path: str) -> tuple[list[str], np.ndarray]:
-    """Parse a history file back into (header, float matrix)."""
+    """Parse a history file back into (header, float matrix): the run's history."""
     header, rows = read_csv(path)
     return header, np.array([[float(cell) for cell in row] for row in rows], dtype=np.float64)

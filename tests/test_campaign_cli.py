@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
+import io
 import json
 import multiprocessing
 import os
@@ -72,7 +74,6 @@ def tiny_config():
 
 def quiet_run(config, **kwargs):
     """run_campaign with its log discarded; returns the failures."""
-    import io
     return run_campaign(config, log=io.StringIO(), **kwargs)
 
 
@@ -234,6 +235,17 @@ class TestRunCampaign:
         assert set(read_table(out / "table.csv")) == {"moons"}
         dumped = sorted(p.name for p in (out / "datasets").glob("*.csv"))
         assert dumped == ["moons_seed0.csv", "moons_seed1.csv"]
+
+    def test_log_lines_follow_a_redirected_stderr(self, tmp_path):
+        # the default log is the sys.stderr of the call, not of the import
+        config = with_cramped_dataset(validate_config(tiny_config_text()))
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            failures = run_campaign(config, workers=1, out_dir=tmp_path / "out")
+        lines = [line.split(" (")[0] for line in err.getvalue().splitlines()
+                 if line.startswith("[skewlab] ")]
+        assert len(failures) == 4
+        assert lines == [f"[skewlab] {'FAILED' if spec.run_id in failures else 'done'} "
+                         f"{spec.run_id}" for spec in build_runs(config)]
 
     def test_table_columns_follow_the_config(self, tmp_path, monkeypatch):
         # the first run, a__supervised__seed0, fails; at the other dataset the

@@ -8,6 +8,7 @@ import importlib.util
 import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -433,6 +434,35 @@ class TestRoundTrip:
         again = validate_config(json.dumps(config.to_dict()))
         assert again.to_dict() == config.to_dict()
         assert config_digest(again) == config_digest(config)
+
+
+def small_sizes(raw: dict) -> dict:
+    """raw with at most 20 iterations, every decay point below them, at most 8
+    hidden units and at most 12 grid nodes along each axis."""
+    raw = copy.deepcopy(raw)
+    schedule = raw.setdefault("schedule", {})
+    total = schedule["total_iters"] = min(schedule.get("total_iters", 20), 20)
+    decay = {point % total: factor for point, factor in schedule.get("lr_decay", [[4000, 0.2]])}
+    schedule["lr_decay"] = [[point, decay[point]] for point in sorted(decay)]
+    training = raw.setdefault("training", {})
+    training["hidden_width"] = min(training.get("hidden_width", 8), 8)
+    report = raw.setdefault("report", {})
+    report["grid_resolution"] = [min(n, 12) for n in report.get("grid_resolution", [12, 12])]
+    return raw
+
+
+class TestSmallValidConfigsRun:
+    """Every accepted config runs; a run may only fail by diverging, which a
+    w_max up to 50 with a base_lr up to 10 can."""
+
+    @given(raw=valid_configs())
+    @settings(max_examples=50, deadline=None)
+    def test_only_divergence_fails_a_run(self, raw):
+        config = validate_config(json.dumps(small_sizes(raw)))
+        with tempfile.TemporaryDirectory() as out:
+            failures = run_campaign(config, workers=1, out_dir=out, log=io.StringIO())
+        for error in failures.values():
+            assert error.splitlines()[-1].startswith("skewlab.training.TrainingDiverged: "), error
 
 
 # BASE with every block, sampling without replacement so that the batch check runs

@@ -16,7 +16,6 @@ from skewlab.ioutil import FLOAT, fmt, read_csv, write_csv, write_text
 from skewlab.mlp import init_params, save_params
 from skewlab.report import BoundaryGrid, boundary_grid, read_table, write_grid_csv
 from skewlab.training import (
-    HistoryPoint,
     RunResult,
     history_header,
     read_history_csv,
@@ -169,20 +168,13 @@ class TestBulkWritersMatchFmt:
 
     @pytest.mark.parametrize("with_ema", [False, True], ids=["student", "ema"])
     def test_history(self, tmp_path, with_ema):
-        values = np.resize(AWKWARD, (3, 10))
-        points = tuple(HistoryPoint(iteration=500 * (i + 1), lr=float(v[0]), w=float(v[1]),
-                                    sup_loss=float(v[2]), con_loss=float(v[3]),
-                                    student_errors=v[4:7],
-                                    ema_errors=v[7:10] if with_ema else None)
-                       for i, v in enumerate(values))
+        header = history_header(3, with_ema)
+        history = np.resize(AWKWARD, (3, len(header)))
+        history[:, 0] = [500, 1000, 1500]
         params = init_params(2, 3, seed=1, hidden_layers=1)
         result = RunResult(params=params, ema_params=params if with_ema else None,
-                           history=points, wall_seconds=0.0)
+                           history=history, wall_seconds=0.0)
         path = tmp_path / "history.csv"
         write_history_csv(result, str(path))
-        rows = [[str(point.iteration)]
-                + [fmt(v) for v in (point.lr, point.w, point.sup_loss, point.con_loss)]
-                + [fmt(e) for e in point.student_errors]
-                + ([fmt(e) for e in point.ema_errors] if with_ema else [])
-                for point in points]
-        assert path.read_bytes() == reference_csv(tmp_path, history_header(3, with_ema), rows)
+        rows = [[str(int(row[0]))] + [fmt(v) for v in row[1:]] for row in history]
+        assert path.read_bytes() == reference_csv(tmp_path, header, rows)

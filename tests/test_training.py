@@ -30,8 +30,8 @@ from skewlab.optim import Schedule
 from skewlab.report import row_blocks
 from skewlab.training import (
     REGIMES,
+    HISTORY_SCALARS,
     AlgorithmSpec,
-    HistoryPoint,
     TrainConfig,
     TrainingDiverged,
     evaluate,
@@ -73,10 +73,8 @@ class TestDeterminism:
         b = train(split, algo, config, 7)
         assert params_equal(a.params, b.params)
         assert params_equal(a.ema_params, b.ema_params)
-        assert len(a.history) == len(b.history)
-        for pa, pb in zip(a.history, b.history):
-            assert pa.sup_loss == pb.sup_loss and pa.con_loss == pb.con_loss
-            assert np.array_equal(pa.student_errors, pb.student_errors)
+        assert a.history.dtype == np.float64
+        assert np.array_equal(a.history, b.history)
 
     def test_seed_changes_the_trajectory(self, split):
         algo = AlgorithmSpec(kind="supervised")
@@ -101,15 +99,16 @@ class TestDeterminism:
 
 def trajectory_digests(result) -> tuple[str, str | None, str]:
     """sha256 of the final student vector, of the EMA vector (None without a
-    target) and of every HistoryPoint field in order, as float64 bytes."""
+    target) and of the history's rows, as float64 bytes; a run without a
+    target ends each row with one NaN in place of the target's errors."""
     def digest(values) -> str:
         h = hashlib.sha256()
         for value in values:
             h.update(np.asarray(value, dtype=np.float64).tobytes())
         return h.hexdigest()
 
-    history = [np.nan if getattr(point, field.name) is None else getattr(point, field.name)
-               for point in result.history for field in dataclasses.fields(HistoryPoint)]
+    pad = [] if result.ema_params is not None else [np.nan]
+    history = [np.concatenate([row, pad]) for row in result.history]
     ema = None if result.ema_params is None else digest([result.ema_params.flat])
     return digest([result.params.flat]), ema, digest(history)
 
@@ -248,7 +247,7 @@ class TestEmaTracking:
     def test_supervised_has_no_target(self, split):
         result = train(split, AlgorithmSpec(kind="supervised"), small_config(), 9)
         assert result.ema_params is None
-        assert result.history[-1].ema_errors is None
+        assert result.history.shape[1] == len(history_header(2, with_ema=False))
 
 
 class TestSampleBatch:
@@ -467,7 +466,7 @@ class TestTrainingOutcomes:
                              labeled_batch=32, unlabeled_batch=1,
                              hidden_width=16, eval_every=400)
         result = train(split, AlgorithmSpec(kind="supervised"), config, 10)
-        assert result.history[-1].student_errors.mean() < 0.05
+        assert result.history[-1, len(HISTORY_SCALARS):].mean() < 0.05
 
     def test_divergence_raises_with_diagnostics(self, split):
         # CE taken from finite logits stays finite, so blow up the parameters
@@ -510,7 +509,7 @@ class TestTrainingOutcomes:
     def test_history_spacing_and_final_point(self, split):
         result = train(split, AlgorithmSpec(kind="mean-teacher", w_max=2.0),
                        small_config(total=50, rampup=10), 12)
-        iters = [p.iteration for p in result.history]
+        iters = result.history[:, HISTORY_SCALARS.index("iteration")].tolist()
         assert iters == [20, 40, 50]
         assert all(a < b for a, b in zip(iters, iters[1:]))
         assert result.wall_seconds > 0.0
@@ -518,14 +517,14 @@ class TestTrainingOutcomes:
 
 class TestHistoryCsv:
     def test_round_trip(self, split, tmp_path):
-        result = train(split, AlgorithmSpec(kind="mean-teacher", w_max=2.0), small_config(), 13)
-        path = tmp_path / "history.csv"
-        write_history_csv(result, str(path))
-        header, matrix = read_history_csv(str(path))
-        assert header == history_header(2, with_ema=True)
-        assert matrix.shape == (len(result.history), len(header))
-        assert matrix[-1, 0] == result.history[-1].iteration
-        assert matrix[-1, 3] == result.history[-1].sup_loss
+        for kind, with_ema in (("mean-teacher", True), ("pi-model", False)):
+            result = train(split, AlgorithmSpec(kind=kind, w_max=2.0), small_config(), 13)
+            path = tmp_path / f"{kind}.csv"
+            write_history_csv(result, str(path))
+            header, matrix = read_history_csv(str(path))
+            assert header == history_header(2, with_ema)
+            assert result.history.shape == (3, len(header))
+            assert np.array_equal(matrix, result.history)
 
     def test_reruns_serialize_identically(self, split, tmp_path):
         config = small_config()
@@ -540,7 +539,7 @@ class TestHistoryCsv:
     def test_empty_history_rejected(self, split, tmp_path):
         from skewlab.training import RunResult
         result = RunResult(params=init_params(4, 2, seed=0), ema_params=None,
-                           history=(), wall_seconds=0.0)
+                           history=np.empty((0, 7)), wall_seconds=0.0)
         with pytest.raises(ValueError):
             write_history_csv(result, str(tmp_path / "empty.csv"))
 
