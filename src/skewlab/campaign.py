@@ -17,8 +17,6 @@ stopped.  The directory is the campaign's only record.
 from __future__ import annotations
 
 import json
-import os
-import re
 import sys
 import traceback
 from collections import deque
@@ -51,8 +49,6 @@ from .report import (
     write_report,
 )
 from .training import HISTORY_SCALARS, RunResult, train, write_history_csv
-
-WORKERS_ENV = "SKEWLAB_WORKERS"
 
 
 @dataclass(frozen=True)
@@ -171,13 +167,11 @@ def _outcomes(config: CampaignConfig, runs: list[RunSpec], n_workers: int):
                 future.cancel()
 
 
-def resolve_workers(workers: int | None) -> int:
-    """workers if given, else SKEWLAB_WORKERS, else 1; must be a positive integer."""
-    source, value = (("workers", workers) if workers is not None
-                     else (WORKERS_ENV, os.environ.get(WORKERS_ENV, "1")))
-    if not re.fullmatch(r"\s*[0-9]+\s*", str(value)) or int(value) < 1:
-        raise ValueError(f"{source} must be a positive integer, got {value!r}")
-    return int(value)
+def resolve_workers(workers: int) -> int:
+    """workers, checked to be a positive integer."""
+    if workers < 1:
+        raise ValueError(f"workers must be a positive integer, got {workers}")
+    return workers
 
 
 def prepare_outputs(config: CampaignConfig, out: Path) -> None:
@@ -194,8 +188,7 @@ def prepare_outputs(config: CampaignConfig, out: Path) -> None:
         raise NotADirectoryError(f"{failures} is not a directory")
 
 
-def run_campaign(config: CampaignConfig, *, workers: int | None = None,
-                 out_dir: str | Path | None = None,
+def run_campaign(config: CampaignConfig, *, out_dir: str | Path, workers: int = 1,
                  log=None) -> dict[str, str]:
     """Execute every run, writing its files as it completes; then the tables,
     dataset dumps, gap curve and manifest.  Returns each failed run's
@@ -213,7 +206,7 @@ def run_campaign(config: CampaignConfig, *, workers: int | None = None,
     """
     log = sys.stderr if log is None else log
     n_workers = resolve_workers(workers)
-    out = Path(out_dir if out_dir is not None else config.output_dir)
+    out = Path(out_dir)
     prepare_outputs(config, out)
     runs = build_runs(config)
 

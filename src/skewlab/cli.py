@@ -8,7 +8,7 @@ Verbs:
 Exit codes: 0 success, 1 one or more runs failed, 2 invalid config or bad
 arguments (a worker count that is not a positive integer, or an output
 directory or subdirectory that cannot be created, among them).
-SKEWLAB_WORKERS overrides the default worker count when --workers is absent.
+--workers defaults to 1; --out defaults to the config's output_dir.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     run_p = sub.add_parser("run", help="execute every run in a campaign config")
     run_p.add_argument("config", type=Path, help="path to a campaign JSON file")
-    run_p.add_argument("--workers", type=int, default=None,
-                       help="process pool size (default: SKEWLAB_WORKERS or 1)")
+    run_p.add_argument("--workers", type=int, default=1,
+                       help="process pool size (default: 1)")
     run_p.add_argument("--out", type=Path, default=None,
                        help="override the config's output directory")
 
@@ -109,7 +109,7 @@ def main(argv: list[str] | None = None) -> int:
         prepare_outputs(config, out_dir)
     except OSError as exc:
         return _cannot_write(out_dir, exc)
-    failures = run_campaign(config, workers=workers, out_dir=out_dir)
+    failures = run_campaign(config, out_dir=out_dir, workers=workers)
     n_runs = len(build_runs(config))
     print(f"{config.name}: {n_runs - len(failures)}/{n_runs} runs succeeded; "
           f"outputs in {out_dir}")

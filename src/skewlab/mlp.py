@@ -6,9 +6,9 @@ layer by layer; only ``MlpParams``' constructor builds views into it.  Passes of
 the network share ``layer_step`` and losses ``softmax_parts``, bit for bit.
 Training owns its parameter vectors for the whole run and updates them in
 place (``skewlab.optim``).  ``forward``, ``backward``, ``param_add`` and
-``param_scale`` never modify their inputs.  Each takes an optional ``out=``:
-given, it writes its result there (a run-lifetime workspace) and returns it;
-omitted, it allocates fresh arrays.  Both give the same bits.
+``param_scale`` never modify their inputs; they write their result into
+``out`` (a run-lifetime workspace) and return it.  ``forward`` and
+``backward`` may omit ``out`` to allocate fresh arrays, with the same bits.
 """
 
 from __future__ import annotations
@@ -65,20 +65,14 @@ class MlpParams:
         return MlpParams(self.layer_sizes, np.array(values, dtype=np.float64))
 
 
-def _like(params: MlpParams) -> MlpParams:
-    return MlpParams(params.layer_sizes, np.empty_like(params.flat))
-
-
-def param_add(a: MlpParams, b: MlpParams, out: MlpParams | None = None) -> MlpParams:
-    """a + b, written into ``out`` if given."""
-    out = _like(a) if out is None else out
+def param_add(a: MlpParams, b: MlpParams, out: MlpParams) -> MlpParams:
+    """a + b, written into ``out``."""
     np.add(a.flat, b.flat, out=out.flat)
     return out
 
 
-def param_scale(params: MlpParams, factor: float, out: MlpParams | None = None) -> MlpParams:
-    """params * factor, written into ``out`` if given."""
-    out = _like(params) if out is None else out
+def param_scale(params: MlpParams, factor: float, out: MlpParams) -> MlpParams:
+    """params * factor, written into ``out``."""
     np.multiply(params.flat, factor, out=out.flat)
     return out
 
@@ -175,7 +169,7 @@ def backward(trace: ForwardTrace, d_logits: np.ndarray,
         raise ValueError("d_logits must match the logits shape")
     params = trace.params
     if out is None:
-        out = _like(params)
+        out = MlpParams(params.layer_sizes, np.empty_like(params.flat))
     elif out.layer_sizes != params.layer_sizes:
         raise ValueError("out must have the parameters' layer sizes")
     layer_inputs = (trace.inputs,) + trace.activations
@@ -201,10 +195,13 @@ def load_params(path: str) -> MlpParams:
         header = fh.readline().strip()
         if not header.startswith("layers="):
             raise ValueError(f"{path}: missing layer header")
-        sizes = tuple(int(s) for s in header[len("layers="):].split(","))
-        if len(sizes) < 3:
-            raise ValueError(f"{path}: {header}: the network has no hidden layer")
-        values = np.array([float(line) for line in fh if line.strip()], dtype=np.float64)
+        try:
+            sizes = tuple(int(s) for s in header[len("layers="):].split(","))
+            values = np.array([float(line) for line in fh if line.strip()], dtype=np.float64)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+    if len(sizes) < 3:
+        raise ValueError(f"{path}: {header}: the network has no hidden layer")
     try:
         return MlpParams(sizes, values)
     except ValueError as exc:

@@ -141,13 +141,13 @@ class BoundaryGrid:
     argmax: np.ndarray
 
 
-def default_bbox(points: np.ndarray, margin: float = 0.2) -> tuple[float, float, float, float]:
-    """Data bounding box expanded by `margin` of its extent on every side."""
+def default_bbox(points: np.ndarray) -> tuple[float, float, float, float]:
+    """Data bounding box expanded by 0.2 of its extent on every side."""
     points = np.asarray(points, dtype=np.float64)
     x_min, y_min = points.min(axis=0)
     x_max, y_max = points.max(axis=0)
-    dx = (x_max - x_min) * margin
-    dy = (y_max - y_min) * margin
+    dx = (x_max - x_min) * 0.2
+    dy = (y_max - y_min) * 0.2
     return float(x_min - dx), float(x_max + dx), float(y_min - dy), float(y_max + dy)
 
 
@@ -157,7 +157,7 @@ def _axis_nodes(start: float, stop: float, n: int) -> np.ndarray:
 
 
 def boundary_grid(params: MlpParams, bbox: tuple[float, float, float, float],
-                  resolution: tuple[int, int] = (200, 200)) -> BoundaryGrid:
+                  resolution: tuple[int, int]) -> BoundaryGrid:
     """Evaluate max softmax probability and argmax class over a grid."""
     x_min, x_max, y_min, y_max = bbox
     nx, ny = resolution

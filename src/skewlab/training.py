@@ -118,9 +118,9 @@ class RunResult:
 
 
 def sample_batch(split: CisslSplit, config: TrainConfig, rng: np.random.Generator,
-                 steps: int | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Draw the labeled batch (with labels) and unlabeled batch (points only) of
-    one step, or with `steps` those of that many steps, stacked on a leading axis.
+                 steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Draw the labeled batches (with labels) and unlabeled batches (points
+    only) of `steps` steps, stacked on a leading axis.
 
     Uniform over each partition, independently; with replacement unless the
     config turns it off.  Each step's labeled draw precedes its unlabeled one,
@@ -129,19 +129,17 @@ def sample_batch(split: CisslSplit, config: TrainConfig, rng: np.random.Generato
     """
     labeled, unlabeled = split.labeled, split.unlabeled_points()
     n_lab, n_unl = config.labeled_batch, config.unlabeled_batch
-    n_steps = 1 if steps is None else steps
     if config.sample_with_replacement:
         # one call, step by step in row order; the same stream as
         # rng.choice(n, size) per partition, without its argument handling
         high = np.repeat((len(labeled), unlabeled.shape[0]), (n_lab, n_unl))
-        rows = rng.integers(0, np.broadcast_to(high, (n_steps, n_lab + n_unl)))
+        rows = rng.integers(0, np.broadcast_to(high, (steps, n_lab + n_unl)))
     else:
         rows = np.array([np.concatenate((rng.choice(len(labeled), n_lab, replace=False),
                                          rng.choice(unlabeled.shape[0], n_unl, replace=False)))
-                         for _ in range(n_steps)])
+                         for _ in range(steps)])
     rows_lab, rows_unl = rows[:, :n_lab], rows[:, n_lab:]
-    batches = labeled.points[rows_lab], labeled.labels[rows_lab], unlabeled[rows_unl]
-    return batches if steps is not None else tuple(batch[0] for batch in batches)
+    return labeled.points[rows_lab], labeled.labels[rows_lab], unlabeled[rows_unl]
 
 
 def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int) -> RunResult:

@@ -19,7 +19,6 @@ import pytest
 
 from skewlab import campaign, numerics
 from skewlab.campaign import (
-    WORKERS_ENV,
     build_runs,
     execute_run,
     prepare_split,
@@ -191,10 +190,6 @@ class TestRunCampaign:
         with pytest.raises(ValueError, match="workers must be a positive integer"):
             quiet_run(tiny_config, out_dir=tmp_path / "out", workers=0)
         assert not (tmp_path / "out").exists()
-
-    def test_workers_env_fallback(self, tiny_config, tmp_path, monkeypatch):
-        monkeypatch.setenv(WORKERS_ENV, "2")
-        assert quiet_run(tiny_config, out_dir=tmp_path / "out") == {}
 
     def test_pool_has_at_most_one_worker_per_run(self, tiny_config, tmp_path, monkeypatch):
         # a pool starts all of its workers at the first submit, so a larger
@@ -524,7 +519,6 @@ class TestOneBlasThread:
             "    assert main(['run', 'c.json', '--workers', workers, '--out', out]) == 0",
         ])
         env = {**os.environ, "PYTHONPATH": str(Path(campaign.__file__).parents[1])}
-        env.pop(WORKERS_ENV, None)
         for threads in (None, "2", "1"):
             env.pop("OPENBLAS_NUM_THREADS", None)
             if threads is not None:
@@ -606,7 +600,6 @@ class TestCli:
         path.write_text(tiny_config_text())
         cramped = with_cramped_dataset(validate_config(tiny_config_text()), replace_all=True)
         monkeypatch.setattr("skewlab.cli.load_config", lambda _: cramped)
-        monkeypatch.delenv(WORKERS_ENV, raising=False)
         assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 1
         captured = capsys.readouterr()
         assert "0/4 runs succeeded" in captured.out
@@ -620,15 +613,6 @@ class TestCli:
         assert main(["run", str(path), "--workers", count, "--out", str(out_dir)]) == 2
         assert capsys.readouterr().err == f"workers must be a positive integer, got {count}\n"
         assert not out_dir.exists()
-
-    @pytest.mark.parametrize("count", ["abc", "0", "1.5", ""])
-    def test_bad_worker_env_exits_2(self, tmp_path, capsys, monkeypatch, count):
-        monkeypatch.setenv(WORKERS_ENV, count)
-        path = tmp_path / "c.json"
-        path.write_text(tiny_config_text())
-        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == (
-            f"{WORKERS_ENV} must be a positive integer, got {count!r}\n")
 
     def test_preset_writes_valid_config(self, tmp_path, capsys):
         assert main(["preset", "ema-gap", "--out", str(tmp_path)]) == 0
@@ -653,7 +637,6 @@ class TestPoolImportsOnlyWithPool:
         script += ("\nimport json, sys\n"
                    f"print(json.dumps(sorted(set({self.POOL_MODULES!r}) & set(sys.modules))))")
         env = {**os.environ, "PYTHONPATH": str(Path(campaign.__file__).parents[1])}
-        env.pop(WORKERS_ENV, None)
         done = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
                               capture_output=True, text=True, check=True)
         return json.loads(done.stdout.splitlines()[-1])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -173,22 +174,16 @@ class TestBackward:
 
 class TestParamArithmetic:
     @pytest.mark.parametrize("hidden_layers", [1, 3])
-    def test_out_matches_the_allocating_calls_bit_for_bit(self, hidden_layers):
+    def test_out_holds_the_result_bit_for_bit(self, hidden_layers):
         layout = init_params(16, 3, seed=0, hidden_layers=hidden_layers)
         rng = np.random.default_rng(20 + hidden_layers)
         a = layout.with_flat(rng.normal(size=layout.n_params))
         b = layout.with_flat(rng.normal(size=layout.n_params))
-        total = param_add(a, b)
-        scaled = param_scale(a, 0.37)
-        assert np.array_equal(total.flat, a.flat + b.flat)
-        assert np.array_equal(scaled.flat, a.flat * 0.37)
-        assert not np.shares_memory(total.flat, a.flat)
-
         out = layout.with_flat(np.full(layout.n_params, np.nan))
         assert param_add(a, b, out=out) is out
-        assert np.array_equal(out.flat, total.flat)
+        assert np.array_equal(out.flat, a.flat + b.flat)
         assert param_scale(a, 0.37, out=out) is out
-        assert np.array_equal(out.flat, scaled.flat)
+        assert np.array_equal(out.flat, a.flat * 0.37)
         # the accumulation a training step runs: out may be an operand
         acc = a.with_flat(a.flat)
         assert param_add(acc, param_scale(b, 0.37, out=out), out=acc) is acc
@@ -217,7 +212,8 @@ class TestGradCheck:
 
     def test_detects_a_wrong_gradient(self, params):
         def bad_loss_fn(p):
-            return 0.5 * float(np.sum(p.flat ** 2)), param_scale(p, 2.0)
+            doubled = param_scale(p, 2.0, out=p.with_flat(p.flat))
+            return 0.5 * float(np.sum(p.flat ** 2)), doubled
 
         assert grad_check(params, bad_loss_fn) > 0.1
 
@@ -284,6 +280,16 @@ class TestSnapshot:
         path = tmp_path / "params.txt"
         save_params(MlpParams((2, 3), np.ones(9)), path)
         with pytest.raises(ValueError, match="params.txt: layers=2,3: .*no hidden layer"):
+            load_params(path)
+
+    @pytest.mark.parametrize("text, reason", [
+        ("layers=2,x,3\n1.0\n", "invalid literal for int() with base 10: 'x'"),
+        ("layers=2,2,3\nabc\n", "could not convert string to float: 'abc"),
+    ], ids=["layer-size", "value-line"])
+    def test_a_malformed_number_names_the_file(self, tmp_path, text, reason):
+        path = tmp_path / "params.txt"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"^{re.escape(f'{path}: {reason}')}"):
             load_params(path)
 
     def test_snapshot_is_stable_text(self, tmp_path, params):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skewlab.mlp import MlpParams, forward, init_params, param_scale, softmax
+from skewlab.mlp import MlpParams, forward, init_params, softmax
 from skewlab.numerics import blas_threads
 from skewlab.report import (
     BLOCK_ALIGN,
@@ -198,7 +198,7 @@ class TestBoundaryGrid:
         params = init_params(64, 2, seed=26)
         tracemalloc.start()
         try:
-            boundary_grid(params, (-2.0, 2.0, -2.0, 2.0))
+            boundary_grid(params, (-2.0, 2.0, -2.0, 2.0), resolution=(200, 200))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -211,7 +211,7 @@ class TestBoundaryGrid:
         params = init_params(64, 2, seed=26, hidden_layers=3)
         tracemalloc.start()
         try:
-            boundary_grid(params, (-2.0, 2.0, -2.0, 2.0))
+            boundary_grid(params, (-2.0, 2.0, -2.0, 2.0), resolution=(200, 200))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -230,23 +230,24 @@ class TestBoundaryGrid:
     def test_overflowing_nodes_are_rejected_by_forwards_input_check(self, params):
         # the nodes of this bbox overflow to inf and nan
         with np.errstate(all="ignore"), pytest.raises(ValueError, match="input must be finite"):
-            boundary_grid(params, (-1e308, 1e308, -1.0, 1.0))
+            boundary_grid(params, (-1e308, 1e308, -1.0, 1.0), resolution=(200, 200))
 
     def test_degenerate_inputs_rejected(self, params):
         with pytest.raises(ValueError):
-            boundary_grid(params, (0.0, 0.0, -1.0, 1.0))
+            boundary_grid(params, (0.0, 0.0, -1.0, 1.0), resolution=(200, 200))
         with pytest.raises(ValueError):
             boundary_grid(params, (-1.0, 1.0, -1.0, 1.0), resolution=(1, 5))
 
     def test_default_bbox_adds_margin(self):
+        # 0.2 of the extent on every side
         points = np.array([[0.0, -1.0], [2.0, 3.0]])
-        assert default_bbox(points, margin=0.25) == (-0.5, 2.5, -2.0, 4.0)
+        assert default_bbox(points) == (-0.4, 2.4, -1.8, 3.8)
 
     def test_trained_style_boundary_is_a_single_frontier(self):
         # a near-linear decision function must split the grid into exactly
         # two connected argmax regions
         params = init_params(8, 2, seed=21)
-        tilted = param_scale(params, 0.05)
+        tilted = params.with_flat(params.flat * 0.05)
         grid = boundary_grid(tilted, (-2.0, 2.0, -2.0, 2.0), resolution=(40, 40))
         labels = grid.argmax
         seen = np.zeros_like(labels, dtype=bool)
@@ -335,7 +336,8 @@ class TestReportFiles:
         # rows are written as they are formatted: measured peak 0.06 MB for a
         # 200 x 200 grid, whose whole file (1.8 MB) used to be built as one
         # string first (peak 7.4 MB)
-        grid = boundary_grid(init_params(64, 4, seed=27), (-2.0, 2.0, -2.0, 2.0))
+        grid = boundary_grid(init_params(64, 4, seed=27), (-2.0, 2.0, -2.0, 2.0),
+                             resolution=(200, 200))
         tracemalloc.start()
         try:
             write_grid_csv(grid, tmp_path / "grid.csv")

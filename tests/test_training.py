@@ -259,7 +259,7 @@ class TestSampleBatch:
         total = 0
         draws = 10_000
         for _ in range(draws):
-            _, y, _ = sample_batch(split, config, rng)
+            _, (y,), _ = sample_batch(split, config, rng, steps=1)
             total += int((y == 1).sum())
         frequency = total / (draws * 12)
         assert abs(frequency - 2.0 / 12.0) < 0.01
@@ -270,7 +270,7 @@ class TestSampleBatch:
                              unlabeled_batch=n_unl, hidden_width=8,
                              sample_with_replacement=False)
         rng = np.random.default_rng(1)
-        x_lab, y, x_unl = sample_batch(split, config, rng)
+        (x_lab,), (y,), (x_unl,) = sample_batch(split, config, rng, steps=1)
         assert x_lab.shape == (12, 2) and y.shape == (12,)
         # drawing the full unlabeled partition without replacement permutes it
         assert x_unl.shape == (n_unl, 2)
@@ -288,7 +288,7 @@ class TestSampleBatch:
         reference = np.random.default_rng(2)
         unlabeled = split.unlabeled_points()
         for _ in range(20):
-            x_lab, y, x_unl = sample_batch(split, config, rng)
+            (x_lab,), (y,), (x_unl,) = sample_batch(split, config, rng, steps=1)
             rows_lab = reference.choice(len(split.labeled), size=5, replace=replace)
             rows_unl = reference.choice(unlabeled.shape[0], size=7, replace=replace)
             assert np.array_equal(x_lab, split.labeled.points[rows_lab])
@@ -311,9 +311,9 @@ class TestSampleBatch:
         rng = np.random.default_rng(3)
         reference = np.random.default_rng(3)
         stacked = sample_batch(split, config, rng, steps)
-        one_by_one = [sample_batch(split, config, reference) for _ in range(steps)]
+        one_by_one = [sample_batch(split, config, reference, steps=1) for _ in range(steps)]
         for got, want in zip(stacked, zip(*one_by_one), strict=True):
-            assert np.array_equal(got, np.stack(want))
+            assert np.array_equal(got, np.concatenate(want))
         assert rng.random() == reference.random()
 
     def test_oversized_batch_without_replacement_is_rejected(self, split):
