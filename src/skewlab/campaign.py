@@ -7,11 +7,11 @@ produces byte-identical files.
 
 Outputs stream: the parent process writes each run's files (history,
 parameter snapshots, boundary grids, or the traceback of a failed run) as
-soon as that run's result reaches it, in grid order, and then keeps only the
-run's final grouped errors.  Tables, dataset dumps, the gap curve and the
-manifest come last, so a directory without ``manifest.json`` is an
-incomplete campaign that holds the files of every run finished before it
-stopped.  The directory is the campaign's only record.
+soon as that run's result reaches it, in grid order, and keeps none of it.
+Dataset dumps and tables, rebuilt from ``runs/*.csv`` and one split per
+(dataset, seed), then the gap curve and the manifest come last, so a directory
+without ``manifest.json`` is an incomplete campaign that holds the files of
+every run finished before it stopped.  The directory is the campaign's only record.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from .report import (
     write_grid_csv,
     write_report,
 )
-from .training import HISTORY_SCALARS, RunResult, train, write_history_csv
+from .training import HISTORY_SCALARS, RunResult, read_history_csv, train, write_history_csv
 
 
 @dataclass(frozen=True)
@@ -63,8 +63,6 @@ class RunSpec:
 
 @dataclass(frozen=True, eq=False)
 class RunRecord:
-    spec: RunSpec
-    labeled_counts: np.ndarray
     result: RunResult
     student_grid: BoundaryGrid | None
     ema_grid: BoundaryGrid | None
@@ -106,62 +104,61 @@ def execute_run(config: CampaignConfig, spec: RunSpec) -> RunRecord:
         student_grid = boundary_grid(result.params, bbox, config.report.grid_resolution)
         if result.ema_params is not None:
             ema_grid = boundary_grid(result.ema_params, bbox, config.report.grid_resolution)
-    return RunRecord(spec=spec, labeled_counts=split.labeled.class_counts(), result=result,
-                     student_grid=student_grid, ema_grid=ema_grid)
+    return RunRecord(result=result, student_grid=student_grid, ema_grid=ema_grid)
 
 
-def _execute_payload(payload: tuple[CampaignConfig, RunSpec]):
-    config, spec = payload
-    threads = blas_threads(1)  # one per run, serial or pooled: more threads only contend
+def _execute_payload(payload: tuple[CampaignConfig, RunSpec | tuple[int, int]]):
+    """(a run's record or a (dataset index, seed) pair's split, None), or (None, traceback)."""
+    config, task = payload
+    threads = blas_threads(1)  # one per task, serial or pooled: more threads only contend
     try:
-        return spec.run_id, execute_run(config, spec), None
+        if isinstance(task, RunSpec):
+            return execute_run(config, task), None
+        return prepare_split(config, *task)[1], None
     except Exception:
-        return spec.run_id, None, traceback.format_exc()
+        return None, traceback.format_exc()
     finally:
         blas_threads(threads)
 
 
-def _outcomes(config: CampaignConfig, runs: list[RunSpec], n_workers: int):
-    """Yield (run_id, record or None, traceback or None) per run, in grid order.
+def _outcomes(config: CampaignConfig, tasks: list, n_workers: int):
+    """Yield each task's ``_execute_payload`` outcome, in order.
 
-    Serially each run executes when the next outcome is asked for.  On a pool
-    every run is submitted up front and results are taken in submission
-    order.  A dead worker breaks the pool; each run it left without a result
+    Serially each task executes when the next outcome is asked for.  On a pool
+    every task is submitted up front and results are taken in submission
+    order.  A dead worker breaks the pool; each task it left without a result
     (in flight, queued or never submitted) then runs alone on a fresh
-    one-worker pool, so only a run whose own worker dies fails.
-    Closing the generator cancels the runs that have not started.  A pool
-    gets at most one worker per run, since it starts them all at once; its
+    one-worker pool, so only a task whose own worker dies fails.
+    Closing the generator cancels the tasks that have not started.  The pool's
     stack (multiprocessing, sockets, logging) is imported on that path only.
     """
-    n_workers = min(n_workers, len(runs))
     if n_workers <= 1:
-        for spec in runs:
-            yield _execute_payload((config, spec))
+        yield from (_execute_payload((config, task)) for task in tasks)
         return
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    def alone(spec: RunSpec):
-        """The run on its own one-worker pool; a failure if that worker dies too."""
+    def alone(task):
+        """The task on its own one-worker pool; a failure if that worker dies too."""
         with ProcessPoolExecutor(max_workers=1) as solo:
             try:
-                return solo.submit(_execute_payload, (config, spec)).result()
+                return solo.submit(_execute_payload, (config, task)).result()
             except BrokenProcessPool:
-                return spec.run_id, None, traceback.format_exc()
+                return None, traceback.format_exc()
 
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         pending = deque()
         with suppress(BrokenProcessPool):  # once a worker dies, every later submit raises
-            for spec in runs:
-                pending.append(pool.submit(_execute_payload, (config, spec)))
+            for task in tasks:
+                pending.append(pool.submit(_execute_payload, (config, task)))
         try:
-            for spec in runs:
+            for task in tasks:
                 # popped, so a consumed result is not kept alive by its future
                 future = pending.popleft() if pending else None
                 try:
-                    yield alone(spec) if future is None else future.result()
+                    yield alone(task) if future is None else future.result()
                 except BrokenProcessPool:
-                    yield alone(spec)
+                    yield alone(task)
         finally:
             for future in pending:
                 future.cancel()
@@ -190,8 +187,8 @@ def prepare_outputs(config: CampaignConfig, out: Path) -> None:
 
 def run_campaign(config: CampaignConfig, *, out_dir: str | Path, workers: int = 1,
                  log=None) -> dict[str, str]:
-    """Execute every run, writing its files as it completes; then the tables,
-    dataset dumps, gap curve and manifest.  Returns each failed run's
+    """Execute every run, writing its files as it completes; then the dataset
+    dumps, tables, gap curve and manifest.  Returns each failed run's
     traceback by run id, in grid order.
 
     Results are taken in grid order whatever the worker count, so the log
@@ -199,22 +196,27 @@ def run_campaign(config: CampaignConfig, *, out_dir: str | Path, workers: int = 
     deterministic.  Run failures are isolated: a run that raises, or
     whose pool worker dies, gets its traceback in ``failures/<run_id>.txt``
     and a ``"failure"`` entry in the manifest, and only healthy runs feed the
-    tables.  A directory that holds an earlier campaign of the same config
-    ends as a fresh one would: each run removes the files of the other
-    outcome, a table with no cells and an empty ``failures/`` go.  All writes
-    happen in this process; workers only compute.
+    tables.  No state of a run but its failure is kept: after the runs, one
+    split per (dataset, seed), made on the pool if there is one, is dumped and
+    groups the final errors read back from that pair's ``runs/*.csv``.  A
+    directory that holds an earlier campaign of the same config ends as a fresh
+    one would: each run removes the files of the other outcome, a table with
+    no cells and an empty ``failures/`` go.  All writes happen in this process.
     """
     log = sys.stderr if log is None else log
     n_workers = resolve_workers(workers)
     out = Path(out_dir)
     prepare_outputs(config, out)
     runs = build_runs(config)
+    # a pool makes the pairs' splits too, so this process never imports numpy.random
+    pairs = [(di, seed) for di in range(len(config.datasets)) for seed in config.seeds]
 
-    # student and EMA target: dataset -> algorithm -> final grouped errors per seed
-    finals: tuple[dict, dict] = ({}, {})
     failures: dict[str, str] = {}
-    with closing(_outcomes(config, runs, n_workers)) as outcomes:
-        for run_id, record, error in outcomes:
+    # student and EMA target: (dataset, algorithm) -> final grouped errors per seed
+    finals: tuple[dict, dict] = ({}, {})
+    # a pool starts all of its workers at once, so it gets at most one per run
+    with closing(_outcomes(config, runs + pairs, min(n_workers, len(runs)))) as outcomes:
+        for run_id, (record, error) in zip([spec.run_id for spec in runs], outcomes):
             if error is not None:
                 failures[run_id] = error
                 for path in _run_paths(out, run_id):
@@ -223,39 +225,35 @@ def run_campaign(config: CampaignConfig, *, out_dir: str | Path, workers: int = 
                 write_text(out / _failure_name(run_id), error)
                 print(f"[skewlab] FAILED {run_id}\n{error}", file=log)
                 continue
-            _write_run(record, out)
-            # all the tables need of a run: its final student and EMA errors
-            # (none without a target), grouped; runs arrive in grid order, so
-            # each cell lists its seeds in order
-            n_classes = record.labeled_counts.size
-            last = record.result.history[-1, len(HISTORY_SCALARS):]
-            dataset = config.datasets[record.spec.dataset_index].name
-            algo = config.algorithms[record.spec.algorithm_index].name
-            for cells, errors in zip(finals, (last[:n_classes], last[n_classes:])):
-                if errors.size:
-                    cells.setdefault(dataset, {}).setdefault(algo, []).append(
-                        group_errors(errors, record.labeled_counts))
-            print(f"[skewlab] done {run_id} "
-                  f"({record.result.wall_seconds:.1f}s)", file=log)
+            _write_run(run_id, record, out)
+            print(f"[skewlab] done {run_id} ({record.result.wall_seconds:.1f}s)", file=log)
             del record  # free its parameters and grids before the next run
+        for (di, seed), (split, error) in zip(pairs, outcomes):
+            done = [spec for spec in runs if (spec.dataset_index, spec.seed) == (di, seed)
+                    and spec.run_id not in failures]
+            dataset = config.datasets[di].name
+            if error is not None:
+                if done:  # no table may silently lack a run: the campaign stays incomplete
+                    raise RuntimeError(f"{dataset} seed {seed}: no split\n{error}")
+                continue  # every run of the pair failed on it: already recorded
+            if config.report.dump_datasets:
+                write_split_csv(split, out / "datasets" / f"{dataset}_seed{seed}.csv")
+            counts = split.labeled.class_counts()
+            for spec in done:
+                _, history = read_history_csv(_run_paths(out, spec.run_id)[0])
+                last = history[-1, len(HISTORY_SCALARS):]
+                algo = config.algorithms[spec.algorithm_index].name
+                for cells, errors in zip(finals, (last[:counts.size], last[counts.size:])):
+                    if errors.size:  # no EMA errors without a target
+                        cells.setdefault((dataset, algo), []).append(group_errors(errors, counts))
     if (out / "failures").is_dir() and not any((out / "failures").iterdir()):
         (out / "failures").rmdir()
 
-    if config.report.dump_datasets:
-        for di, dataset in enumerate(config.datasets):
-            for seed in config.seeds:
-                try:
-                    _, split = prepare_split(config, di, seed)
-                except Exception:
-                    # already recorded as per-run failures; nothing to dump
-                    continue
-                write_split_csv(split, out / "datasets" / f"{dataset.name}_seed{seed}.csv")
-
     for cells, table_name in zip(finals, ("table.csv", "table_ema.csv")):
         if cells:
-            aggregates = {dataset: {algo: aggregate_runs(per_seed)
-                                    for algo, per_seed in per_algo.items()}
-                          for dataset, per_algo in cells.items()}
+            aggregates: dict[str, dict] = {}
+            for (dataset, algo), per_seed in cells.items():
+                aggregates.setdefault(dataset, {})[algo] = aggregate_runs(per_seed)
             write_report(out / table_name, aggregates, [a.name for a in config.algorithms])
         else:
             (out / table_name).unlink(missing_ok=True)
@@ -285,17 +283,17 @@ def _run_paths(out: Path, run_id: str) -> tuple[Path, ...]:
             out / f"grid_{run_id}_ema.csv")
 
 
-def _write_run(record: RunRecord, out: Path) -> None:
+def _write_run(run_id: str, record: RunRecord, out: Path) -> None:
     """Write one finished run's history, parameter snapshots and grids."""
     result = record.result
-    history, *paths = _run_paths(out, record.spec.run_id)
+    history, *paths = _run_paths(out, run_id)
     write_history_csv(result, history)
     outputs = [(result.params, save_params), (result.ema_params, save_params),
                (record.student_grid, write_grid_csv), (record.ema_grid, write_grid_csv)]
     for (value, write), path in zip(outputs, paths):
         if value is not None:
             write(value, path)
-    (out / _failure_name(record.spec.run_id)).unlink(missing_ok=True)
+    (out / _failure_name(run_id)).unlink(missing_ok=True)
 
 
 def _manifest_entry(config: CampaignConfig, spec: RunSpec, failed: bool) -> dict:

@@ -40,9 +40,11 @@ class MlpParams:
     flat: np.ndarray
 
     def __post_init__(self) -> None:
+        if any(size < 1 for size in self.layer_sizes):
+            raise ValueError(f"layer sizes must be at least 1, got {self.layer_sizes}")
         expected = vector_size(self.layer_sizes)
         if self.flat.shape != (expected,):
-            raise ValueError(f"expected {expected} values, got shape {self.flat.shape}")
+            raise ValueError(f"value count: expected {expected}, got shape {self.flat.shape}")
         weights, biases, pos = [], [], 0
         for fan_in, fan_out in zip(self.layer_sizes[:-1], self.layer_sizes[1:]):
             weights.append(self.flat[pos:pos + fan_in * fan_out].reshape(fan_in, fan_out))
@@ -205,4 +207,4 @@ def load_params(path: str) -> MlpParams:
     try:
         return MlpParams(sizes, values)
     except ValueError as exc:
-        raise ValueError(f"{path}: value count does not match the layer header ({exc})") from None
+        raise ValueError(f"{path}: {header}: {exc}") from None

@@ -163,6 +163,55 @@ class TestRunCampaign:
         assert_same_tree(tmp_path / "used", tmp_path / "fresh")
         assert failures == fresh_failures
 
+    def test_runs_of_a_dropped_seed_stay_out_of_the_tables(self, tmp_path):
+        # the tables are read back from runs/, which still holds the seed-1
+        # histories of the directory's earlier campaign
+        quiet_run(validate_config(tiny_config_text()), out_dir=tmp_path / "used")
+        config = validate_config(tiny_config_text(seeds=[0]))
+        quiet_run(config, out_dir=tmp_path / "used")
+        quiet_run(config, out_dir=tmp_path / "fresh")
+        assert (tmp_path / "used" / "runs" / "moons__mean-teacher__seed1.csv").exists()
+        for name in ("table.csv", "table_ema.csv"):
+            assert (tmp_path / "used" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_split_is_made_once_after_the_runs(self, tmp_path, monkeypatch, workers):
+        # one split per (dataset, seed) serves both the dump and the tables;
+        # on a pool the workers make it, and this process makes none
+        config = validate_config(tiny_config_text(report={"dump_datasets": True}))
+        calls = []
+
+        def recorded(config, dataset_index, seed):
+            calls.append((dataset_index, seed))
+            return prepare_split(config, dataset_index, seed)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(campaign, "prepare_split", recorded)
+            quiet_run(config, out_dir=tmp_path / "out", workers=workers)
+        # serially one per run (moons: supervised then mean-teacher, seeds 0
+        # and 1), then one per pair
+        assert calls == ([(0, 0), (0, 1)] * 3 if workers == 1 else [])
+        quiet_run(config, out_dir=tmp_path / "fresh", workers=1)
+        assert_same_tree(tmp_path / "out", tmp_path / "fresh")
+
+    def test_a_split_that_fails_after_its_runs_leaves_the_campaign_incomplete(
+            self, tiny_config, tmp_path, monkeypatch):
+        # the four runs make their splits; the first pair's split after them fails
+        calls = []
+
+        def fails_fifth(*args):
+            calls.append(args)
+            if len(calls) == 5:
+                raise MemoryError("no room")
+            return prepare_split(*args)
+
+        monkeypatch.setattr(campaign, "prepare_split", fails_fifth)
+        out = tmp_path / "out"
+        with pytest.raises(RuntimeError, match="(?s)^moons seed 0: no split\n.*MemoryError: no room"):
+            quiet_run(tiny_config, out_dir=out, workers=1)
+        assert len(written(out / "runs")) == 4
+        assert not (out / "table.csv").exists() and not (out / "manifest.json").exists()
+
     def test_single_run_reproduces_campaign_history(self, tiny_config, tmp_path):
         quiet_run(tiny_config, out_dir=tmp_path / "out")
         spec, = [s for s in build_runs(tiny_config) if s.run_id == "moons__mean-teacher__seed1"]

@@ -282,6 +282,17 @@ class TestSnapshot:
         with pytest.raises(ValueError, match="params.txt: layers=2,3: .*no hidden layer"):
             load_params(path)
 
+    @pytest.mark.parametrize("sizes", [(2, 0, 3), (2, -1, 3)], ids=["zero", "negative"])
+    def test_rejects_layer_sizes_below_one(self, tmp_path, sizes):
+        # three values are what a (2, 0, 3) layout asks for, so only the size
+        # check can refuse that snapshot
+        path = tmp_path / "params.txt"
+        header = "layers=" + ",".join(map(str, sizes))
+        path.write_text(header + "\n1.0\n1.0\n1.0\n", encoding="utf-8")
+        reason = f"{path}: {header}: layer sizes must be at least 1, got {sizes}"
+        with pytest.raises(ValueError, match=f"^{re.escape(reason)}$"):
+            load_params(path)
+
     @pytest.mark.parametrize("text, reason", [
         ("layers=2,x,3\n1.0\n", "invalid literal for int() with base 10: 'x'"),
         ("layers=2,2,3\nabc\n", "could not convert string to float: 'abc"),
