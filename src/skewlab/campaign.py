@@ -3,10 +3,11 @@
 A campaign is the cross product datasets x algorithms x seeds.  Runs are
 independent and may execute across a process pool; every output file except
 the transient log lines is a pure function of the config, so a rerun
-produces byte-identical files.
+produces byte-identical files: a failed run's file holds only its exception's
+lines, which name no source file.
 
 Outputs stream: the parent process writes each run's files (history,
-parameter snapshots, boundary grids, or the traceback of a failed run) as
+parameter snapshots, boundary grids, or the exception of a failed run) as
 soon as that run's result reaches it, in grid order, and keeps none of it.
 Dataset dumps and tables, rebuilt from ``runs/*.csv`` and one split per
 (dataset, seed), then the gap curve and the manifest come last, so a directory
@@ -107,16 +108,21 @@ def execute_run(config: CampaignConfig, spec: RunSpec) -> RunRecord:
     return RunRecord(result=result, student_grid=student_grid, ema_grid=ema_grid)
 
 
+def _failure(exc: BaseException) -> tuple[str, str]:
+    """exc's own lines (``traceback.format_exception_only``), then its full traceback."""
+    return "".join(traceback.format_exception_only(exc)), "".join(traceback.format_exception(exc))
+
+
 def _execute_payload(payload: tuple[CampaignConfig, RunSpec | tuple[int, int]]):
-    """(a run's record or a (dataset index, seed) pair's split, None), or (None, traceback)."""
+    """(a run's record or a (dataset index, seed) pair's split, None), or (None, _failure)."""
     config, task = payload
     threads = blas_threads(1)  # one per task, serial or pooled: more threads only contend
     try:
         if isinstance(task, RunSpec):
             return execute_run(config, task), None
         return prepare_split(config, *task)[1], None
-    except Exception:
-        return None, traceback.format_exc()
+    except Exception as exc:
+        return None, _failure(exc)
     finally:
         blas_threads(threads)
 
@@ -143,8 +149,8 @@ def _outcomes(config: CampaignConfig, tasks: list, n_workers: int):
         with ProcessPoolExecutor(max_workers=1) as solo:
             try:
                 return solo.submit(_execute_payload, (config, task)).result()
-            except BrokenProcessPool:
-                return None, traceback.format_exc()
+            except BrokenProcessPool as exc:
+                return None, _failure(exc)
 
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         pending = deque()
@@ -189,19 +195,20 @@ def run_campaign(config: CampaignConfig, *, out_dir: str | Path, workers: int = 
                  log=None) -> dict[str, str]:
     """Execute every run, writing its files as it completes; then the dataset
     dumps, tables, gap curve and manifest.  Returns each failed run's
-    traceback by run id, in grid order.
+    exception lines by run id, in grid order.
 
     Results are taken in grid order whatever the worker count, so the log
     lines (to ``log``, else the ``sys.stderr`` of the call) are
-    deterministic.  Run failures are isolated: a run that raises, or
-    whose pool worker dies, gets its traceback in ``failures/<run_id>.txt``
-    and a ``"failure"`` entry in the manifest, and only healthy runs feed the
-    tables.  No state of a run but its failure is kept: after the runs, one
-    split per (dataset, seed), made on the pool if there is one, is dumped and
-    groups the final errors read back from that pair's ``runs/*.csv``.  A
-    directory that holds an earlier campaign of the same config ends as a fresh
-    one would: each run removes the files of the other outcome, a table with
-    no cells and an empty ``failures/`` go.  All writes happen in this process.
+    deterministic.  Run failures are isolated: a run that raises, or whose
+    pool worker dies, gets its exception lines in ``failures/<run_id>.txt``
+    (its ``FAILED`` log line adds the traceback) and a ``"failure"`` entry in
+    the manifest, and only healthy runs feed the tables.  No state of a run
+    but its failure is kept: after the runs, one split per (dataset, seed),
+    made on the pool if there is one, is dumped and groups the final errors
+    read back from that pair's ``runs/*.csv``.  A directory that holds an
+    earlier campaign of the same config ends as a fresh one would: each run
+    removes the files of the other outcome, a table with no cells and an
+    empty ``failures/`` go.  All writes happen in this process.
     """
     log = sys.stderr if log is None else log
     n_workers = resolve_workers(workers)
@@ -218,12 +225,12 @@ def run_campaign(config: CampaignConfig, *, out_dir: str | Path, workers: int = 
     with closing(_outcomes(config, runs + pairs, min(n_workers, len(runs)))) as outcomes:
         for run_id, (record, error) in zip([spec.run_id for spec in runs], outcomes):
             if error is not None:
-                failures[run_id] = error
+                failures[run_id], trace = error
                 for path in _run_paths(out, run_id):
                     path.unlink(missing_ok=True)
                 (out / "failures").mkdir(exist_ok=True)
-                write_text(out / _failure_name(run_id), error)
-                print(f"[skewlab] FAILED {run_id}\n{error}", file=log)
+                write_text(out / _failure_name(run_id), failures[run_id])
+                print(f"[skewlab] FAILED {run_id}\n{trace}", file=log)
                 continue
             _write_run(run_id, record, out)
             print(f"[skewlab] done {run_id} ({record.result.wall_seconds:.1f}s)", file=log)
@@ -234,7 +241,7 @@ def run_campaign(config: CampaignConfig, *, out_dir: str | Path, workers: int = 
             dataset = config.datasets[di].name
             if error is not None:
                 if done:  # no table may silently lack a run: the campaign stays incomplete
-                    raise RuntimeError(f"{dataset} seed {seed}: no split\n{error}")
+                    raise RuntimeError(f"{dataset} seed {seed}: no split\n{error[1]}")
                 continue  # every run of the pair failed on it: already recorded
             if config.report.dump_datasets:
                 write_split_csv(split, out / "datasets" / f"{dataset}_seed{seed}.csv")

@@ -21,7 +21,7 @@ from .datasets import KINDS, UNLABELED_TYPES, imbalance_counts, unlabeled_rho
 from .mlp import vector_size
 from .optim import Schedule, decay_points_increase
 from .schema import Settings, dump, read, setting
-from .training import REGIMES, AlgorithmSpec, TrainConfig
+from .training import AlgorithmSpec, TrainConfig
 
 # a name goes into run ids, file names and CSV cells, whose "__" joins and
 # commas it must not hold; nor may it hold a path separator or start with "."
@@ -42,25 +42,22 @@ class ConfigError(ValueError):
         super().__init__("invalid config:\n  " + "\n  ".join(self.errors))
 
 
-@dataclass(frozen=True)
+def _split_size(spec: DatasetSpec) -> int:
+    """The points per class a dataset's split takes: labeled, unlabeled and validation."""
+    return spec.labeled_max + spec.unlabeled_max + spec.val_per_class
+
+
+@dataclass(frozen=True, kw_only=True)
 class DatasetSpec(Settings):
-    name: str = setting()  # defaults to kind
+    name: str = setting(derive=lambda spec: spec.kind)
     kind: str = setting(choices=tuple(KINDS), required=True)
     labeled_max: int = setting(bound=">=1", required=True)
     unlabeled_max: int = setting(bound=">=1", required=True)
     val_per_class: int = setting(bound=">=1", required=True)
-    n_pool_per_class: int = setting(bound=">=1")  # defaults to what the split needs
+    n_pool_per_class: int = setting(bound=">=1", derive=_split_size)
     data_noise: float = setting(0.1, bound=">=0.0")
     rho_l: float = setting(1.0, bound=">=1.0")
     unlabeled_type: str = setting("same", choices=UNLABELED_TYPES)
-
-
-@dataclass(frozen=True, kw_only=True)
-class AlgorithmConfig(AlgorithmSpec):
-    """A regime spec with its run name (default: kind); a config that omits
-    w_max gets its kind's default from REGIMES."""
-
-    name: str = setting()
 
 
 @dataclass(frozen=True)
@@ -78,16 +75,16 @@ class ReportSpec(Settings):
     dump_datasets: bool = setting(False)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class CampaignConfig(Settings):
     name: str = setting(required=True)
-    output_dir: str = setting()  # defaults to "<name>-out"
+    output_dir: str = setting(derive=lambda c: f"{c.name}-out" if c.name else "campaign-out")
     seeds: tuple[int, ...] = setting(required=True, form="a nonempty list of integers",
                                      item=setting(bound=">=0", form="nonnegative"))
     schedule: Schedule = setting()
     training: TrainConfig = setting()  # its schedule is the one above
     datasets: tuple[DatasetSpec, ...] = setting((), form="a list")
-    algorithms: tuple[AlgorithmConfig, ...] = setting((), form="a list")
+    algorithms: tuple[AlgorithmSpec, ...] = setting((), form="a list")
     report: ReportSpec = setting(ReportSpec())
     gap_curve: GapCurveSpec | None = setting(None)
 
@@ -101,23 +98,20 @@ def config_digest(config: CampaignConfig) -> str:
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-def _entries(top: dict, raw: dict, key: str, cls, errors: list[str]) -> tuple:
-    """The entries read under key, each named (default: its kind) and completed."""
+def _entries(top: dict, key: str, cls, errors: list[str]) -> tuple:
+    """The entries read under key, built, each with a name that suits run ids
+    and, for a dataset, a pool that covers its split."""
     built = []
     for i, values in enumerate(top[key]):
         if values is None:  # it failed to read
             continue
-        if not _NAME.fullmatch(values.setdefault("name", values["kind"])):
+        built.append(entry := cls(**values))
+        if not _NAME.fullmatch(entry.name):
             errors.append(f"{key}[{i}].name: must be letters and digits joined by single "
-                          f"'.', '_' or '-', got {values['name']!r}")
-        if cls is DatasetSpec:
-            need = values["labeled_max"] + values["unlabeled_max"] + values["val_per_class"]
-            if values.setdefault("n_pool_per_class", need) < need:
-                errors.append(f"{key}[{i}].n_pool_per_class: must be at least {need} "
-                              "(labeled_max + unlabeled_max + val_per_class)")
-        elif "w_max" not in raw[key][i]:
-            values["w_max"] = REGIMES[values["kind"]][0]
-        built.append(cls(**values))
+                          f"'.', '_' or '-', got {entry.name!r}")
+        if cls is DatasetSpec and entry.n_pool_per_class < (need := _split_size(entry)):
+            errors.append(f"{key}[{i}].n_pool_per_class: must be at least {need} "
+                          "(labeled_max + unlabeled_max + val_per_class)")
     if len({entry.name for entry in built}) != len(built):
         errors.append(f"{key}: names must be unique")
     return tuple(built)
@@ -154,10 +148,9 @@ def validate_config(text: str) -> CampaignConfig:
     top = read(CampaignConfig, raw, "", errors)
     if len(set(seeds := top.get("seeds", ()))) != len(seeds):
         errors.append("seeds: must not repeat")
-    top["datasets"] = _entries(top, raw, "datasets", DatasetSpec, errors)
-    top["algorithms"] = _entries(top, raw, "algorithms", AlgorithmConfig, errors)
+    top["datasets"] = _entries(top, "datasets", DatasetSpec, errors)
+    top["algorithms"] = _entries(top, "algorithms", AlgorithmSpec, errors)
     schedule = top["schedule"]
-    schedule.setdefault("rampup_iters", round(0.4 * schedule["total_iters"]))
     if not decay_points_increase(schedule["lr_decay"]):
         errors.append("schedule.lr_decay: iterations must be strictly increasing")
     _check_batches(top["training"], top["datasets"], errors)
@@ -169,7 +162,6 @@ def validate_config(text: str) -> CampaignConfig:
                       "datasets and algorithms must both be given to run training")
     if errors:
         raise ConfigError(errors)
-    top.setdefault("output_dir", f"{top['name']}-out" if top["name"] else "campaign-out")
     top["schedule"] = Schedule(**schedule)
     top["training"] = TrainConfig(schedule=top["schedule"], **top["training"])
     config = CampaignConfig(**top)

@@ -20,7 +20,7 @@ class Schedule(Settings):
     """Iteration budget, consistency ramp-up, and the stepwise lr decay."""
 
     total_iters: int = setting(5000, bound=">=1")
-    rampup_iters: int = setting(bound=">=0")  # configs default it to 0.4 * total_iters
+    rampup_iters: int = setting(bound=">=0", derive=lambda s: round(0.4 * s.total_iters))
     base_lr: float = setting(0.1, bound=">0.0")
     lr_decay: tuple[tuple[int, float], ...] = setting(
         ((4000, 0.2),), form="a list of [iteration, factor] pairs",

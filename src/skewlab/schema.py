@@ -16,18 +16,20 @@ from functools import cache
 _TYPES = {str: (str, "must be a string"), bool: (bool, "must be a boolean"),
           int: (int, "must be an integer"), float: ((int, float), "must be a real number")}
 _BAD = object()  # a value whose problem is already reported
+_DERIVED = object()  # the default of a setting with derive, until construction derives it
 
 
 def setting(default=MISSING, *, bound: str | tuple | None = None, choices: tuple = (),
-            required: bool = False, form: str | None = None, item=None):
+            required: bool = False, form: str | None = None, item=None, derive=None):
     """bound is ">=m", ">m" or an interval such as "(0,1]"; a fixed-length list
     has one per place.  form, what the value must be, replaces a bound's message
     and is the message for a list that is not one, is empty but required, or
     has a bad place.  item is the setting each item of a variable-length list
-    is read with.  A setting that JSON may omit but that has no default gets
-    one the config reader derives from other settings."""
-    return field(default=default, metadata={"bound": bound, "choices": choices,
-                                            "required": required, "form": form, "item": item})
+    is read with.  derive, given the instance, makes the default on
+    construction, after the settings declared before it are checked."""
+    return field(default=_DERIVED if derive else default,
+                 metadata={"bound": bound, "choices": choices, "required": required,
+                           "form": form, "item": item, "derive": derive})
 
 
 _ITEM = setting()
@@ -89,10 +91,12 @@ def _check(f, name: str, value) -> None:
 
 
 class Settings:
-    """Base of the settings dataclasses: construction checks every declared setting."""
+    """Base of the settings dataclasses: construction derives, then checks, each setting."""
 
     def __post_init__(self) -> None:
         for f, _ in _declared(type(self)):
+            if getattr(self, f.name) is _DERIVED:
+                object.__setattr__(self, f.name, f.metadata["derive"](self))
             _check(f, f.name, getattr(self, f.name))
 
 

@@ -78,15 +78,17 @@ class TrainingDiverged(RuntimeError):
 
 @dataclass(frozen=True)
 class AlgorithmSpec(Settings):
-    """Which regime to run plus its regime-specific knobs."""
+    """Which regime to run, its knobs and its run name (default: the kind); w_max,
+    the consistency weight after the ramp-up, defaults to REGIMES[kind][0]."""
 
     kind: str = setting(choices=tuple(REGIMES), required=True)
     reweight: ReweightSpec = setting(ReweightSpec())
-    w_max: float = setting(0.0, bound=">=0.0")  # consistency weight after the ramp-up
+    w_max: float = setting(bound=">=0.0", derive=lambda spec: REGIMES[spec.kind][0])
     ema_gamma: float = setting(0.95, bound="(0,1]")
     pl_threshold: float = setting(0.95, bound="(0,1]")
     scl: SclShape = setting(SclShape())
     scl_pred_source: str = setting("student", choices=("student", "target"))
+    name: str = setting(derive=lambda spec: spec.kind)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from skewlab.campaign import (
 )
 from skewlab.cli import main
 from skewlab.config import validate_config
+from skewlab.datasets import SplitCapacityError
 from skewlab.numerics import blas_threads
 from skewlab.report import GROUP_NAMES, aggregate_runs, group_errors, read_table
 from skewlab.training import read_history_csv
@@ -290,6 +291,21 @@ class TestRunCampaign:
         assert len(failures) == 4
         assert lines == [f"[skewlab] {'FAILED' if spec.run_id in failures else 'done'} "
                          f"{spec.run_id}" for spec in build_runs(config)]
+
+    def test_failure_file_is_the_exception_line_alone(self, tmp_path):
+        # a traceback names the installed source paths, which differ between
+        # checkouts; the file holds the exception line only, the log the rest
+        config = with_cramped_dataset(validate_config(tiny_config_text()), replace_all=True)
+        with pytest.raises(SplitCapacityError) as excinfo:
+            prepare_split(config, 0, 0)
+        log = io.StringIO()
+        failures = run_campaign(config, workers=1, out_dir=tmp_path / "out", log=log)
+        run_id = "cramped__supervised__seed0"
+        saved = (tmp_path / "out" / "failures" / f"{run_id}.txt").read_text()
+        assert saved == f"skewlab.datasets.SplitCapacityError: {excinfo.value}\n"
+        assert failures[run_id] == saved and ".py" not in saved
+        assert (f"[skewlab] FAILED {run_id}\nTraceback (most recent call last):\n"
+                in log.getvalue())
 
     def test_table_columns_follow_the_config(self, tmp_path, monkeypatch):
         # the first run, a__supervised__seed0, fails; at the other dataset the

@@ -23,6 +23,7 @@ from skewlab.config import (
     preset_config,
     validate_config,
 )
+from skewlab.training import REGIMES, AlgorithmSpec
 
 PRESET_DIGESTS = {
     "toy-table1": "997bf6e07fa0a2d0998f2c82af1316547cc07ff8bc76bd3b150a17c3d366d944",
@@ -135,6 +136,13 @@ CORPUS = [
       "'pseudo-label', 'supervised'], got 'fixmatch'", NO_ALGORITHMS}),
     ("algorithms.0.w_max", True, {"algorithms[0].w_max: must be a real number"}),
     ("algorithms.0.w_max", -1, {"algorithms[0].w_max: must be at least 0.0"}),
+    # null is no way to ask for a derived default
+    ("algorithms.0.w_max", None, {"algorithms[0].w_max: must be a real number"}),
+    ("algorithms.0.name", None, {"algorithms[0].name: must be a string"}),
+    ("datasets.0.name", None, {"datasets[0].name: must be a string"}),
+    ("datasets.0.n_pool_per_class", None, {"datasets[0].n_pool_per_class: must be an integer"}),
+    ("schedule.rampup_iters", None, {"schedule.rampup_iters: must be an integer"}),
+    ("output_dir", None, {"output_dir: must be a string"}),
     ("algorithms.0.ema_gamma", 0.0, {"algorithms[0].ema_gamma: must lie in (0,1]"}),
     ("algorithms.0.pl_threshold", 1.5, {"algorithms[0].pl_threshold: must lie in (0,1]"}),
     ("algorithms.0.scl_pred_source", "teacher",
@@ -245,6 +253,14 @@ class TestBadConfigCorpus:
         assert set(excinfo.value.errors) == {
             "name: required key is missing", "seeds: required key is missing",
             "datasets: at least one dataset is required unless gap_curve is set"}
+
+
+@pytest.mark.parametrize("kind", sorted(REGIMES))
+def test_an_algorithm_entry_defaults_as_its_spec_does(kind):
+    # the name and w_max a library caller gets are the ones a config gets
+    entry = validate_config(json.dumps({**BASE, "algorithms": [{"kind": kind}]})).algorithms[0]
+    spec = AlgorithmSpec(kind=kind)
+    assert (spec.name, spec.w_max) == (entry.name, entry.w_max) == (kind, REGIMES[kind][0])
 
 
 def errors_of(config: dict) -> set[str]:

@@ -100,6 +100,10 @@ GUARDS = {
         lambda: dataclasses.replace(validate_config(json.dumps(preset_dict("ema-gap"))),
                                     seeds=()),
         "seeds must be a nonempty list of integers"),
+    "algorithm-spec-unknown-kind": (
+        lambda: AlgorithmSpec(kind="bogus"),
+        "kind must be one of ['mean-teacher', 'mt-scl', 'pi-model', 'pseudo-label', "
+        "'supervised'], got 'bogus'"),
     "train-unlabeled-batch-above-the-set": (
         lambda: train_without_replacement(10_000),
         "unlabeled_batch exceeds the unlabeled set without replacement"),
