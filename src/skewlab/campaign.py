@@ -20,8 +20,7 @@ from __future__ import annotations
 import json
 import sys
 import traceback
-from collections import deque
-from contextlib import closing, suppress
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,12 +130,13 @@ def _outcomes(config: CampaignConfig, tasks: list, n_workers: int):
     """Yield each task's ``_execute_payload`` outcome, in order.
 
     Serially each task executes when the next outcome is asked for.  On a pool
-    every task is submitted up front and results are taken in submission
-    order.  A dead worker breaks the pool; each task it left without a result
-    (in flight, queued or never submitted) then runs alone on a fresh
-    one-worker pool, so only a task whose own worker dies fails.
-    Closing the generator cancels the tasks that have not started.  The pool's
-    stack (multiprocessing, sockets, logging) is imported on that path only.
+    ``pool.map`` submits every task up front and yields results in submission
+    order; closing the generator cancels the tasks not yet started.  A dead
+    worker breaks the pool: every task from the first one without a yielded
+    result on then runs alone on a fresh one-worker pool, so only a task whose
+    own worker dies fails (one whose result came after the break is computed
+    again, to the same bytes).  The pool's stack (multiprocessing, sockets,
+    logging) is imported on that path only.
     """
     if n_workers <= 1:
         yield from (_execute_payload((config, task)) for task in tasks)
@@ -153,21 +153,13 @@ def _outcomes(config: CampaignConfig, tasks: list, n_workers: int):
                 return None, _failure(exc)
 
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
-        pending = deque()
-        with suppress(BrokenProcessPool):  # once a worker dies, every later submit raises
-            for task in tasks:
-                pending.append(pool.submit(_execute_payload, (config, task)))
+        done = 0
         try:
-            for task in tasks:
-                # popped, so a consumed result is not kept alive by its future
-                future = pending.popleft() if pending else None
-                try:
-                    yield alone(task) if future is None else future.result()
-                except BrokenProcessPool:
-                    yield alone(task)
-        finally:
-            for future in pending:
-                future.cancel()
+            for outcome in pool.map(_execute_payload, [(config, task) for task in tasks]):
+                yield outcome
+                done += 1
+        except BrokenProcessPool:
+            yield from map(alone, tasks[done:])
 
 
 def resolve_workers(workers: int) -> int:

@@ -144,11 +144,13 @@ def sample_batch(split: CisslSplit, config: TrainConfig, rng: np.random.Generato
     return labeled.points[rows_lab], labeled.labels[rows_lab], unlabeled[rows_unl]
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def train(split: CisslSplit, algo: AlgorithmSpec, config: TrainConfig, seed: int) -> RunResult:
     """Run one training session and return final parameters plus history.
 
     Deterministic in (split, algo, config, seed): all randomness flows from
-    seed through fixed-order stream derivation.
+    seed through fixed-order stream derivation.  numpy's overflow and invalid
+    warnings are off, so a non-finite run fails with TrainingDiverged alone.
     """
     started = time.perf_counter()
     sched = config.schedule

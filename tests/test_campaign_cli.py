@@ -11,6 +11,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -307,6 +308,25 @@ class TestRunCampaign:
         assert (f"[skewlab] FAILED {run_id}\nTraceback (most recent call last):\n"
                 in log.getvalue())
 
+    def test_a_diverging_run_fails_alike_under_any_warning_filter(self, tmp_path):
+        # numpy's overflow and invalid warnings, made errors by the filter,
+        # would otherwise fail the run before train's own finiteness check
+        config = validate_config(json.dumps({
+            "name": "diverge", "seeds": [0],
+            "datasets": [{"kind": "twomoons", "labeled_max": 10, "rho_l": 5,
+                          "unlabeled_max": 200, "val_per_class": 100}],
+            "algorithms": [{"kind": "supervised"}, {"kind": "mean-teacher"}],
+            "schedule": {"total_iters": 50, "base_lr": 1e160, "rampup_iters": 0},
+            "training": {"weight_decay": 1.0}}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            failures = quiet_run(config, out_dir=tmp_path / "out", workers=1)
+        assert list(failures) == [spec.run_id for spec in build_runs(config)]
+        for run_id, text in failures.items():
+            assert (tmp_path / "out" / "failures" / f"{run_id}.txt").read_text() == text
+            assert text.startswith("skewlab.training.TrainingDiverged: ")
+            assert text.count("\n") == 1 and text.endswith("\n"), text
+
     def test_table_columns_follow_the_config(self, tmp_path, monkeypatch):
         # the first run, a__supervised__seed0, fails; at the other dataset the
         # supervised column still comes first, as in the config
@@ -406,7 +426,13 @@ class TestStreaming:
         assert quiet_run(config, out_dir=out, workers=1) == {}
         assert started == [spec.run_id for spec in build_runs(config)]
 
-    def test_interrupted_campaign_keeps_finished_runs(self, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("workers", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="workers must inherit the patched execute_run")),
+    ])
+    def test_interrupted_campaign_keeps_finished_runs(self, tmp_path, monkeypatch, workers):
         config = grid_config()
         quiet_run(config, out_dir=tmp_path / "full")
         third = build_runs(config)[2].run_id
@@ -420,7 +446,9 @@ class TestStreaming:
         monkeypatch.setattr(campaign, "execute_run", interrupted)
         cut = tmp_path / "cut"
         with pytest.raises(KeyboardInterrupt):
-            quiet_run(config, out_dir=cut, workers=1)
+            quiet_run(config, out_dir=cut, workers=workers)
+        # no pool worker outlives the interrupted campaign
+        assert multiprocessing.active_children() == []
         finished = [spec.run_id for spec in build_runs(config)[:2]]
         expected = {path.relative_to(cut).as_posix() for run_id in finished
                     for path in run_files(cut, run_id, "mean-teacher" in run_id)}
