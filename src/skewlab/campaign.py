@@ -7,12 +7,18 @@ produces byte-identical files: a failed run's file holds only its exception's
 lines, which name no source file.
 
 Outputs stream: the parent process writes each run's files (history,
-parameter snapshots, boundary grids, or the exception of a failed run) as
-soon as that run's result reaches it, in grid order, and keeps none of it.
-Dataset dumps and tables, rebuilt from ``runs/*.csv`` and one split per
-(dataset, seed), then the gap curve and the manifest come last, so a directory
-without ``manifest.json`` is an incomplete campaign that holds the files of
-every run finished before it stopped.  The directory is the campaign's only record.
+parameter snapshots, boundary grids, or the exception of a failed run) in
+grid order and in that order within a run, each as soon as it exists, and
+keeps none of it.  Serially a run's history and snapshots reach disk when
+training ends, and each grid is computed only after them and dropped once
+written; a pool worker computes its run's grids and hands over the run's
+outputs together.  A run that raises, or any interrupt while it is partly
+written, removes its files first, so the directory holds whole runs only:
+only a hard kill can leave a run without its grids.  Dataset dumps and
+tables, rebuilt from ``runs/*.csv`` and one split per (dataset, seed), then
+the gap curve and the manifest come last, so a directory without
+``manifest.json`` is an incomplete campaign that holds the files of every
+run finished before it stopped.  The directory is the campaign's only record.
 """
 
 from __future__ import annotations
@@ -23,6 +29,7 @@ import traceback
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -40,7 +47,6 @@ from .ioutil import write_text
 from .mlp import save_params
 from .numerics import blas_threads
 from .report import (
-    BoundaryGrid,
     aggregate_runs,
     boundary_grid,
     default_bbox,
@@ -59,13 +65,6 @@ class RunSpec:
     dataset_index: int
     algorithm_index: int
     seed: int
-
-
-@dataclass(frozen=True, eq=False)
-class RunRecord:
-    result: RunResult
-    student_grid: BoundaryGrid | None
-    ema_grid: BoundaryGrid | None
 
 
 def build_runs(config: CampaignConfig) -> list[RunSpec]:
@@ -94,52 +93,80 @@ def prepare_split(config: CampaignConfig, dataset_index: int,
     return pool, split
 
 
-def execute_run(config: CampaignConfig, spec: RunSpec) -> RunRecord:
+def execute_run(config: CampaignConfig,
+                spec: RunSpec) -> tuple[RunResult, tuple[float, float, float, float]]:
+    """Train one run: its result and the bounding box of its grids."""
     algo = config.algorithms[spec.algorithm_index]
     pool, split = prepare_split(config, spec.dataset_index, spec.seed)
-    result = train(split, algo, config.training, spec.seed)
-    student_grid = ema_grid = None
-    if config.report.grids:
-        bbox = default_bbox(pool.points)
-        student_grid = boundary_grid(result.params, bbox, config.report.grid_resolution)
-        if result.ema_params is not None:
-            ema_grid = boundary_grid(result.ema_params, bbox, config.report.grid_resolution)
-    return RunRecord(result=result, student_grid=student_grid, ema_grid=ema_grid)
+    return train(split, algo, config.training, spec.seed), default_bbox(pool.points)
 
 
-def _failure(exc: BaseException) -> tuple[str, str]:
-    """exc's own lines (``traceback.format_exception_only``), then its full traceback."""
-    return "".join(traceback.format_exception_only(exc)), "".join(traceback.format_exception(exc))
+class Failure(NamedTuple):
+    """A task's exception: its own lines (``traceback.format_exception_only``),
+    then its full traceback."""
+
+    lines: str
+    trace: str
 
 
-def _execute_payload(payload: tuple[CampaignConfig, RunSpec | tuple[int, int]]):
-    """(a run's record or a (dataset index, seed) pair's split, None), or (None, _failure)."""
-    config, task = payload
-    threads = blas_threads(1)  # one per task, serial or pooled: more threads only contend
+def _failure(exc: BaseException) -> Failure:
+    return Failure("".join(traceback.format_exception_only(exc)),
+                   "".join(traceback.format_exception(exc)))
+
+
+def _task_outputs(config: CampaignConfig, task: RunSpec | tuple[int, int]):
+    """Yield a task's outputs in write order, then its Failure if it raises.
+
+    A run's outputs are those of ``_run_paths``, None for one it lacks: its
+    result (for the history), snapshot and EMA snapshot, then its grid and
+    EMA grid, each computed only when asked for, after the outputs before it
+    were handed over.  A (dataset index, seed) pair's one output is its split.
+    """
     try:
-        if isinstance(task, RunSpec):
-            return execute_run(config, task), None
-        return prepare_split(config, *task)[1], None
+        if not isinstance(task, RunSpec):
+            yield prepare_split(config, *task)[1]
+            return
+        result, bbox = execute_run(config, task)
+        params = (result.params, result.ema_params)
+        yield result
+        yield from params
+        for p in params:
+            yield (boundary_grid(p, bbox, config.report.grid_resolution)
+                   if config.report.grids and p is not None else None)
     except Exception as exc:
-        return None, _failure(exc)
+        yield _failure(exc)
+
+
+def _execute_payload(payload: tuple[CampaignConfig, RunSpec | tuple[int, int]]) -> list:
+    """A task's ``_task_outputs`` on a pool worker, listed, at one BLAS thread."""
+    threads = blas_threads(1)  # one per task: more threads only contend with the pool
+    try:
+        return list(_task_outputs(*payload))
     finally:
         blas_threads(threads)
 
 
 def _outcomes(config: CampaignConfig, tasks: list, n_workers: int):
-    """Yield each task's ``_execute_payload`` outcome, in order.
+    """Yield each task's outputs (``_task_outputs``), task by task in order.
 
-    Serially each task executes when the next outcome is asked for.  On a pool
-    ``pool.map`` submits every task up front and yields results in submission
-    order; closing the generator cancels the tasks not yet started.  A dead
-    worker breaks the pool: every task from the first one without a yielded
-    result on then runs alone on a fresh one-worker pool, so only a task whose
-    own worker dies fails (one whose result came after the break is computed
-    again, to the same bytes).  The pool's stack (multiprocessing, sockets,
-    logging) is imported on that path only.
+    Serially a task's outputs are its ``_task_outputs`` generator itself, run
+    at one BLAS thread, so each output is computed when the caller asks for
+    it, after the caller has written the one before.  On a pool they come as
+    one list from a worker, and ``pool.map`` submits every task up front and
+    yields the lists in submission order; closing the generator cancels the
+    tasks not yet started.  A dead worker breaks the pool: every task from
+    the first one without a yielded result on then runs alone on a fresh
+    one-worker pool, so only a task whose own worker dies fails (one whose
+    result came after the break is computed again, to the same bytes).  No
+    task's outputs stay referenced here once yielded.  The pool's stack
+    (multiprocessing, sockets, logging) is imported on that path only.
     """
     if n_workers <= 1:
-        yield from (_execute_payload((config, task)) for task in tasks)
+        threads = blas_threads(1)  # one, as on a pool worker: more threads only contend
+        try:
+            yield from (_task_outputs(config, task) for task in tasks)
+        finally:
+            blas_threads(threads)
         return
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
@@ -150,14 +177,14 @@ def _outcomes(config: CampaignConfig, tasks: list, n_workers: int):
             try:
                 return solo.submit(_execute_payload, (config, task)).result()
             except BrokenProcessPool as exc:
-                return None, _failure(exc)
+                return [_failure(exc)]
 
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         done = 0
         try:
-            for outcome in pool.map(_execute_payload, [(config, task) for task in tasks]):
-                yield outcome
-                done += 1
+            results = pool.map(_execute_payload, [(config, task) for task in tasks])
+            for done in range(len(tasks)):
+                yield next(results)
         except BrokenProcessPool:
             yield from map(alone, tasks[done:])
 
@@ -185,9 +212,9 @@ def prepare_outputs(config: CampaignConfig, out: Path) -> None:
 
 def run_campaign(config: CampaignConfig, *, out_dir: str | Path, workers: int = 1,
                  log=None) -> dict[str, str]:
-    """Execute every run, writing its files as it completes; then the dataset
-    dumps, tables, gap curve and manifest.  Returns each failed run's
-    exception lines by run id, in grid order.
+    """Execute every run, writing each of its files as soon as it exists;
+    then the dataset dumps, tables, gap curve and manifest.  Returns each
+    failed run's exception lines by run id, in grid order.
 
     Results are taken in grid order whatever the worker count, so the log
     lines (to ``log``, else the ``sys.stderr`` of the call) are
@@ -215,25 +242,18 @@ def run_campaign(config: CampaignConfig, *, out_dir: str | Path, workers: int = 
     finals: tuple[dict, dict] = ({}, {})
     # a pool starts all of its workers at once, so it gets at most one per run
     with closing(_outcomes(config, runs + pairs, min(n_workers, len(runs)))) as outcomes:
-        for run_id, (record, error) in zip([spec.run_id for spec in runs], outcomes):
+        for spec in runs:
+            error = _write_run(spec.run_id, next(outcomes), out, log)
             if error is not None:
-                failures[run_id], trace = error
-                for path in _run_paths(out, run_id):
-                    path.unlink(missing_ok=True)
-                (out / "failures").mkdir(exist_ok=True)
-                write_text(out / _failure_name(run_id), failures[run_id])
-                print(f"[skewlab] FAILED {run_id}\n{trace}", file=log)
-                continue
-            _write_run(run_id, record, out)
-            print(f"[skewlab] done {run_id} ({record.result.wall_seconds:.1f}s)", file=log)
-            del record  # free its parameters and grids before the next run
-        for (di, seed), (split, error) in zip(pairs, outcomes):
+                failures[spec.run_id] = error
+        for di, seed in pairs:
+            [split] = next(outcomes)  # a pair's one output
             done = [spec for spec in runs if (spec.dataset_index, spec.seed) == (di, seed)
                     and spec.run_id not in failures]
             dataset = config.datasets[di].name
-            if error is not None:
+            if isinstance(split, Failure):
                 if done:  # no table may silently lack a run: the campaign stays incomplete
-                    raise RuntimeError(f"{dataset} seed {seed}: no split\n{error[1]}")
+                    raise RuntimeError(f"{dataset} seed {seed}: no split\n{split.trace}")
                 continue  # every run of the pair failed on it: already recorded
             if config.report.dump_datasets:
                 write_split_csv(split, out / "datasets" / f"{dataset}_seed{seed}.csv")
@@ -282,17 +302,42 @@ def _run_paths(out: Path, run_id: str) -> tuple[Path, ...]:
             out / f"grid_{run_id}_ema.csv")
 
 
-def _write_run(run_id: str, record: RunRecord, out: Path) -> None:
-    """Write one finished run's history, parameter snapshots and grids."""
-    result = record.result
-    history, *paths = _run_paths(out, run_id)
-    write_history_csv(result, history)
-    outputs = [(result.params, save_params), (result.ema_params, save_params),
-               (record.student_grid, write_grid_csv), (record.ema_grid, write_grid_csv)]
-    for (value, write), path in zip(outputs, paths):
-        if value is not None:
-            write(value, path)
+# the writer of each of _run_paths' files, in write order
+_WRITERS = (write_history_csv, save_params, save_params, write_grid_csv, write_grid_csv)
+
+
+def _write_run(run_id: str, outputs: Iterable, out: Path, log) -> str | None:
+    """Write one run's outputs (see ``_task_outputs``) as each arrives, each
+    dropped before the next is asked for, and log the run.
+
+    A run whose outputs end in a Failure leaves only its failure file, whose
+    text is returned; a finished one returns None.  Any BaseException while
+    the run is written removes its files, then propagates.
+    """
+    paths = _run_paths(out, run_id)
+    outputs = iter(outputs)
+    try:
+        for path, write in zip(paths, _WRITERS):
+            value = next(outputs)
+            if isinstance(value, Failure):
+                for stale in paths:
+                    stale.unlink(missing_ok=True)
+                (out / "failures").mkdir(exist_ok=True)
+                write_text(out / _failure_name(run_id), value.lines)
+                print(f"[skewlab] FAILED {run_id}\n{value.trace}", file=log)
+                return value.lines
+            if write is write_history_csv:
+                seconds = value.wall_seconds
+            if value is not None:
+                write(value, path)
+            del value  # so that no grid outlives its write
+    except BaseException:
+        for path in paths:
+            path.unlink(missing_ok=True)
+        raise
     (out / _failure_name(run_id)).unlink(missing_ok=True)
+    print(f"[skewlab] done {run_id} ({seconds:.1f}s)", file=log)
+    return None
 
 
 def _manifest_entry(config: CampaignConfig, spec: RunSpec, failed: bool) -> dict:

@@ -35,6 +35,9 @@ SPIN_RADIUS_MAX = 1.0
 
 UNLABELED_TYPES = ("uniform", "half", "same")
 
+# Rows per chunk of a split dump.
+DUMP_BLOCK_ROWS = 1024
+
 
 class SplitCapacityError(ValueError):
     """A partition request exceeds what the pool holds for some class."""
@@ -231,9 +234,13 @@ def make_cissl_split(pool: Dataset2D, labeled_counts: np.ndarray, unlabeled_type
 
 def write_split_csv(split: CisslSplit, path: str) -> None:
     """Dump all partitions as rows of x, y, label, partition for plotting."""
-    parts = ["x,y,label,partition\n"]
-    for name, part in (("labeled", split.labeled), ("unlabeled", split.unlabeled),
-                       ("validation", split.validation)):
-        row = f"{FLOAT},{FLOAT},%d,{name}\n"
-        parts += [row % cells for cells in zip(*part.points.T.tolist(), part.labels.tolist())]
-    write_text(path, "".join(parts))
+    def blocks():  # one chunk per DUMP_BLOCK_ROWS rows, so no whole-file string is built
+        yield "x,y,label,partition\n"
+        for name, part in (("labeled", split.labeled), ("unlabeled", split.unlabeled),
+                           ("validation", split.validation)):
+            row = f"{FLOAT},{FLOAT},%d,{name}\n"
+            for start in range(0, len(part), DUMP_BLOCK_ROWS):
+                block = slice(start, start + DUMP_BLOCK_ROWS)
+                yield "".join(row % cells for cells in zip(*part.points[block].T.tolist(),
+                                                            part.labels[block].tolist()))
+    write_text(path, blocks())

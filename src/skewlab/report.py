@@ -167,8 +167,10 @@ def boundary_grid(params: MlpParams, bbox: tuple[float, float, float, float],
         raise ValueError("bbox must be nondegenerate")
     xs = _axis_nodes(x_min, x_max, nx)
     ys = _axis_nodes(y_min, y_max, ny)
-    grid_x, grid_y = np.meshgrid(xs, ys)
-    nodes = np.column_stack((grid_x.ravel(), grid_y.ravel()))
+    nodes = np.empty((ny, nx, 2))  # y outer, x inner, as meshgrid's ravelled axes
+    nodes[:, :, 0] = xs
+    nodes[:, :, 1] = ys[:, None]
+    nodes = nodes.reshape(ny * nx, 2)
     max_prob = np.empty(nodes.shape[0])
     argmax = np.empty(nodes.shape[0], dtype=np.int64)
     for start, stop, logits in _block_logits(params, nodes):

@@ -12,6 +12,7 @@ import subprocess
 import sys
 import time
 import warnings
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
@@ -217,10 +218,10 @@ class TestRunCampaign:
     def test_single_run_reproduces_campaign_history(self, tiny_config, tmp_path):
         quiet_run(tiny_config, out_dir=tmp_path / "out")
         spec, = [s for s in build_runs(tiny_config) if s.run_id == "moons__mean-teacher__seed1"]
-        record = execute_run(tiny_config, spec)
+        result, _ = execute_run(tiny_config, spec)
         from skewlab.training import write_history_csv
         solo = tmp_path / "solo.csv"
-        write_history_csv(record.result, solo)
+        write_history_csv(result, solo)
         campaign_file = tmp_path / "out" / "runs" / "moons__mean-teacher__seed1.csv"
         assert solo.read_bytes() == campaign_file.read_bytes()
 
@@ -456,6 +457,135 @@ class TestStreaming:
         for name in expected:
             assert (cut / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
         assert not (cut / "manifest.json").exists()
+
+    @staticmethod
+    def tracking_runs(monkeypatch):
+        """Record each run id as its execute_run starts; returns the record."""
+        started = []
+        original = campaign.execute_run
+
+        def tracked(config, spec):
+            started.append(spec.run_id)
+            return original(config, spec)
+
+        monkeypatch.setattr(campaign, "execute_run", tracked)
+        return started
+
+    def test_history_and_snapshots_are_on_disk_before_the_grids(self, tmp_path, monkeypatch):
+        config = grid_config()
+        out = tmp_path / "out"
+        started = self.tracking_runs(monkeypatch)
+        grids = []
+        original = campaign.boundary_grid
+
+        def checked(*args):
+            run_id = started[-1]
+            names = [f"runs/{run_id}.csv", f"params/{run_id}.txt"]
+            if "mean-teacher" in run_id:
+                names.append(f"params/{run_id}_ema.txt")
+            grids.append([name for name in names if not (out / name).is_file()])
+            return original(*args)
+
+        monkeypatch.setattr(campaign, "boundary_grid", checked)
+        assert quiet_run(config, out_dir=out, workers=1) == {}
+        # one grid per supervised run, two per mean-teacher run, none missing a file
+        assert grids == [[]] * 6
+
+    def test_interrupt_inside_a_grid_leaves_the_finished_runs(self, tmp_path, monkeypatch):
+        config = grid_config()
+        quiet_run(config, out_dir=tmp_path / "full")
+        runs = [spec.run_id for spec in build_runs(config)]
+        started = self.tracking_runs(monkeypatch)
+        grids, partial = [], []
+        original = campaign.boundary_grid
+
+        def interrupted(*args):
+            # run 2's EMA grid, when its history, snapshots and grid are written
+            grids.append(started[-1])
+            if grids.count(runs[2]) == 2:
+                partial.extend(path.is_file() for path in run_files(cut, runs[2], True))
+                raise KeyboardInterrupt
+            return original(*args)
+
+        monkeypatch.setattr(campaign, "boundary_grid", interrupted)
+        cut = tmp_path / "cut"
+        with pytest.raises(KeyboardInterrupt):
+            quiet_run(config, out_dir=cut, workers=1)
+        assert partial == [True, True, True, True, False]
+        expected = {path.relative_to(cut).as_posix() for run_id in runs[:2]
+                    for path in run_files(cut, run_id, "mean-teacher" in run_id)}
+        assert set(written(cut)) == expected
+        for name in expected:
+            assert (cut / name).read_bytes() == (tmp_path / "full" / name).read_bytes(), name
+
+    @pytest.mark.parametrize("workers", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="workers must inherit the patched execute_run")),
+    ])
+    def test_a_failing_grid_fails_its_run_only(self, tmp_path, monkeypatch, workers):
+        path = tmp_path / "c.json"
+        path.write_text(tiny_config_text(report={"grids": True, "grid_resolution": [5, 4]}))
+        runs = [spec.run_id for spec in build_runs(validate_config(path.read_text()))]
+        bad = runs[2]  # a mean-teacher run: its history and both snapshots precede its grids
+        full = tmp_path / "full"
+        quiet_run(validate_config(path.read_text()), out_dir=full)
+        original = campaign.execute_run
+
+        def degenerate_box(config, spec):
+            result, bbox = original(config, spec)
+            return result, ((0.0, 0.0, -1.0, 1.0) if spec.run_id == bad else bbox)
+
+        monkeypatch.setattr(campaign, "execute_run", degenerate_box)
+        outs = {count: tmp_path / f"w{count}" for count in (1, workers)}
+        with contextlib.redirect_stderr(io.StringIO()):
+            for count, out in outs.items():
+                assert main(["run", str(path), "--workers", str(count), "--out", str(out)]) == 1
+        out = outs[workers]
+        assert (out / "failures" / f"{bad}.txt").read_text() == (
+            "ValueError: bbox must be nondegenerate\n")
+        kept = {name for name in written(full) if bad not in name}
+        assert set(written(out)) == kept | {f"failures/{bad}.txt"}
+        for run_id in runs:
+            if run_id != bad:
+                for file in run_files(full, run_id, "mean-teacher" in run_id):
+                    name = file.relative_to(full)
+                    assert (out / name).read_bytes() == file.read_bytes(), name
+        assert_same_tree(outs[1], out)
+
+    def test_no_run_outlives_its_writes(self, tmp_path, monkeypatch):
+        # when a run starts, every earlier run's result and grids are freed;
+        # when a grid starts, every earlier grid is
+        config = grid_config()
+        results, grids, starts = [], [], []
+        train, grid, run = campaign.train, campaign.boundary_grid, campaign.execute_run
+
+        def live(refs):
+            return sum(ref() is not None for ref in refs)
+
+        def referenced(make, refs):
+            def made(*args):
+                value = make(*args)
+                refs.append(weakref.ref(value))
+                return value
+            return made
+
+        def run_started(config, spec):
+            starts.append(("run", live(results), live(grids)))
+            return run(config, spec)
+
+        def grid_started(*args):
+            starts.append(("grid", live(grids)))
+            return referenced(grid, grids)(*args)
+
+        monkeypatch.setattr(campaign, "train", referenced(train, results))
+        monkeypatch.setattr(campaign, "boundary_grid", grid_started)
+        monkeypatch.setattr(campaign, "execute_run", run_started)
+        assert quiet_run(config, out_dir=tmp_path / "out", workers=1) == {}
+        # supervised seeds 0 and 1 make one grid each, mean-teacher's two each
+        assert starts == ([("run", 0, 0), ("grid", 0)] * 2
+                          + [("run", 0, 0), ("grid", 0), ("grid", 0)] * 2)
 
     @pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
                         reason="workers must inherit the patched execute_run")

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skewlab.datasets import CisslSplit, Dataset2D, write_split_csv
+from skewlab.datasets import DUMP_BLOCK_ROWS, CisslSplit, Dataset2D, write_split_csv
 from skewlab.ioutil import FLOAT, fmt, read_csv, write_csv, write_text
 from skewlab.mlp import init_params, save_params
 from skewlab.report import BoundaryGrid, boundary_grid, read_table, write_grid_csv
@@ -148,7 +148,9 @@ class TestBulkWritersMatchFmt:
             points = np.resize(np.roll(AWKWARD, offset), (n, 2))
             return Dataset2D(points, np.arange(n, dtype=np.int64) % 2, 2)
 
-        labeled, unlabeled, validation = part(0, 3), part(3, 5), part(5, 2)
+        # the unlabeled partition spans two whole blocks and part of a third
+        labeled, unlabeled, validation = (part(0, 3), part(3, 2 * DUMP_BLOCK_ROWS + 5),
+                                          part(5, 2))
         split = CisslSplit(labeled=labeled, unlabeled=unlabeled, validation=validation)
         path = tmp_path / "split.csv"
         write_split_csv(split, path)

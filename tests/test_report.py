@@ -192,7 +192,7 @@ class TestBoundaryGrid:
         self.assert_matches_one_forward(params, (200, 200))
 
     def test_grid_memory_stays_below_one_full_size_hidden_array(self):
-        # measured peak 6.6 MB for a 200 x 200 grid at width 64 (10.6 MB with
+        # measured peak 6.0 MB for a 200 x 200 grid at width 64 (10.6 MB with
         # a second block-sized hidden array); one full-size 40,000 x 64 hidden
         # array alone is 20.5 MB
         params = init_params(64, 2, seed=26)
@@ -206,7 +206,7 @@ class TestBoundaryGrid:
 
     def test_grid_memory_keeps_one_block_sized_hidden_array_at_three_hidden_layers(self):
         # the later hidden layers run in place over the block's one hidden
-        # array: measured peak 6.6 MB, as at two hidden layers; with a
+        # array: measured peak 6.0 MB, as at two hidden layers; with a
         # block-sized array per hidden layer but the last it was 14.7 MB
         params = init_params(64, 2, seed=26, hidden_layers=3)
         tracemalloc.start()
