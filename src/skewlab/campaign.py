@@ -6,19 +6,20 @@ the transient log lines is a pure function of the config, so a rerun
 produces byte-identical files: a failed run's file holds only its exception's
 lines, which name no source file.
 
-Outputs stream: the parent process writes each run's files (history,
+Outputs stream.  The parent process writes each run's files (history,
 parameter snapshots, boundary grids, or the exception of a failed run) in
 grid order and in that order within a run, each as soon as it exists, and
-keeps none of it.  Serially a run's history and snapshots reach disk when
-training ends, and each grid is computed only after them and dropped once
-written; a pool worker computes its run's grids and hands over the run's
-outputs together.  A run that raises, or any interrupt while it is partly
-written, removes its files first, so the directory holds whole runs only:
-only a hard kill can leave a run without its grids.  Dataset dumps and
-tables, rebuilt from ``runs/*.csv`` and one split per (dataset, seed), then
-the gap curve and the manifest come last, so a directory without
-``manifest.json`` is an incomplete campaign that holds the files of every
-run finished before it stopped.  The directory is the campaign's only record.
+keeps none of it but a failure.  Serially each output is computed only once
+the one before it is written, and a grid is dropped once written; a pool
+worker computes its run's grids and hands over the run's outputs together.
+A run that raises, or any interrupt while it is partly written, removes its
+files first, so the directory holds whole runs only: only a hard kill can
+leave a run without its grids.  Once the pool is closed, the parent makes a
+(dataset, seed) pair's split only to dump it, and groups the final errors
+read back from ``runs/*.csv`` by ``labeled_counts``, which needs no split.
+The tables, the gap curve and the manifest come last, so a directory without
+``manifest.json`` is an incomplete campaign that holds the files of every run
+finished before it stopped.  The directory is the campaign's only record.
 """
 
 from __future__ import annotations
@@ -39,6 +40,7 @@ from .datasets import (
     KINDS,
     CisslSplit,
     Dataset2D,
+    by_class,
     imbalance_counts,
     make_cissl_split,
     write_split_csv,
@@ -77,20 +79,32 @@ def build_runs(config: CampaignConfig) -> list[RunSpec]:
     return runs
 
 
-def prepare_split(config: CampaignConfig, dataset_index: int,
-                  seed: int) -> tuple[Dataset2D, CisslSplit]:
-    """Generate the balanced pool for one (dataset, seed) pair and carve it.
-
-    Pool and split seeds derive from (seed, dataset_index) so datasets vary
-    independently of each other while staying paired across algorithms.
-    """
+def _pair(config: CampaignConfig, dataset_index: int, seed: int):
+    """A (dataset, seed) pair's dataset, labeled counts by rank, and pool and
+    split seeds, which derive from (seed, dataset_index) so datasets vary
+    independently of each other while staying paired across algorithms."""
     ds = config.datasets[dataset_index]
     pool_seed, split_seed = np.random.SeedSequence([seed, dataset_index]).generate_state(2)
-    pool = KINDS[ds.kind][0](ds.n_pool_per_class, ds.data_noise, int(pool_seed))
-    labeled_counts = imbalance_counts(ds.labeled_max, ds.rho_l, pool.n_classes)
-    split = make_cissl_split(pool, labeled_counts, ds.unlabeled_type, ds.rho_l,
-                             ds.unlabeled_max, ds.val_per_class, int(split_seed))
+    ranks = imbalance_counts(ds.labeled_max, ds.rho_l, KINDS[ds.kind][1])
+    return ds, ranks, int(pool_seed), int(split_seed)
+
+
+def prepare_split(config: CampaignConfig, dataset_index: int,
+                  seed: int) -> tuple[Dataset2D, CisslSplit]:
+    """Generate the balanced pool for one (dataset, seed) pair and carve it."""
+    ds, ranks, pool_seed, split_seed = _pair(config, dataset_index, seed)
+    pool = KINDS[ds.kind][0](ds.n_pool_per_class, ds.data_noise, pool_seed)
+    split = make_cissl_split(pool, ranks, ds.unlabeled_type, ds.rho_l,
+                             ds.unlabeled_max, ds.val_per_class, split_seed)
     return pool, split
+
+
+def labeled_counts(config: CampaignConfig, dataset_index: int, seed: int) -> np.ndarray:
+    """The per-class counts of ``prepare_split``'s labeled partition, from the
+    config alone: no pool is generated."""
+    _, ranks, _, split_seed = _pair(config, dataset_index, seed)
+    [counts] = by_class(ranks, np.random.default_rng(split_seed))
+    return counts
 
 
 def execute_run(config: CampaignConfig,
@@ -102,7 +116,7 @@ def execute_run(config: CampaignConfig,
 
 
 class Failure(NamedTuple):
-    """A task's exception: its own lines (``traceback.format_exception_only``),
+    """A run's exception: its own lines (``traceback.format_exception_only``),
     then its full traceback."""
 
     lines: str
@@ -114,19 +128,15 @@ def _failure(exc: BaseException) -> Failure:
                    "".join(traceback.format_exception(exc)))
 
 
-def _task_outputs(config: CampaignConfig, task: RunSpec | tuple[int, int]):
-    """Yield a task's outputs in write order, then its Failure if it raises.
+def _task_outputs(config: CampaignConfig, spec: RunSpec):
+    """Yield a run's outputs in write order, then its Failure if it raises.
 
-    A run's outputs are those of ``_run_paths``, None for one it lacks: its
-    result (for the history), snapshot and EMA snapshot, then its grid and
-    EMA grid, each computed only when asked for, after the outputs before it
-    were handed over.  A (dataset index, seed) pair's one output is its split.
+    They are those of ``_run_paths``, None for one the run lacks: its result
+    (for the history), snapshot and EMA snapshot, then its grid and EMA grid,
+    each computed only when asked for.
     """
     try:
-        if not isinstance(task, RunSpec):
-            yield prepare_split(config, *task)[1]
-            return
-        result, bbox = execute_run(config, task)
+        result, bbox = execute_run(config, spec)
         params = (result.params, result.ema_params)
         yield result
         yield from params
@@ -137,56 +147,49 @@ def _task_outputs(config: CampaignConfig, task: RunSpec | tuple[int, int]):
         yield _failure(exc)
 
 
-def _execute_payload(payload: tuple[CampaignConfig, RunSpec | tuple[int, int]]) -> list:
-    """A task's ``_task_outputs`` on a pool worker, listed, at one BLAS thread."""
-    threads = blas_threads(1)  # one per task: more threads only contend with the pool
+def _execute_payload(payload: tuple[CampaignConfig, RunSpec]) -> list:
+    """A run's ``_task_outputs`` on a pool worker, listed, at one BLAS thread."""
+    threads = blas_threads(1)  # one per run: more threads only contend with the pool
     try:
         return list(_task_outputs(*payload))
     finally:
         blas_threads(threads)
 
 
-def _outcomes(config: CampaignConfig, tasks: list, n_workers: int):
-    """Yield each task's outputs (``_task_outputs``), task by task in order.
-
-    Serially a task's outputs are its ``_task_outputs`` generator itself, run
-    at one BLAS thread, so each output is computed when the caller asks for
-    it, after the caller has written the one before.  On a pool they come as
-    one list from a worker, and ``pool.map`` submits every task up front and
-    yields the lists in submission order; closing the generator cancels the
-    tasks not yet started.  A dead worker breaks the pool: every task from
-    the first one without a yielded result on then runs alone on a fresh
-    one-worker pool, so only a task whose own worker dies fails (one whose
-    result came after the break is computed again, to the same bytes).  No
-    task's outputs stay referenced here once yielded.  The pool's stack
-    (multiprocessing, sockets, logging) is imported on that path only.
-    """
+def _outcomes(config: CampaignConfig, runs: list[RunSpec], n_workers: int):
+    """Yield each run's outputs (``_task_outputs``) in order: the generator
+    itself serially, at one BLAS thread, a worker's list on a pool.  Closing
+    it cancels the pool's runs not yet started.  A dead worker breaks the
+    pool: every run from the first one without a yielded result on then runs
+    alone on a fresh one-worker pool, so only a run whose own worker dies
+    fails, with ``BrokenProcessPool``."""
     if n_workers <= 1:
         threads = blas_threads(1)  # one, as on a pool worker: more threads only contend
         try:
-            yield from (_task_outputs(config, task) for task in tasks)
+            yield from (_task_outputs(config, spec) for spec in runs)
         finally:
             blas_threads(threads)
         return
+    # the pool's stack (multiprocessing, sockets, logging) is imported on this path only
     from concurrent.futures import ProcessPoolExecutor
     from concurrent.futures.process import BrokenProcessPool
 
-    def alone(task):
-        """The task on its own one-worker pool; a failure if that worker dies too."""
+    def alone(spec):
+        """The run on its own one-worker pool; a failure if that worker dies too."""
         with ProcessPoolExecutor(max_workers=1) as solo:
             try:
-                return solo.submit(_execute_payload, (config, task)).result()
+                return solo.submit(_execute_payload, (config, spec)).result()
             except BrokenProcessPool as exc:
                 return [_failure(exc)]
 
     with ProcessPoolExecutor(max_workers=n_workers) as pool:
         done = 0
         try:
-            results = pool.map(_execute_payload, [(config, task) for task in tasks])
-            for done in range(len(tasks)):
+            results = pool.map(_execute_payload, [(config, spec) for spec in runs])
+            for done in range(len(runs)):
                 yield next(results)
         except BrokenProcessPool:
-            yield from map(alone, tasks[done:])
+            yield from map(alone, runs[done:])
 
 
 def resolve_workers(workers: int) -> int:
@@ -212,52 +215,47 @@ def prepare_outputs(config: CampaignConfig, out: Path) -> None:
 
 def run_campaign(config: CampaignConfig, *, out_dir: str | Path, workers: int = 1,
                  log=None) -> dict[str, str]:
-    """Execute every run, writing each of its files as soon as it exists;
-    then the dataset dumps, tables, gap curve and manifest.  Returns each
-    failed run's exception lines by run id, in grid order.
+    """Execute every run into ``out_dir``, then write the dataset dumps,
+    tables, gap curve and manifest.  Returns each failed run's exception
+    lines, the text of its ``failures/<run_id>.txt``, by run id in grid order.
 
-    Results are taken in grid order whatever the worker count, so the log
-    lines (to ``log``, else the ``sys.stderr`` of the call) are
-    deterministic.  Run failures are isolated: a run that raises, or whose
-    pool worker dies, gets its exception lines in ``failures/<run_id>.txt``
-    (its ``FAILED`` log line adds the traceback) and a ``"failure"`` entry in
-    the manifest, and only healthy runs feed the tables.  No state of a run
-    but its failure is kept: after the runs, one split per (dataset, seed),
-    made on the pool if there is one, is dumped and groups the final errors
-    read back from that pair's ``runs/*.csv``.  A directory that holds an
-    earlier campaign of the same config ends as a fresh one would: each run
-    removes the files of the other outcome, a table with no cells and an
-    empty ``failures/`` go.  All writes happen in this process.
+    Each run's ``done`` or ``FAILED`` line (with the traceback) goes to
+    ``log``, else the ``sys.stderr`` of the call.  Files of an earlier
+    campaign of the same config in ``out_dir`` end as a fresh campaign's
+    would.  Raises ValueError for a worker count below 1, and a dump's split's
+    exception if any run of its (dataset, seed) succeeded: no tables follow.
     """
     log = sys.stderr if log is None else log
     n_workers = resolve_workers(workers)
     out = Path(out_dir)
     prepare_outputs(config, out)
     runs = build_runs(config)
-    # a pool makes the pairs' splits too, so this process never imports numpy.random
-    pairs = [(di, seed) for di in range(len(config.datasets)) for seed in config.seeds]
 
     failures: dict[str, str] = {}
-    # student and EMA target: (dataset, algorithm) -> final grouped errors per seed
-    finals: tuple[dict, dict] = ({}, {})
     # a pool starts all of its workers at once, so it gets at most one per run
-    with closing(_outcomes(config, runs + pairs, min(n_workers, len(runs)))) as outcomes:
+    with closing(_outcomes(config, runs, min(n_workers, len(runs)))) as outcomes:
         for spec in runs:
             error = _write_run(spec.run_id, next(outcomes), out, log)
             if error is not None:
                 failures[spec.run_id] = error
-        for di, seed in pairs:
-            [split] = next(outcomes)  # a pair's one output
+
+    # student and EMA target: (dataset, algorithm) -> final grouped errors per seed
+    finals: tuple[dict, dict] = ({}, {})
+    for di, dataset in enumerate(d.name for d in config.datasets):
+        for seed in config.seeds:
             done = [spec for spec in runs if (spec.dataset_index, spec.seed) == (di, seed)
                     and spec.run_id not in failures]
-            dataset = config.datasets[di].name
-            if isinstance(split, Failure):
-                if done:  # no table may silently lack a run: the campaign stays incomplete
-                    raise RuntimeError(f"{dataset} seed {seed}: no split\n{split.trace}")
-                continue  # every run of the pair failed on it: already recorded
             if config.report.dump_datasets:
-                write_split_csv(split, out / "datasets" / f"{dataset}_seed{seed}.csv")
-            counts = split.labeled.class_counts()
+                try:
+                    split = prepare_split(config, di, seed)[1]
+                except Exception:
+                    if done:  # the campaign stays incomplete; else its runs' failures say why
+                        raise
+                else:
+                    write_split_csv(split, out / "datasets" / f"{dataset}_seed{seed}.csv")
+            if not done:
+                continue
+            counts = labeled_counts(config, di, seed)
             for spec in done:
                 _, history = read_history_csv(_run_paths(out, spec.run_id)[0])
                 last = history[-1, len(HISTORY_SCALARS):]
@@ -307,12 +305,11 @@ _WRITERS = (write_history_csv, save_params, save_params, write_grid_csv, write_g
 
 
 def _write_run(run_id: str, outputs: Iterable, out: Path, log) -> str | None:
-    """Write one run's outputs (see ``_task_outputs``) as each arrives, each
-    dropped before the next is asked for, and log the run.
+    """Write one run's outputs (``_task_outputs``) and log the run.
 
-    A run whose outputs end in a Failure leaves only its failure file, whose
-    text is returned; a finished one returns None.  Any BaseException while
-    the run is written removes its files, then propagates.
+    Returns the failure file's text for a run whose outputs end in a Failure,
+    which leaves only that file, and None for a finished run.  Any
+    BaseException while the run is written removes its files, then propagates.
     """
     paths = _run_paths(out, run_id)
     outputs = iter(outputs)

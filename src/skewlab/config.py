@@ -20,6 +20,7 @@ from dataclasses import dataclass
 from .datasets import KINDS, UNLABELED_TYPES, imbalance_counts, unlabeled_rho
 from .mlp import vector_size
 from .optim import Schedule, decay_points_increase
+from .report import row_blocks
 from .schema import Settings, dump, read, setting
 from .training import AlgorithmSpec, TrainConfig
 
@@ -179,7 +180,8 @@ def largest_arrays(config: CampaignConfig) -> list[tuple[str, str, int]]:
     Per dataset: the pool's points and the validation pass's hidden array
     (bounded by the whole validation set); per campaign: the parameter vector
     of the widest class layer, a batch's layer output and, with grids on, the
-    grid's nodes.  An array sized by several settings is named by the one
+    grid's nodes and the grid pass's hidden array, one ``report.row_blocks``
+    block of rows.  An array sized by several settings is named by the one
     behind its largest dimension.  A campaign without runs allocates none.
     """
     if not (config.datasets and config.algorithms):
@@ -205,6 +207,14 @@ def largest_arrays(config: CampaignConfig) -> list[tuple[str, str, int]]:
     if config.report.grids:
         nx, ny = config.report.grid_resolution
         sized.append(("the grid's nodes", nx * ny * 2, ("report.grid_resolution", nx * ny)))
+        if nx * ny * 2 <= MAX_ARRAY_ELEMENTS:  # else rejected already, and too many blocks to list
+            # further hidden layers repeat the second's shape, which sizes no block differently
+            shapes = {(2,) + (width,) * min(t.hidden_layers, 2) + (KINDS[d.kind][1],)
+                      for d in config.datasets}
+            block = max(stop - start for sizes in shapes
+                        for start, stop in row_blocks(sizes, nx * ny))
+            sized.append(("the grid pass's hidden array", block * width,
+                          ("report.grid_resolution", block), hidden))
     return [(max(dims, key=lambda dim: dim[1])[0], array, count) for array, count, *dims in sized]
 
 

@@ -179,6 +179,16 @@ def unlabeled_rho(unlabeled_type: str, rho_l: float) -> float:
     return {"uniform": 1.0, "half": max(1.0, rho_l / 2.0), "same": float(rho_l)}[unlabeled_type]
 
 
+def by_class(rank_counts: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Rank-ordered class sizes (rank 0 largest, one profile per row) placed
+    by class: rank k goes to class ``rng.permutation(C)[k]``, one draw for
+    every row, so the profiles' frequency orderings agree."""
+    rank_counts = np.atleast_2d(rank_counts)
+    placed = np.empty_like(rank_counts)
+    placed[:, rng.permutation(rank_counts.shape[1])] = rank_counts
+    return placed
+
+
 def make_cissl_split(pool: Dataset2D, labeled_counts: np.ndarray, unlabeled_type: str,
                      rho_l: float, n_unlabeled_max: int, val_per_class: int,
                      seed: int) -> CisslSplit:
@@ -187,9 +197,9 @@ def make_cissl_split(pool: Dataset2D, labeled_counts: np.ndarray, unlabeled_type
     ``labeled_counts`` is rank-ordered (nonincreasing, rank 0 largest).  The
     unlabeled profile is imbalance_counts(n_unlabeled_max, rho_u, C) where
     rho_u is 1 ("uniform"), max(1, rho_l / 2) ("half"), or rho_l ("same").
-    A seed-dependent permutation assigns ranks to classes, the same
-    permutation for the labeled and unlabeled partitions, so the frequency
-    orderings agree.  Validation is class-balanced at val_per_class.
+    ``by_class`` with the seeded generator's first draw assigns ranks to
+    classes, the same permutation for the labeled and unlabeled partitions.
+    Validation is class-balanced at val_per_class.
     """
     n_classes = pool.n_classes
     labeled_counts = np.asarray(labeled_counts, dtype=np.int64)
@@ -210,11 +220,8 @@ def make_cissl_split(pool: Dataset2D, labeled_counts: np.ndarray, unlabeled_type
                                              n_classes)
 
     rng = np.random.default_rng(seed)
-    rank_to_class = rng.permutation(n_classes)
-    labeled_by_class = np.empty(n_classes, dtype=np.int64)
-    unlabeled_by_class = np.empty(n_classes, dtype=np.int64)
-    labeled_by_class[rank_to_class] = labeled_counts
-    unlabeled_by_class[rank_to_class] = unlabeled_rank_counts
+    labeled_by_class, unlabeled_by_class = by_class(
+        np.stack((labeled_counts, unlabeled_rank_counts)), rng)
 
     parts: tuple[list[np.ndarray], ...] = ([], [], [])
     for cls in range(n_classes):

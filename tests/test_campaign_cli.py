@@ -18,11 +18,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skewlab import campaign, numerics
 from skewlab.campaign import (
     build_runs,
     execute_run,
+    labeled_counts,
     prepare_split,
     run_campaign,
 )
@@ -106,6 +109,24 @@ class TestBuildRuns:
         _, other_seed = prepare_split(tiny_config, 0, 1)
         assert not np.array_equal(a.labeled.points, other_seed.labeled.points)
 
+    @given(kind=st.sampled_from(["twomoons", "fourspins"]), labeled_max=st.integers(1, 40),
+           rho_l=st.one_of(st.just(1.0), st.floats(1.0, 50.0)),
+           unlabeled_type=st.sampled_from(["uniform", "half", "same"]),
+           dataset_index=st.integers(0, 3), seed=st.integers(0, 2**32))
+    @settings(max_examples=100, deadline=None)
+    def test_labeled_counts_are_the_splits(self, kind, labeled_max, rho_l, unlabeled_type,
+                                           dataset_index, seed):
+        dataset = {"kind": kind, "labeled_max": labeled_max, "rho_l": rho_l,
+                   "unlabeled_type": unlabeled_type, "unlabeled_max": 12, "val_per_class": 2}
+        config = validate_config(json.dumps({
+            "name": "counts", "seeds": [seed], "algorithms": [{"kind": "supervised"}],
+            "datasets": [{**dataset, "name": f"d{i}"} for i in range(dataset_index + 1)]}))
+        counts = labeled_counts(config, dataset_index, seed)
+        split_counts = prepare_split(config, dataset_index, seed)[1].labeled.class_counts()
+        assert counts.dtype == split_counts.dtype and np.array_equal(counts, split_counts)
+        if rho_l == 1.0:
+            assert set(counts.tolist()) == {labeled_max}
+
 
 class TestRunCampaign:
     def test_outputs_and_manifest(self, tiny_config, tmp_path):
@@ -177,11 +198,10 @@ class TestRunCampaign:
         for name in ("table.csv", "table_ema.csv"):
             assert (tmp_path / "used" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_each_split_is_made_once_after_the_runs(self, tmp_path, monkeypatch, workers):
-        # one split per (dataset, seed) serves both the dump and the tables;
-        # on a pool the workers make it, and this process makes none
-        config = validate_config(tiny_config_text(report={"dump_datasets": True}))
+    def split_calls(self, tmp_path, monkeypatch, workers, dumps):
+        """The (dataset index, seed) of each split this process makes in a
+        campaign of the tiny config, which must match a fresh serial run's."""
+        config = validate_config(tiny_config_text(report={"dump_datasets": dumps}))
         calls = []
 
         def recorded(config, dataset_index, seed):
@@ -191,15 +211,28 @@ class TestRunCampaign:
         with monkeypatch.context() as patch:
             patch.setattr(campaign, "prepare_split", recorded)
             quiet_run(config, out_dir=tmp_path / "out", workers=workers)
-        # serially one per run (moons: supervised then mean-teacher, seeds 0
-        # and 1), then one per pair
-        assert calls == ([(0, 0), (0, 1)] * 3 if workers == 1 else [])
         quiet_run(config, out_dir=tmp_path / "fresh", workers=1)
         assert_same_tree(tmp_path / "out", tmp_path / "fresh")
+        return calls
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_split_is_made_once_after_the_runs(self, tmp_path, monkeypatch, workers):
+        # the tables need no split; a dump's split is made once per (dataset,
+        # seed), in this process, after the runs and their pool
+        calls = self.split_calls(tmp_path, monkeypatch, workers, dumps=True)
+        # serially one per run (moons: supervised then mean-teacher, seeds 0
+        # and 1), then one per pair; a pool's workers make the runs' splits
+        assert calls == [(0, 0), (0, 1)] * (3 if workers == 1 else 1)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_no_split_is_made_for_the_tables(self, tmp_path, monkeypatch, workers):
+        calls = self.split_calls(tmp_path, monkeypatch, workers, dumps=False)
+        assert calls == ([(0, 0), (0, 1)] * 2 if workers == 1 else [])
 
     def test_a_split_that_fails_after_its_runs_leaves_the_campaign_incomplete(
-            self, tiny_config, tmp_path, monkeypatch):
-        # the four runs make their splits; the first pair's split after them fails
+            self, tmp_path, monkeypatch):
+        # the four runs make their splits; the first dump's split after them fails
+        config = validate_config(tiny_config_text(report={"dump_datasets": True}))
         calls = []
 
         def fails_fifth(*args):
@@ -210,9 +243,9 @@ class TestRunCampaign:
 
         monkeypatch.setattr(campaign, "prepare_split", fails_fifth)
         out = tmp_path / "out"
-        with pytest.raises(RuntimeError, match="(?s)^moons seed 0: no split\n.*MemoryError: no room"):
-            quiet_run(tiny_config, out_dir=out, workers=1)
-        assert len(written(out / "runs")) == 4
+        with pytest.raises(MemoryError, match="^no room$"):
+            quiet_run(config, out_dir=out, workers=1)
+        assert len(written(out / "runs")) == 4 and written(out / "datasets") == []
         assert not (out / "table.csv").exists() and not (out / "manifest.json").exists()
 
     def test_single_run_reproduces_campaign_history(self, tiny_config, tmp_path):

@@ -159,6 +159,22 @@ class TestArraySizes:
         errors = errors_of(minimal(report={"grids": True, "grid_resolution": [8193, 8192]}))
         assert self.paths_of(errors) == ["report.grid_resolution"]
 
+    def test_the_grid_pass_hidden_array_is_a_grid_campaigns_largest(self):
+        # the blocked grid pass holds one row block of hidden units: 8,000 of
+        # the 200 x 200 nodes, against 3,000 x 2 validation rows
+        assert max(largest_arrays(preset_config("toy-figure1-grids")), key=lambda a: a[2]) == (
+            "report.grid_resolution", "the grid pass's hidden array", 8000 * 64)
+
+    def test_a_wide_grid_pass_names_its_width(self):
+        # 264-row blocks of a million units, where the batch and validation
+        # arrays stay within the cap
+        errors = errors_of(minimal(training={"hidden_layers": 1, "hidden_width": 10**6},
+                                   datasets=[{"kind": "twomoons", "labeled_max": 10,
+                                              "unlabeled_max": 40, "val_per_class": 1}],
+                                   report={"grids": True}))
+        assert errors == ["training.hidden_width: the grid pass's hidden array would hold "
+                          f"{264 * 10**6} elements, {self.CAP}"]
+
     def test_a_campaign_without_runs_allocates_nothing(self):
         config = validate_config(json.dumps({"name": "gap", "seeds": [0], "gap_curve": {}}))
         assert largest_arrays(config) == []
